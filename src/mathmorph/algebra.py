@@ -10,8 +10,7 @@ from typing import Optional
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   FuncApp, NamedConst, Not, Or, Implies, Pow, Quantifier,
                   TermIte, Var, free_variables)
-from .funcs import (REGISTRY, DomainError, UnboundVariableError,
-                    eval_expression)
+from .funcs import eval_expression
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,7 @@ def fold_constants(expr):
                 v = eval_expression(app, {})
                 if v.exact:
                     return Const(v.value)
-            except (DomainError, UnboundVariableError, Exception):
+            except Exception:
                 pass
         return app
     if isinstance(expr, TermIte):
@@ -195,7 +194,9 @@ def lin(expr, var: str):
 
 def solve_for(lhs, rhs, var: str):
     """Solve the equation lhs = rhs for ``var`` in closed form when the
-    variable occurs linearly; returns the defining expression or None."""
+    variable occurs linearly; returns the defining expression or None.
+    The expression is free of ``var``, because ``lin`` only accepts a
+    remainder that is."""
     l = lin(lhs, var)
     r = lin(rhs, var)
     if l is None or r is None:
@@ -240,6 +241,41 @@ class LinearForm:
 
     def is_constant(self):
         return not self.coeffs
+
+    def substitute(self, v: str, g: "LinearForm") -> "LinearForm":
+        """Replace variable ``v`` by the linear form ``g``."""
+        c = self.coeffs.get(v)
+        if not c:
+            return self
+        reduced = LinearForm({u: k for u, k in self.coeffs.items() if u != v},
+                             self.const)
+        return reduced + g.scale(c)
+
+
+def eliminate(eqs, order):
+    """Gaussian elimination over the equations ``f = 0``.
+
+    The pivot is the first equation in list order that has a variable
+    left in ``order``, on the first such variable in ``order``.  Returns
+    ``(chain, residual, free)``: the chain lists ``(v, g)`` with ``v = g``
+    in elimination order, each ``g`` over the variables still free at
+    that step; the residual holds the equations left with no variable of
+    ``order`` (a nonzero constant one is inconsistent); ``free`` keeps the
+    variables of ``order`` that were not eliminated, in order.
+    """
+    eqs, free, chain = list(eqs), list(order), []
+    while True:
+        pick = next(((f, v) for f in eqs for v in free if v in f.coeffs),
+                    None)
+        if pick is None:
+            return chain, eqs, free
+        f, v = pick
+        a = f.coeffs[v]
+        g = LinearForm({u: -k / a for u, k in f.coeffs.items() if u != v},
+                       -f.const / a)
+        eqs = [e.substitute(v, g) for e in eqs if e is not f]
+        chain.append((v, g))
+        free.remove(v)
 
 
 def linear_form(expr, variables) -> Optional[LinearForm]:

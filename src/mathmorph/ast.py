@@ -7,7 +7,7 @@ transformation ever depends on floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -247,9 +247,6 @@ class Problem:
     def declared_names(self) -> tuple:
         return tuple(n for n, _ in self.declarations)
 
-    def with_constraints(self, constraints) -> "Problem":
-        return replace(self, constraints=tuple(constraints))
-
 
 # ---------------------------------------------------------------------------
 # Structural utilities
@@ -373,73 +370,104 @@ def rename_var(node, old: str, new: str):
 
 
 def substitute(node, name: str, replacement: Expression):
-    """Replace free occurrences of variable ``name`` with ``replacement``.
+    """Replace free occurrences of variable ``name`` with ``replacement``."""
+    return substitute_all(node, {name: replacement})
 
-    Capture-avoiding: quantifier bindings that collide with the free
-    variables of ``replacement`` are renamed first.
+
+def substitute_all(node, env: dict):
+    """Simultaneously replace the free occurrences of each variable named
+    in ``env`` with its replacement.
+
+    Capture-avoiding: a quantifier binding, or the index of a binder
+    function (``BINDER_SLOTS``), that occurs free in a replacement is
+    renamed first.  Unchanged subtrees are returned as-is.
     """
-    if isinstance(node, Var):
-        return replacement if node.name == name else node
-    if isinstance(node, (Const, NamedConst, BoolConst)):
+    t = type(node)
+    if t is Var:
+        return env.get(node.name, node)
+    if t is Const or t is NamedConst or t is BoolConst:
         return node
-    if isinstance(node, Quantifier):
-        if any(n == name for n, _ in node.bindings):
-            return node  # name is bound here, nothing free below
-        repl_free = free_variables(replacement)
-        bindings = list(node.bindings)
-        body = node.body
-        if any(n in repl_free for n, _ in bindings):
-            supply = _FreshNames(free_variables(body) | repl_free | {name})
-            renamed = []
-            for n, d in bindings:
-                if n in repl_free:
-                    n2 = supply.fresh(n)
-                    body = rename_var(body, n, n2)
-                    renamed.append((n2, d))
-                else:
-                    renamed.append((n, d))
-            bindings = renamed
-        return Quantifier(node.kind, tuple(bindings),
-                          substitute(body, name, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, name, replacement),
-                     substitute(node.right, name, replacement))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, name, replacement),
-                   substitute(node.exponent, name, replacement))
-    if isinstance(node, FuncApp):
-        if node.name in BINDER_SLOTS:
-            var_idx, body_idx = BINDER_SLOTS[node.name]
-            idx = node.args[var_idx]
-            if isinstance(idx, Var) and idx.name == name:
-                # the index shadows ``name`` in the body slot only
-                args = tuple(a if i in (var_idx, body_idx)
-                             else substitute(a, name, replacement)
-                             for i, a in enumerate(node.args))
-                return FuncApp(node.name, args)
-        return FuncApp(node.name, tuple(substitute(a, name, replacement)
-                                        for a in node.args))
-    if isinstance(node, TermIte):
-        return TermIte(substitute(node.cond, name, replacement),
-                       substitute(node.then, name, replacement),
-                       substitute(node.els, name, replacement))
-    if isinstance(node, Compare):
-        return Compare(substitute(node.lhs, name, replacement), node.rel,
-                       substitute(node.rhs, name, replacement))
-    if isinstance(node, And):
-        return And(tuple(substitute(i, name, replacement) for i in node.items))
-    if isinstance(node, Or):
-        return Or(tuple(substitute(i, name, replacement) for i in node.items))
-    if isinstance(node, Not):
-        return Not(substitute(node.child, name, replacement))
-    if isinstance(node, Implies):
-        return Implies(substitute(node.antecedent, name, replacement),
-                       substitute(node.consequent, name, replacement))
-    if isinstance(node, ConstraintIte):
-        return ConstraintIte(substitute(node.cond, name, replacement),
-                             substitute(node.then, name, replacement),
-                             substitute(node.els, name, replacement))
+    if t is BinOp:
+        l = substitute_all(node.left, env)
+        r = substitute_all(node.right, env)
+        return node if l is node.left and r is node.right \
+            else BinOp(node.op, l, r)
+    if t is Compare:
+        l = substitute_all(node.lhs, env)
+        r = substitute_all(node.rhs, env)
+        return node if l is node.lhs and r is node.rhs \
+            else Compare(l, node.rel, r)
+    if t is Pow:
+        b = substitute_all(node.base, env)
+        e = substitute_all(node.exponent, env)
+        return node if b is node.base and e is node.exponent else Pow(b, e)
+    if t is FuncApp:
+        slots = BINDER_SLOTS.get(node.name)
+        if slots and type(node.args[slots[0]]) is Var:
+            # the index binds its name in the body slot only
+            var_idx, body_idx = slots
+            index = node.args[var_idx]
+            (name,), body = _substitute_under((index.name,),
+                                              node.args[body_idx], env)
+            args = [a if i in slots else substitute_all(a, env)
+                    for i, a in enumerate(node.args)]
+            args[var_idx] = index if name == index.name else Var(name)
+            args[body_idx] = body
+        else:
+            args = [substitute_all(a, env) for a in node.args]
+        return node if all(a is b for a, b in zip(args, node.args)) \
+            else FuncApp(node.name, tuple(args))
+    if t is TermIte or t is ConstraintIte:
+        c = substitute_all(node.cond, env)
+        a = substitute_all(node.then, env)
+        b = substitute_all(node.els, env)
+        return node if (c is node.cond and a is node.then and b is node.els) \
+            else t(c, a, b)
+    if t is And or t is Or:
+        items = tuple(substitute_all(i, env) for i in node.items)
+        return node if all(a is b for a, b in zip(items, node.items)) \
+            else t(items)
+    if t is Not:
+        child = substitute_all(node.child, env)
+        return node if child is node.child else Not(child)
+    if t is Implies:
+        a = substitute_all(node.antecedent, env)
+        b = substitute_all(node.consequent, env)
+        return node if a is node.antecedent and b is node.consequent \
+            else Implies(a, b)
+    if t is Quantifier:
+        names = tuple(n for n, _ in node.bindings)
+        renamed, body = _substitute_under(names, node.body, env)
+        if renamed is names and body is node.body:
+            return node
+        return Quantifier(node.kind,
+                          tuple((n, d) for n, (_, d)
+                                in zip(renamed, node.bindings)), body)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _substitute_under(names: tuple, body, env: dict):
+    """Substitute ``env`` into ``body`` under a binder of ``names``; returns
+    ``(names, body)``.  A bound name shadows its own replacement; one that
+    occurs free in another replacement is renamed to a fresh name first,
+    and ``names`` comes back as a new tuple."""
+    inner = {k: v for k, v in env.items() if k not in names}
+    if not inner:
+        return names, body              # every name is bound here
+    repl_free = set()
+    for r in inner.values():
+        repl_free |= free_variables(r)
+    if repl_free.intersection(names):
+        supply = _FreshNames(free_variables(body) | repl_free | inner.keys())
+        renamed = []
+        for n in names:
+            if n in repl_free:
+                n2 = supply.fresh(n)
+                body = rename_var(body, n, n2)
+                n = n2
+            renamed.append(n)
+        names = tuple(renamed)
+    return names, substitute_all(body, inner)
 
 
 def substitute_in_problem(p: Problem, name: str, replacement: Expression,

@@ -10,16 +10,13 @@ invertible integer linear system over fresh variables.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import (BinOp, Compare, Const, Domain, FuncApp, Goal,
-                  MathMorphError, Problem, Var, _FreshNames, conjuncts,
-                  free_variables, rename_var, substitute_in_problem)
-from .algebra import fold_constraint, scale_e, sub_e, add_e
-from .funcs import Num
+                  MathMorphError, Problem, Var, _FreshNames, rename_var)
+from .algebra import scale_e, sub_e, add_e
 from .simplify import MutationRecord, TacticError, simplify_level0
 from .solver import SolverConfig, solve
 
@@ -60,7 +57,6 @@ class McmcConfig:
     int_step_max: int = 50
     real_sigma: float = 10.0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    allow_goal_mutation: bool = False
     reverse_gauss_vars: int = 2
     foo_pool: Tuple[str, ...] = ("id",)
 

@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple, Optional
 
 import mpmath
 
-from .ast import (BinOp, BoolConst, Compare, Const, ConstraintIte, FuncApp,
-                  MathMorphError, NamedConst, Not, And, Or, Implies, Pow,
-                  Quantifier, TermIte, Var, node_count)
+from .ast import (BinOp, BoolConst, Compare, Const, ConstraintIte, Domain,
+                  FuncApp, MathMorphError, NamedConst, Not, And, Or, Implies,
+                  Pow, Quantifier, TermIte, Var, node_count, substitute)
 
 mpmath.mp.dps = 30
 
@@ -43,6 +43,25 @@ class Num(NamedTuple):
     """A numeric value: exact rational, or rational approximation."""
     value: Fraction
     exact: bool = True
+
+
+def coerce_to_domain(dom: Domain, val: Num):
+    """``val`` as a value of ``dom``, or None when it breaks the domain.
+    Integer domains reject an exact fraction, round an inexact value
+    lying within APPROX_TOL of an integer, and apply the lower bound."""
+    if dom.is_integer:
+        if val.exact:
+            if val.value.denominator != 1:
+                return None
+        else:
+            rounded = Fraction(round(val.value))
+            if abs(rounded - val.value) > APPROX_TOL:
+                return None
+            val = Num(rounded, exact=False)
+        lb = dom.lower_bound
+        if lb is not None and val.value < lb:
+            return None
+    return val
 
 
 def _approx(x) -> Num:
@@ -600,7 +619,6 @@ def _red_summation(registry, app):
     lo_i, hi_i = int(lo.value), int(hi.value)
     if not lo_i <= hi_i or hi_i - lo_i + 1 > _UNROLL_CAP:
         return app
-    from .ast import substitute
     terms = [substitute(body, idx.name, Const(Fraction(i)))
              for i in range(lo_i, hi_i + 1)]
     acc = terms[0]

@@ -17,98 +17,24 @@ bounds; anything undecidable is answered ``unknown``.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  Domain, FuncApp, Implies, MathMorphError, NamedConst, Not,
-                  Or, Pow, Problem, Quantifier, TermIte, Var, conjuncts,
-                  free_variables, substitute, is_quantifier_free,
-                  contains_complex)
-from .algebra import LinearForm, fold_constraint, linear_form, solve_for
-from .funcs import (APPROX_TOL, DomainError, Num, UnboundVariableError,
-                    eval_constraint, eval_expression)
+                  Domain, Implies, MathMorphError, Not, Or, Problem,
+                  Quantifier, Var, conjuncts, contains_complex,
+                  free_variables, is_quantifier_free, negate, substitute_all)
+from .algebra import (LinearForm, eliminate, fold_constraint, lin,
+                      linear_form, solve_for)
+from .funcs import (DomainError, Num, UnboundVariableError,
+                    coerce_to_domain, eval_constraint, eval_expression)
 from .parser import ParseError, parse, read_sexprs, sexpr_to_text, Atom
-from .printer import expr_to_sexpr
+from .printer import _rational_sexpr, expr_to_sexpr
 
 DEFAULT_ENUM_SPAN = 1000
 DEFAULT_NODE_BUDGET = 100_000
 PROBE_WIDTH = 12
-
-
-def _lf_substitute(f: LinearForm, v: str, g: LinearForm) -> LinearForm:
-    """Replace variable ``v`` by the linear form ``g`` inside ``f``."""
-    c = f.coeffs.get(v)
-    if not c:
-        return f
-    reduced = LinearForm({u: k for u, k in f.coeffs.items() if u != v},
-                         f.const)
-    return reduced + g.scale(c)
-
-
-def _subst_env(node, env):
-    """One-pass substitution of closed constant replacements; unchanged
-    subtrees are returned as-is."""
-    t = type(node)
-    if t is Var:
-        return env.get(node.name, node)
-    if t in (Const, NamedConst, BoolConst):
-        return node
-    if t is BinOp:
-        l = _subst_env(node.left, env)
-        r = _subst_env(node.right, env)
-        return node if l is node.left and r is node.right \
-            else BinOp(node.op, l, r)
-    if t is Compare:
-        l = _subst_env(node.lhs, env)
-        r = _subst_env(node.rhs, env)
-        return node if l is node.lhs and r is node.rhs \
-            else Compare(l, node.rel, r)
-    if t is Pow:
-        b = _subst_env(node.base, env)
-        e = _subst_env(node.exponent, env)
-        return node if b is node.base and e is node.exponent else Pow(b, e)
-    if t is FuncApp:
-        args = tuple(_subst_env(a, env) for a in node.args)
-        return node if all(a is b for a, b in zip(args, node.args)) \
-            else FuncApp(node.name, args)
-    if t is TermIte:
-        c = _subst_env(node.cond, env)
-        a = _subst_env(node.then, env)
-        b = _subst_env(node.els, env)
-        return node if (c is node.cond and a is node.then and b is node.els) \
-            else TermIte(c, a, b)
-    if t is ConstraintIte:
-        c = _subst_env(node.cond, env)
-        a = _subst_env(node.then, env)
-        b = _subst_env(node.els, env)
-        return node if (c is node.cond and a is node.then and b is node.els) \
-            else ConstraintIte(c, a, b)
-    if t is And:
-        items = tuple(_subst_env(i, env) for i in node.items)
-        return node if all(a is b for a, b in zip(items, node.items)) \
-            else And(items)
-    if t is Or:
-        items = tuple(_subst_env(i, env) for i in node.items)
-        return node if all(a is b for a, b in zip(items, node.items)) \
-            else Or(items)
-    if t is Not:
-        child = _subst_env(node.child, env)
-        return node if child is node.child else Not(child)
-    if t is Implies:
-        a = _subst_env(node.antecedent, env)
-        b = _subst_env(node.consequent, env)
-        return node if a is node.antecedent and b is node.consequent \
-            else Implies(a, b)
-    if t is Quantifier:
-        bound = {n for n, _ in node.bindings}
-        inner = {k: v for k, v in env.items() if k not in bound}
-        if not inner:
-            return node
-        body = _subst_env(node.body, inner)
-        return node if body is node.body \
-            else Quantifier(node.kind, node.bindings, body)
-    raise MathMorphError(f"not an AST node: {node!r}")
 
 
 class ExactSolver:
@@ -119,7 +45,7 @@ class ExactSolver:
         self.node_budget = node_budget
         self.nodes = 0
         self.domains = dict(problem.declarations)
-        self._fvs_cache = {}
+        self._atom_cache = {}
         self.atoms = []
         for c in problem.constraints:
             self.atoms.extend(conjuncts(c))
@@ -198,49 +124,32 @@ class ExactSolver:
             if lf_l is None or lf_r is None:
                 continue                    # nonlinear: final check covers it
             eqs.append(lf_l - lf_r)        # constraint: f = 0
-        chain, order = [], list(unassigned)
-        while True:
-            pick = None
-            for f in eqs:
-                for v in order:
-                    if v in f.coeffs:
-                        pick = (f, v)
-                        break
-                if pick:
-                    break
-            if pick is None:
-                break
-            f, v = pick
-            a = f.coeffs[v]
-            g = LinearForm({u: -k / a for u, k in f.coeffs.items()
-                            if u != v}, -f.const / a)
-            eqs = [_lf_substitute(e, v, g) for e in eqs if e is not f]
-            chain.append((v, g))
-            order.remove(v)
-        for e in eqs:
-            if e.is_constant() and e.const != 0:
-                return "unsat", {}
+        chain, residual, free = eliminate(eqs, unassigned)
+        if any(e.is_constant() and e.const != 0 for e in residual):
+            return "unsat", {}
         # back-substitute; values stay linear forms over the free variables
-        forms = {v: LinearForm({v: Fraction(1)}, Fraction(0)) for v in order}
+        forms = {v: LinearForm({v: Fraction(1)}, Fraction(0)) for v in free}
         for v, g in reversed(chain):
             acc = LinearForm({}, g.const)
             for u, k in g.coeffs.items():
                 acc = acc + forms[u].scale(k)
             forms[v] = acc
-        if order:
+        if free:
             # keep whatever the system forces regardless of the free part
             for v, g in chain:
                 f = forms[v]
                 if f.is_constant():
-                    ok = self._domain_check(v, Num(f.const, exact=True))
-                    if ok == "unsat":
+                    ok = coerce_to_domain(self.domains[v],
+                                          Num(f.const, exact=True))
+                    if ok is None:
                         return "unsat", {}
                     model[v] = ok
             return None, {}
         pinned = dict(model)
         for v, _ in chain:
-            ok = self._domain_check(v, Num(forms[v].const, exact=True))
-            if ok == "unsat":
+            ok = coerce_to_domain(self.domains[v],
+                                  Num(forms[v].const, exact=True))
+            if ok is None:
                 return "unsat", {}
             pinned[v] = ok
         status, out = self._final_check(pinned)
@@ -254,12 +163,14 @@ class ExactSolver:
 
     # -- propagation --------------------------------------------------------
 
-    def _fvs(self, c):
-        cached = self._fvs_cache.get(id(c))
+    def _atom(self, c):
+        """``(c, free variables, folded c)``, computed once per atom; the
+        entry keeps ``c`` alive so its id cannot be reused."""
+        cached = self._atom_cache.get(id(c))
         if cached is None:
             cached = (c, free_variables(c), fold_constraint(c))
-            self._fvs_cache[id(c)] = cached
-        return cached[1]
+            self._atom_cache[id(c)] = cached
+        return cached
 
     def _propagate(self, model):
         """Assign variables forced by equalities with a single unknown."""
@@ -269,7 +180,7 @@ class ExactSolver:
             for c in self.atoms:
                 if not (isinstance(c, Compare) and c.rel == "="):
                     continue
-                if len(self._fvs(c) - model.keys()) != 1:
+                if len(self._atom(c)[1] - model.keys()) != 1:
                     continue
                 sub = self._substitute_model(c, model)
                 fv = free_variables(sub)
@@ -289,12 +200,11 @@ class ExactSolver:
                     except (DomainError, UnboundVariableError,
                             MathMorphError):
                         continue
-                ok = self._domain_check(v, val)
-                if ok == "unsat":
+                ok = coerce_to_domain(self.domains[v], val)
+                if ok is None:
                     return "unsat"
-                if ok is not None:
-                    model[v] = ok
-                    progress = True
+                model[v] = ok
+                progress = True
         return "open"
 
     def _invert_equality(self, c, v):
@@ -368,32 +278,12 @@ class ExactSolver:
     def _substitute_model(self, c, model):
         # the same atoms are re-substituted at every search node, so skip
         # atoms the model cannot touch and walk the rest in a single pass
-        cached = self._fvs_cache.get(id(c))
-        if cached is None:
-            cached = (c, free_variables(c), fold_constraint(c))
-            self._fvs_cache[id(c)] = cached
-        _, fvs, folded = cached
+        _, fvs, folded = self._atom(c)
         hit = fvs & model.keys()
         if not hit:
             return folded
         env = {v: Const(model[v].value) for v in hit}
-        return fold_constraint(_subst_env(c, env))
-
-    def _domain_check(self, v, val: Num):
-        dom = self.domains[v]
-        if dom.is_integer:
-            if val.exact:
-                if val.value.denominator != 1:
-                    return "unsat"
-            else:
-                rounded = Fraction(round(val.value))
-                if abs(rounded - val.value) > APPROX_TOL:
-                    return "unsat"
-                val = Num(rounded, exact=False)
-            lb = dom.lower_bound
-            if lb is not None and val.value < lb:
-                return "unsat"
-        return val
+        return fold_constraint(substitute_all(c, env))
 
     # -- final check --------------------------------------------------------
 
@@ -426,7 +316,7 @@ class ExactSolver:
         sound_lo = lo is not None
         sound_hi = False
         for c in self.atoms:
-            if v not in self._fvs(c):
+            if v not in self._atom(c)[1]:
                 continue
             sub = self._substitute_model(c, model)
             if not isinstance(sub, Compare):
@@ -454,8 +344,6 @@ class ExactSolver:
         """Bound from a linear comparison with only ``v`` free."""
         if free_variables(c) != {v}:
             return None
-        from .algebra import lin
-        from .algebra import sub_e
         l = lin(c.lhs, v)
         r = lin(c.rhs, v)
         if l is None or r is None:
@@ -471,7 +359,6 @@ class ExactSolver:
         if a < 0:
             rel = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=",
                    "!=": "!="}[rel]
-        import math
         if rel in ("<=", "<", "="):
             hi = math.floor(bound) if rel != "<" or bound != int(bound) \
                 else int(bound) - 1
@@ -565,7 +452,7 @@ class ExactSolver:
 
     def _prune(self, model):
         for c in self.atoms:
-            if self._fvs(c) - model.keys():
+            if self._atom(c)[1] - model.keys():
                 continue
             sub = self._substitute_model(c, model)
             if not free_variables(sub):
@@ -611,43 +498,13 @@ class ExactSolver:
                     f = f.scale(Fraction(-1))
                 ineqs.append((f, rel in (">", "<")))
 
-        subst_chain = []
-        order = [v for v in real_vars]
-
-        def substitute_form(f, v, g):
-            c = f.coeffs.get(v)
-            if not c:
-                return f
-            reduced = LinearForm({u: k for u, k in f.coeffs.items()
-                                  if u != v}, f.const)
-            return reduced + g.scale(c)
-
         # Gaussian elimination on equalities
-        while True:
-            pick = None
-            for f in eqs:
-                for v in order:
-                    if v in f.coeffs:
-                        pick = (f, v)
-                        break
-                if pick:
-                    break
-            if pick is None:
-                break
-            f, v = pick
-            a = f.coeffs[v]
-            g = LinearForm({u: -k / a for u, k in f.coeffs.items()
-                            if u != v}, -f.const / a)
-            eqs = [substitute_form(e, v, g) for e in eqs if e is not f]
-            ineqs = [(substitute_form(i, v, g), s) for i, s in ineqs]
-            diseqs = [substitute_form(d, v, g) for d in diseqs]
-            subst_chain.append((v, g))
-            order.remove(v)
-
-        for e in eqs:
-            if e.coeffs or e.const != 0:
-                if e.is_constant():
-                    return "unsat", {}
+        chain, residual, order = eliminate(eqs, real_vars)
+        for v, g in chain:
+            ineqs = [(i.substitute(v, g), s) for i, s in ineqs]
+            diseqs = [d.substitute(v, g) for d in diseqs]
+        if any(e.is_constant() and e.const != 0 for e in residual):
+            return "unsat", {}
         for d in diseqs:
             if d.is_constant() and d.const == 0:
                 return "unsat", {}
@@ -702,7 +559,7 @@ class ExactSolver:
                 values[v] = hi - 1 if hi_strict else hi
             else:
                 values[v] = Fraction(0)
-        for v, g in reversed(subst_chain):
+        for v, g in reversed(chain):
             values[v] = form_value(g)
 
         candidate = dict(model)
@@ -740,8 +597,6 @@ def _dnf_branches(atoms):
     """Disjunctive normal form of a conjunction of constraints as a list
     of Compare/BoolConst conjunction branches; None when the expansion
     exceeds the cap or hits a quantifier."""
-    from .ast import ConstraintIte, Implies, Not, Or, Quantifier
-    from .ast import negate as neg
 
     def norm(c):
         """List of branches for a single constraint."""
@@ -760,7 +615,7 @@ def _dnf_branches(atoms):
         if isinstance(c, Not):
             inner = c.child
             if isinstance(inner, Compare):
-                return [[neg(inner)]]
+                return [[negate(inner)]]
             if isinstance(inner, BoolConst):
                 return [[BoolConst(not inner.value)]]
             if isinstance(inner, And):
@@ -804,7 +659,6 @@ def _dnf_branches(atoms):
 def _monotone_positive(expr) -> bool:
     """True when expr is built only from +, * over variables and
     nonnegative constants (hence monotone increasing in every var)."""
-    from .ast import BinOp
     if isinstance(expr, Var):
         return True
     if isinstance(expr, Const):
@@ -820,7 +674,6 @@ def _monotone_positive(expr) -> bool:
 
 def _format_value(num: Num) -> str:
     if num.exact:
-        from .printer import _rational_sexpr
         return _rational_sexpr(num.value)
     return repr(float(num.value))
 

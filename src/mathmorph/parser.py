@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, FuncApp, Goal, MathMorphError, NamedConst, Not, Or,
-                  Implies, Pow, Problem, Quantifier, TermIte, Var, make_and)
+                  Implies, Pow, Problem, Quantifier, TermIte, ValidationError,
+                  Var, make_and, substitute_all, validate)
 from .funcs import REGISTRY
 
 
@@ -325,10 +326,11 @@ class _ProblemBuilder:
                     f"got {len(args)}", head.line, head.col)
             expansion = self.elab_term(
                 macro.body, {**bound, **{p: True for p in macro.params}})
-            from .ast import substitute
-            for p, a in zip(macro.params, args):
-                expansion = substitute(expansion, p, self.elab_term(a, bound))
-            return expansion
+            # simultaneous, so an argument that names a later parameter
+            # is not substituted again
+            return substitute_all(expansion, {
+                p: self.elab_term(a, bound)
+                for p, a in zip(macro.params, args)})
         if op in self.rec_names:
             return FuncApp(op, tuple(self.elab_term(a, bound) for a in args))
         if self.registry.known(op):
@@ -504,7 +506,6 @@ def parse(text: str, registry=None) -> Problem:
 
 
 def _validate_parsed(problem, builder):
-    from .ast import validate, ValidationError
     try:
         validate(problem)
     except ValidationError as exc:

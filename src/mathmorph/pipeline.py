@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
+import shlex
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import Goal, MathMorphError, Problem, node_count
+from .ast import MathMorphError, Problem, node_count
 from .parser import ParseError, parse
-from .printer import canonical_print, print_smtlib
+from .printer import canonical_print
 from .solver import SolverConfig, SolverResult, solve
-from .simplify import MutationRecord, TacticError
-from .complicate import ComplicationError, McmcConfig, mutate_to_level
-from .informalize import (PATTERNS, ConsistencyVerdict, EndpointError,
-                          PromptContext, PromptPattern, consistency_check,
+from .simplify import MutationRecord
+from .complicate import McmcConfig, mutate_to_level
+from .informalize import (DEFAULT_FEW_SHOT_POOL, PATTERNS, EndpointError,
+                          PromptContext, consistency_check,
                           generate_reasoning, informalize)
 
 
@@ -148,7 +148,7 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     mcmc = plan.mcmc or McmcConfig(solver=plan.solver)
     try:
         mutated, records = mutate_to_level(seed, level, rng, mcmc)
-    except (ComplicationError, TacticError, MathMorphError) as exc:
+    except MathMorphError as exc:
         return None, dict(base, reason=f"mutation failed: {exc}")
     base["formal"] = canonical_print(mutated)
     base["provenance"] = _records_json(records)
@@ -197,7 +197,6 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
     rejects_path = rejects_path or f"{out_path}.rejects"
     report = GenerationReport()
     node_totals: Dict[int, List[int]] = {}
-    from .informalize import DEFAULT_FEW_SHOT_POOL
     rows, rejects = [], []
     for seed_id, seed, original in corpus:
         for level in sorted(plan.level_counts):
@@ -380,7 +379,6 @@ def plan_from_config(cfg: Dict[str, str],
         raise PipelineError("config is missing the 'corpus' key")
     solver = SolverConfig()
     if cfg.get("solver"):
-        import shlex
         solver = replace(solver, command=shlex.split(cfg["solver"]))
     return GenerationPlan(
         corpus_path=cfg["corpus"],

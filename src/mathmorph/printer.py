@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  Domain, FuncApp, Goal, Implies, NamedConst, Not, Or, Pow,
-                  Problem, Quantifier, TermIte, Var, children)
+                  FuncApp, Goal, Implies, NamedConst, Not, Or, Pow, Problem,
+                  Quantifier, TermIte, Var, children, make_and)
 
 _SMT_REL = {"=": "=", "!=": "distinct", ">=": ">=", "<=": "<=",
             ">": ">", "<": "<"}
@@ -73,7 +73,6 @@ def constraint_to_sexpr(c) -> str:
             if lb is not None:
                 guards.append(Compare(Var(name), ">=", Const(Fraction(lb))))
         if guards:
-            from .ast import make_and
             guard = make_and(guards)
             body = (Implies(guard, body) if c.kind == "forall"
                     else make_and(guards + [body]))

@@ -10,7 +10,7 @@ returns a MutationRecord that replays bit-exactly.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -19,10 +19,11 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, FuncApp, Goal, Implies, MathMorphError, NamedConst,
                   Not, Or, Pow, Problem, Quantifier, TermIte, Var,
                   _FreshNames, children, conjuncts, free_variables, make_and,
-                  negate, node_count, substitute, substitute_in_problem)
+                  negate, substitute, substitute_all, substitute_in_problem)
 from .algebra import (add_e, div_e, fold_constants, fold_constraint, lin,
                       mul_e, scale_e, solve_for, sub_e)
-from .funcs import REGISTRY, reduce_app
+from .funcs import reduce_app
+from .printer import expr_to_sexpr
 
 
 class TacticError(MathMorphError):
@@ -49,12 +50,6 @@ MAX_PASSES = 100
 EXPAND_MAX_EXPONENT = 4
 
 
-def _strip(e):
-    """Drop source lexemes so structural comparison is purely on value."""
-    from .printer import _strip_lexemes
-    return _strip_lexemes(e)
-
-
 def _flatten_sum(e, sign=1):
     """Flatten nested +/- into [(sign, term)]."""
     if isinstance(e, BinOp) and e.op == "+":
@@ -75,11 +70,11 @@ def _rebuild_sum(terms):
 
 
 def _cancel_terms(e):
-    """y + x - x -> y: remove structurally equal terms of opposite sign."""
+    """y + x - x -> y: remove structurally equal terms of opposite sign
+    (source lexemes take no part in structural equality)."""
     terms = _flatten_sum(e)
     if len(terms) < 2:
         return e
-    keys = [_strip(t) for _, t in terms]
     dead = [False] * len(terms)
     for i in range(len(terms)):
         if dead[i]:
@@ -87,7 +82,7 @@ def _cancel_terms(e):
         for j in range(i + 1, len(terms)):
             if dead[j]:
                 continue
-            if keys[i] == keys[j] and terms[i][0] == -terms[j][0]:
+            if terms[i][1] == terms[j][1] and terms[i][0] == -terms[j][0]:
                 dead[i] = dead[j] = True
                 break
     if not any(dead):
@@ -234,9 +229,7 @@ class _SimplifyPass:
         raise TypeError(f"not an expression: {e!r}")
 
     def _apply_bindings(self, e):
-        for name, const in self.bindings.items():
-            e = substitute(e, name, const)
-        return e
+        return substitute_all(e, self.bindings)
 
     def constraint(self, c):
         if isinstance(c, BoolConst):
@@ -323,7 +316,7 @@ def _gaussian_candidates(p: Problem, allow_goal_targets: bool):
             if not allow_goal_targets and v in goal_vars:
                 continue
             sol = solve_for(c.lhs, c.rhs, v)
-            if sol is None or v in free_variables(sol):
+            if sol is None:
                 continue
             vars_here.append((v, sol))
         if vars_here:
@@ -360,7 +353,6 @@ def tactic_gaussian_elim(p: Problem, rng,
     out = Problem(out.declarations,
                   tuple(fold_constraint(c) for c in out.constraints),
                   out.goal, out.recursive_defs)
-    from .printer import expr_to_sexpr
     record = MutationRecord("gaussian_elim", (idx,),
                             {"variable": v,
                              "definition": expr_to_sexpr(sol),
@@ -470,7 +462,7 @@ def _trivially_true(c) -> bool:
     if isinstance(c, BoolConst):
         return c.value
     if isinstance(c, Compare) and c.rel in ("=", "<=", ">="):
-        return _strip(c.lhs) == _strip(c.rhs)
+        return c.lhs == c.rhs
     if isinstance(c, And):
         return all(_trivially_true(i) for i in c.items)
     return False
@@ -498,7 +490,7 @@ def _qe_exists(q: Quantifier):
         if not (isinstance(a, Compare) and a.rel == "="):
             continue
         sol = solve_for(a.lhs, a.rhs, name)
-        if sol is None or name in free_variables(sol):
+        if sol is None:
             continue
         kept = [substitute(other, name, sol) for other in atoms if other is not a]
         kept = [_normalize_compare(fold_constraint(k)) for k in kept]
@@ -560,7 +552,6 @@ def _qe_int_enum(name, dom, atoms):
         rest = fold_constants(sub_e(r[1], l[1]))
         if not isinstance(rest, Const) or coeff == 0:
             return None
-        import math
         bound = rest.value / coeff
         rel = a.rel
         if coeff < 0:

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import (And, BoolConst, Compare, ConstraintIte, Domain, Implies,
-                  MathMorphError, Not, Or, Problem, Quantifier, ValidationError,
-                  Var, conjuncts, contains_complex, free_variables, make_and,
-                  negate, substitute_in_problem, validate)
-from .algebra import fold_constraint, solve_for
-from .funcs import (APPROX_TOL, DomainError, Num, UnboundVariableError,
-                    eval_constraint, eval_expression)
+from .ast import (And, BoolConst, Compare, Const, ConstraintIte, Goal,
+                  Implies, MathMorphError, Not, Or, Problem, Quantifier,
+                  ValidationError, Var, conjuncts, contains_complex,
+                  free_variables, make_and, negate, substitute_in_problem,
+                  validate)
+from .algebra import fold_constraint, linear_form, solve_for
+from .funcs import Num, coerce_to_domain, eval_expression
 from .parser import Atom, ParseError, read_sexprs
 from .printer import constraint_to_sexpr, expr_to_sexpr
 
@@ -183,38 +183,12 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     if contains_complex(p):
         raise ValidationError("complex-domain problems are not solvable")
     start = time.monotonic()
-    if cfg.command is None and not os.environ.get("MATHMORPH_SOLVER"):
-        # bundled solver: skip the subprocess round trip
-        from .minisolver import solve_exact
-        status, model = solve_exact(p, cfg.enum_span, cfg.node_budget)
-        elapsed = time.monotonic() - start
-        if status == "sat":
-            model = _coerce_domains(p, model)
-            if model is None:
-                status = "unknown"
-        if status == "unknown" and cfg.fallback_enabled:
-            fb = numeric_fallback_solve(p, cfg)
-            if fb.status != "unknown":
-                return fb
-            return SolverResult("unknown", elapsed=elapsed)
-        if status != "sat":
-            return SolverResult(status, elapsed=elapsed)
-        return SolverResult("sat", model, _goal_values(p, model), "smt",
-                            elapsed)
-    script = build_script(p, cfg.logic)
-    cmd = cfg.resolved_command()
-    try:
-        proc = subprocess.run(cmd, input=script, capture_output=True,
-                              text=True, timeout=cfg.timeout_ms / 1000.0)
-    except subprocess.TimeoutExpired:
-        result = SolverResult("timeout", elapsed=time.monotonic() - start)
+    status, model, raw = _exact_stage(p, cfg)
+    elapsed = time.monotonic() - start
+    if status == "timeout":
         if cfg.fallback_enabled:
             return numeric_fallback_solve(p, cfg)
-        return result
-    except OSError as exc:
-        raise SolverError(f"failed to spawn solver {cmd!r}: {exc}")
-    status, model = parse_reply(proc.stdout)
-    elapsed = time.monotonic() - start
+        return SolverResult("timeout", elapsed=elapsed)
     if status == "sat":
         model = _coerce_domains(p, model)
         if model is None:
@@ -223,31 +197,43 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
         fb = numeric_fallback_solve(p, cfg)
         if fb.status != "unknown":
             return fb
-        return SolverResult("unknown", elapsed=elapsed, raw=proc.stdout)
+        return SolverResult("unknown", elapsed=elapsed, raw=raw)
     if status != "sat":
-        return SolverResult(status, elapsed=elapsed, raw=proc.stdout)
+        return SolverResult(status, elapsed=elapsed, raw=raw)
     return SolverResult("sat", model, _goal_values(p, model), "smt",
-                        elapsed, proc.stdout)
+                        elapsed, raw)
+
+
+def _exact_stage(p: Problem, cfg: SolverConfig):
+    """``(status, model, raw reply)`` of the exact solver: the bundled one
+    in process, or the configured executable over stdio, where a timeout
+    gives the status ``"timeout"``."""
+    if cfg.command is None and not os.environ.get("MATHMORPH_SOLVER"):
+        # bundled solver: skip the subprocess round trip; imported on
+        # first use so that importing the package does not load it
+        from .minisolver import solve_exact
+        status, model = solve_exact(p, cfg.enum_span, cfg.node_budget)
+        return status, model, ""
+    script = build_script(p, cfg.logic)
+    cmd = cfg.resolved_command()
+    try:
+        proc = subprocess.run(cmd, input=script, capture_output=True,
+                              text=True, timeout=cfg.timeout_ms / 1000.0)
+    except subprocess.TimeoutExpired:
+        return "timeout", {}, ""
+    except OSError as exc:
+        raise SolverError(f"failed to spawn solver {cmd!r}: {exc}")
+    status, model = parse_reply(proc.stdout)
+    return status, model, proc.stdout
 
 
 def _coerce_domains(p: Problem, model: Dict[str, Num]):
-    """Round near-integer values for integer domains; None when a value is
-    missing or breaks its side constraint."""
+    """The model with each value coerced to its declared domain; None when
+    a value is missing or breaks its domain."""
     out = {}
     for name, dom in p.declarations:
-        if name not in model:
-            return None
-        v = model[name]
-        if dom.is_integer:
-            if v.value.denominator != 1:
-                if v.exact:
-                    return None
-                rounded = Fraction(round(v.value))
-                if abs(rounded - v.value) > APPROX_TOL:
-                    return None
-                v = Num(rounded, exact=False)
-        lb = dom.lower_bound
-        if lb is not None and v.value < lb:
+        v = coerce_to_domain(dom, model[name]) if name in model else None
+        if v is None:
             return None
         out[name] = v
     return out
@@ -372,23 +358,25 @@ class EquivalenceVerdict:
 
 def project_onto(p: Problem, shared) -> Optional[Problem]:
     """Eliminate private variables that are defined by equalities; None
-    when some private variable resists elimination."""
+    when some private variable resists elimination.  An integer variable
+    is eliminated only by an integral definition (see ``_integral``), so
+    the projection keeps integrality."""
     current = p
     pending = [n for n, _ in current.declarations if n not in shared]
     changed = True
     while pending and changed:
         changed = False
+        int_vars = {n for n, d in current.declarations if d.is_integer}
         for v in list(pending):
-            atoms = []
-            for c in current.constraints:
-                atoms.extend(conjuncts(c))
-            for c in atoms:
+            for c in _atoms(current):
                 if not (isinstance(c, Compare) and c.rel == "="):
                     continue
                 if v not in free_variables(c):
                     continue
                 sol = solve_for(c.lhs, c.rhs, v)
-                if sol is None or v in free_variables(sol):
+                if sol is None:
+                    continue
+                if v in int_vars and not _integral(sol, int_vars):
                     continue
                 current = _eliminate(current, v, sol, c)
                 pending.remove(v)
@@ -399,32 +387,33 @@ def project_onto(p: Problem, shared) -> Optional[Problem]:
     return None if pending else current
 
 
+def _atoms(p: Problem) -> list:
+    return [a for c in p.constraints for a in conjuncts(c)]
+
+
+def _integral(sol, int_vars) -> bool:
+    """True when ``sol`` is a linear form with integer coefficients over
+    ``int_vars`` and an integer constant, so it is an integer wherever
+    they are."""
+    f = linear_form(sol, int_vars)
+    return f is not None and f.const.denominator == 1 \
+        and all(k.denominator == 1 for k in f.coeffs.values())
+
+
 def _eliminate(p: Problem, v: str, sol, defining) -> Problem:
-    from .ast import Goal, Problem as Prob, Const
-    doms = dict(p.declarations)
-    new_constraints = []
-    removed = False
-    for c in p.constraints:
-        kept = [i for i in conjuncts(c) if not (i == defining and not removed)]
-        if len(kept) != len(conjuncts(c)):
-            removed = True
-        for k in kept:
-            new_constraints.append(fold_constraint(
-                _subst_constraint(k, v, sol)))
-    lb = doms[v].lower_bound
+    """Drop the defining equality, substitute ``sol`` for ``v`` and keep
+    ``v``'s domain bound as a constraint on ``sol``."""
+    atoms = _atoms(p)
+    atoms.remove(defining)
+    stripped = Problem(p.declarations, tuple(atoms), p.goal, p.recursive_defs)
+    out = substitute_in_problem(stripped, v, sol, drop_declaration=True)
+    constraints = [fold_constraint(c) for c in out.constraints]
+    lb = p.domain_of(v).lower_bound
     if lb is not None:
-        new_constraints.append(fold_constraint(
+        constraints.append(fold_constraint(
             Compare(sol, ">=", Const(Fraction(lb)))))
-    decls = tuple((n, d) for n, d in p.declarations if n != v)
-    from .ast import substitute
-    targets = tuple(substitute(t, v, sol) for t in p.goal.targets)
-    return Prob(decls, tuple(new_constraints), Goal(p.goal.kind, targets),
-                p.recursive_defs)
-
-
-def _subst_constraint(c, v, sol):
-    from .ast import substitute
-    return substitute(c, v, sol)
+    return Problem(out.declarations, tuple(constraints), out.goal,
+                   out.recursive_defs)
 
 
 def verify_equivalence(p1: Problem, p2: Problem, shared,
@@ -444,10 +433,9 @@ def verify_equivalence(p1: Problem, p2: Problem, shared,
             return EquivalenceVerdict("unknown",
                                       detail=f"{tag}: projection failed")
         neg = negate(make_and(list(_all_atoms(proj_b))))
-        from .ast import Goal, Problem as Prob
-        combined = Prob(a.declarations,
-                        a.constraints + (fold_constraint(neg),),
-                        Goal("solve", ()), a.recursive_defs)
+        combined = Problem(a.declarations,
+                           a.constraints + (fold_constraint(neg),),
+                           Goal("solve", ()), a.recursive_defs)
         result = solve(combined, cfg)
         if result.status == "sat":
             witness = {k: v for k, v in result.model.items() if k in shared}
@@ -458,7 +446,6 @@ def verify_equivalence(p1: Problem, p2: Problem, shared,
 
 
 def _all_atoms(p: Problem):
-    from .ast import Const
     for c in p.constraints:
         yield c
     for name, dom in p.declarations:

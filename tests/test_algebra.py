@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from mathmorph.algebra import (LinearForm, fold_constants, fold_constraint,
-                               lin, linear_form, solve_for)
+from mathmorph.algebra import (LinearForm, eliminate, fold_constants,
+                               fold_constraint, lin, linear_form, solve_for)
 from mathmorph.ast import BinOp, Const, Var, free_variables
 from mathmorph.parser import parse
 
@@ -77,3 +77,46 @@ def test_linear_form_arithmetic():
     assert s.coeffs == {"y": Fraction(1)}
     assert s.const == Fraction(4)
     assert (f - f).is_constant()
+
+
+def _lf(const, **coeffs):
+    return LinearForm({v: Fraction(c) for v, c in coeffs.items()},
+                      Fraction(const))
+
+
+def test_eliminate_solves_a_determined_system():
+    # x + y = 5, x - y = 1: pivot x in the first equation, then y
+    chain, residual, free = eliminate([_lf(-5, x=1, y=1), _lf(-1, x=1, y=-1)],
+                                      ["x", "y"])
+    assert [v for v, _ in chain] == ["x", "y"]
+    assert chain[1][1].is_constant() and chain[1][1].const == 2
+    assert chain[0][1].coeffs == {"y": -1} and chain[0][1].const == 5
+    assert residual == [] and free == []
+
+
+def test_eliminate_leaves_inconsistent_constant_residual():
+    # x + y = 1 and 2x + 2y = 3 cannot both hold
+    chain, residual, free = eliminate([_lf(-1, x=1, y=1), _lf(-3, x=2, y=2)],
+                                      ["x", "y"])
+    assert [v for v, _ in chain] == ["x"]
+    assert len(residual) == 1
+    assert residual[0].is_constant() and residual[0].const != 0
+    assert free == ["y"]
+
+
+def test_eliminate_keeps_free_variables_in_order():
+    # one equation over three unknowns: z is the first in order that occurs
+    chain, residual, free = eliminate([_lf(-4, x=1, z=2)], ["w", "z", "x"])
+    assert [v for v, _ in chain] == ["z"]
+    assert chain[0][1].coeffs == {"x": Fraction(-1, 2)}
+    assert chain[0][1].const == 2
+    assert residual == []
+    assert free == ["w", "x"]
+
+
+def test_linear_form_substitute_replaces_one_variable():
+    f = _lf(1, x=2, y=1)
+    g = _lf(3, y=-1)                        # x = 3 - y
+    s = f.substitute("x", g)
+    assert s.coeffs == {"y": -1} and s.const == 7
+    assert f.substitute("w", g) is f

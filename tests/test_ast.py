@@ -8,7 +8,7 @@ from mathmorph.ast import (And, BinOp, Compare, Const, Domain, Exists,
                            Forall, Goal, Not, Or, Problem, ValidationError,
                            Var, conjuncts, free_variables, is_quantifier_free,
                            make_and, negate, node_count, rename_var,
-                           substitute, validate)
+                           substitute, substitute_all, validate)
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
 from conftest import read_fixture
@@ -51,6 +51,28 @@ def test_summation_index_is_bound():
     # substitution must not touch the bound index
     out = substitute(p.constraints[0].rhs, "i", Const(Fraction(9)))
     assert out == p.constraints[0].rhs
+
+
+def test_substitute_all_is_simultaneous_and_keeps_unchanged_subtrees():
+    e = BinOp("+", Var("x"), BinOp("*", Const(Fraction(10)), Var("y")))
+    out = substitute_all(e, {"x": Var("y"), "y": Const(Fraction(1))})
+    assert out == BinOp("+", Var("y"),
+                        BinOp("*", Const(Fraction(10)), Const(Fraction(1))))
+    c = Compare(Var("z"), "=", e)
+    assert substitute_all(c, {"w": Var("y")}) is c
+
+
+def test_substitute_renames_binders_that_would_capture():
+    q = Forall((("y", Domain.REAL),), Compare(Var("y"), ">", Var("x")))
+    out = substitute(q, "x", Var("y"))
+    assert out.bindings[0][0] != "y"
+    assert free_variables(out) == {"y"}
+    p = parse("(declare-fun i () Int)(declare-fun k () Int)"
+              "(assert (= k (summation i 1 3 (+ i k))))(check-sat)")
+    s = p.constraints[0].rhs
+    out = substitute(s, "k", Var("i"))
+    assert out.args[0] != Var("i")
+    assert free_variables(out) == {"i"}
 
 
 def test_negate_flips_comparisons():

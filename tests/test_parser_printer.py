@@ -9,6 +9,7 @@ from mathmorph.parser import (ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse)
 from mathmorph.printer import canonical_print, print_smtlib, render_infix
+from mathmorph.solver import SolverConfig, solve
 from conftest import read_fixture
 
 
@@ -55,6 +56,17 @@ def test_rational_literal_prints_as_division():
 def test_undeclared_variable_raises():
     with pytest.raises(UndeclaredVariableError):
         parse("(assert (> x 0))(check-sat)")
+
+
+def test_define_fun_substitutes_arguments_simultaneously():
+    # the argument y for x must not be rewritten again by the binding y := 1
+    p = parse("(declare-fun y () Int)(declare-fun r () Int)"
+              "(define-fun f ((x Int) (y Int)) Int (+ x (* 10 y)))"
+              "(assert (= y 3))(assert (= r (f y 1)))"
+              "(check-sat)(get-value (r))")
+    r = solve(p, SolverConfig(fallback_enabled=False))
+    assert r.status == "sat"
+    assert r.goal_values[0][1].value == 13
 
 
 def test_arity_mismatch_raises():
