@@ -312,6 +312,9 @@ def linear_form(expr, variables) -> Optional[LinearForm]:
         if inner is not None and inner.is_constant() \
                 and isinstance(expr.exponent, Const) \
                 and expr.exponent.value.denominator == 1:
-            return LinearForm(const=inner.const ** int(expr.exponent.value))
+            k = int(expr.exponent.value)
+            if inner.const == 0 and k < 0:
+                return None
+            return LinearForm(const=inner.const ** k)
         return None
     return None

@@ -687,7 +687,11 @@ class _Session:
 
     def handle(self, sexpr):
         head = sexpr[0].text if sexpr and isinstance(sexpr[0], Atom) else ""
-        if head in ("set-option", "set-info", "set-logic", "echo"):
+        if head in ("set-option", "set-info", "set-logic"):
+            return
+        if head == "echo":
+            print(" ".join(sexpr_to_text(a) for a in sexpr[1:]),
+                  file=self.out)
             return
         if head == "reset":
             self.commands = []

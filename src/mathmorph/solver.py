@@ -4,12 +4,16 @@ Drives any SMT-LIB-2-conformant solver executable over a textual
 stdin/stdout protocol (the bundled ``mathmorph-minisolver`` by default,
 overridable via the ``MATHMORPH_SOLVER`` environment variable), with a
 loss-minimizing numerical fallback for problems the symbolic route
-answers ``unknown`` on.
+answers ``unknown`` on.  One solver process per command stays alive for
+the life of the calling process; each question to it is framed by
+``(reset)`` and an ``(echo)`` of a sentinel.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import selectors
 import shlex
 import subprocess
 import sys
@@ -32,11 +36,15 @@ STRICT_EPS = 1e-9
 
 
 class SolverError(MathMorphError):
-    """Process spawn or protocol failure; raw reply attached when present."""
+    """Process spawn or protocol failure; raw reply, exit code and stderr
+    tail attached when present."""
 
-    def __init__(self, message: str, raw: str = ""):
+    def __init__(self, message: str, raw: str = "",
+                 returncode: Optional[int] = None, stderr: str = ""):
         super().__init__(message)
         self.raw = raw
+        self.returncode = returncode
+        self.stderr = stderr
 
 
 def default_command() -> List[str]:
@@ -214,17 +222,122 @@ def _exact_stage(p: Problem, cfg: SolverConfig):
         from .minisolver import solve_exact
         status, model = solve_exact(p, cfg.enum_span, cfg.node_budget)
         return status, model, ""
-    script = build_script(p, cfg.logic)
-    cmd = cfg.resolved_command()
-    try:
-        proc = subprocess.run(cmd, input=script, capture_output=True,
-                              text=True, timeout=cfg.timeout_ms / 1000.0)
-    except subprocess.TimeoutExpired:
+    raw = _ask_solver(cfg.resolved_command(), build_script(p, cfg.logic),
+                      cfg.timeout_ms / 1000.0)
+    if raw is None:
         return "timeout", {}, ""
-    except OSError as exc:
-        raise SolverError(f"failed to spawn solver {cmd!r}: {exc}")
-    status, model = parse_reply(proc.stdout)
-    return status, model, proc.stdout
+    status, model = parse_reply(raw)
+    return status, model, raw
+
+
+# ---------------------------------------------------------------------------
+# subprocess gateway: one long-lived solver process per command
+# ---------------------------------------------------------------------------
+
+_SENTINEL = b"mathmorph-end-of-reply"
+_STDERR_TAIL = 4096
+
+# keyed by (pid, command), so a forked worker never writes to its parent's
+# pipes; holds only processes that answered their last question, and a
+# process leaves the map while it answers, so no two callers share one
+_SOLVERS: Dict[Tuple[int, Tuple[str, ...]], "_SolverProcess"] = {}
+
+
+def _ask_solver(cmd: List[str], script: str,
+                timeout_s: float) -> Optional[str]:
+    """The reply of ``cmd``'s solver process to ``script``, spawning the
+    process if none is alive; None on a timeout, which kills it."""
+    key = (os.getpid(), tuple(cmd))
+    solver = _SOLVERS.pop(key, None) or _SolverProcess(cmd)
+    try:
+        reply = solver.ask(script, timeout_s)
+    except BaseException:
+        solver.close()
+        raise
+    if reply is None or _SOLVERS.setdefault(key, solver) is not solver:
+        solver.close()
+    return reply
+
+
+@atexit.register
+def _close_solvers():
+    for key in [k for k in _SOLVERS if k[0] == os.getpid()]:
+        _SOLVERS.pop(key).close()
+
+
+class _SolverProcess:
+    """A solver executable that answers one script at a time on stdio."""
+
+    def __init__(self, cmd: List[str]):
+        self.cmd = cmd
+        try:
+            self.proc = subprocess.Popen(cmd, bufsize=0,
+                                         stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE)
+        except OSError as exc:
+            raise SolverError(f"failed to spawn solver {cmd!r}: {exc}")
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self.stderr_tail = b""
+
+    def ask(self, script: str, timeout_s: float) -> Optional[str]:
+        """Send ``script`` between ``(reset)`` and an ``(echo)`` of the
+        sentinel, and return what the solver prints before the sentinel;
+        None when ``timeout_s`` runs out first.  Raises ``SolverError``
+        when the solver closes its output before the sentinel."""
+        body = script[:script.rindex("(exit)")]
+        request = f'(reset)\n{body}(echo "{_SENTINEL.decode()}")\n'.encode()
+        deadline = time.monotonic() + timeout_s
+        proc, out, sent = self.proc, bytearray(), 0
+        readers = {proc.stdout, proc.stderr}
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdin, selectors.EVENT_WRITE)
+            for f in readers:
+                sel.register(f, selectors.EVENT_READ)
+            while readers:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return None
+                for sk, _ in sel.select(left):
+                    f = sk.fileobj
+                    if f is proc.stdin:
+                        try:
+                            sent += os.write(f.fileno(), request[sent:])
+                        except BrokenPipeError:
+                            sent = len(request)
+                        if sent == len(request):
+                            sel.unregister(f)
+                        continue
+                    chunk = os.read(f.fileno(), 65536)
+                    if not chunk:
+                        sel.unregister(f)
+                        readers.discard(f)
+                    elif f is proc.stderr:
+                        self.stderr_tail = \
+                            (self.stderr_tail + chunk)[-_STDERR_TAIL:]
+                    else:
+                        out += chunk
+                        end = out.find(_SENTINEL)
+                        if end >= 0 and out.find(b"\n", end) >= 0:
+                            reply = out[:out.rfind(b"\n", 0, end) + 1]
+                            return reply.decode(errors="replace")
+        try:
+            proc.wait(max(deadline - time.monotonic(), 0.1))
+        except subprocess.TimeoutExpired:
+            pass
+        stderr = self.stderr_tail.decode(errors="replace").strip()
+        raise SolverError(
+            f"solver {self.cmd!r} exited with code {proc.returncode} before "
+            f"answering" + (f"; stderr: {stderr}" if stderr else ""),
+            raw=out.decode(errors="replace"), returncode=proc.returncode,
+            stderr=stderr)
+
+    def close(self):
+        """Kill and reap the process and close its pipes."""
+        self.proc.kill()
+        self.proc.wait()
+        for f in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            f.close()
 
 
 def _coerce_domains(p: Problem, model: Dict[str, Num]):

@@ -1,7 +1,6 @@
 """Prompt assembly, endpoints, answer extraction, and consistency."""
 
 import json
-import os
 import random
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from mathmorph.informalize import (BASE_INSTRUCTION, DEFAULT_FEW_SHOT_POOL,
                                    refresh_variables)
 from mathmorph.parser import parse
 from mathmorph.solver import solve
-from conftest import FIXTURES, FixtureEndpoint, load_problem, read_fixture
+from conftest import FixtureEndpoint, load_problem, read_fixture
 
 
 def test_preset_flag_tuples():
@@ -148,8 +147,7 @@ def test_replay_endpoint_rejects_unknown_prompt(tmp_path):
 
 
 def test_consistency_replay_fixture_loads():
-    table = json.load(open(os.path.join(FIXTURES,
-                                        "consistency_replay.json")))
+    table = json.loads(read_fixture("consistency_replay.json"))
     assert len(table) == 4
     assert all(len(k) == 64 for k in table)
 

@@ -1,7 +1,6 @@
 """Bundled exact solver: propagation, integer search, real arithmetic,
 and the stdio protocol."""
 
-import os
 import random
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from fractions import Fraction
 
 from mathmorph.minisolver import solve_exact
 from mathmorph.parser import parse
-from conftest import FIXTURES, load_problem, random_seed_problem
+from conftest import load_problem, random_seed_problem, read_fixture
 
 
 def run(p):
@@ -110,11 +109,30 @@ def test_solver_is_deterministic():
     assert run(p) == run(p)
 
 
-def test_stdio_protocol_round_trip():
-    script = open(os.path.join(FIXTURES, "sara.smt2")).read() + "(exit)\n"
-    proc = subprocess.run([sys.executable, "-m", "mathmorph.minisolver"],
-                          input=script, capture_output=True, text=True,
-                          timeout=60)
+MINISOLVER = [sys.executable, "-m", "mathmorph.minisolver"]
+
+
+def stdio(script):
+    proc = subprocess.run(MINISOLVER, input=script, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.startswith("sat\n")
-    assert "((rachel_budget 500))" in proc.stdout
+    return proc.stdout
+
+
+def test_stdio_protocol_round_trip():
+    out = stdio(read_fixture("sara.smt2") + "(exit)\n")
+    assert out.startswith("sat\n")
+    assert "((rachel_budget 500))" in out
+
+
+def test_one_session_answers_reset_separated_scripts_like_fresh_ones():
+    # the subprocess gateway keeps one solver process alive and frames
+    # each question by (reset) and an (echo) of a sentinel
+    scripts = [read_fixture("sara.smt2"), read_fixture("m1.smt2"),
+               "(declare-fun x () Int)(assert (> x 2))(assert (< x 3))"
+               "(check-sat)(get-value (x))\n"]
+    fresh = [stdio(s) for s in scripts]
+    session = stdio("".join(f'(reset)\n{s}(echo "x")\n' for s in scripts))
+    replies = session.split('"x"\n')
+    assert replies == fresh + [""]
+    assert [r.split("\n")[0] for r in fresh] == ["sat", "sat", "unsat"]

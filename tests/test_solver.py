@@ -1,11 +1,15 @@
 """Solver gateway: script construction, subprocess protocol, numeric
 fallback, and projected equivalence checking."""
 
+import signal
+import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from mathmorph import solver
 from mathmorph.ast import ValidationError
 from mathmorph.parser import parse
 from mathmorph.solver import (SolverConfig, SolverError, build_script,
@@ -75,6 +79,66 @@ def test_missing_solver_binary_raises():
     with pytest.raises(SolverError):
         solve(load_problem("sara.smt2"),
               SolverConfig(command=["/nonexistent/solver"]))
+
+
+def test_dead_solver_reports_exit_code_and_stderr_then_respawns():
+    dying = [sys.executable, "-c",
+             "import sys; sys.stderr.write('boom'); sys.exit(3)"]
+    with pytest.raises(SolverError) as info:
+        solve(load_problem("sara.smt2"), SolverConfig(command=dying))
+    assert "code 3" in str(info.value) and "boom" in str(info.value)
+    assert (info.value.returncode, info.value.stderr) == (3, "boom")
+    assert not any(cmd == tuple(dying) for _, cmd in solver._SOLVERS)
+    r = solve(load_problem("sara.smt2"), SolverConfig(command=GATEWAY))
+    assert r.status == "sat"
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started through ``subprocess.Popen`` in the test."""
+    procs = []
+
+    def recording_popen(*args, real=subprocess.Popen, **kwargs):
+        procs.append(real(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return procs
+
+
+def test_gateway_keeps_one_process_per_command(spawned):
+    # a command of its own, so no earlier test has started its process
+    cmd = [sys.executable, "-B", "-m", "mathmorph.minisolver"]
+    for name in ("sara.smt2", "m1.smt2", "sara.smt2"):
+        p = load_problem(name)
+        r = solve(p, SolverConfig(command=cmd))
+        assert r.goal_values == solve(p).goal_values
+    [proc] = spawned
+    assert proc.poll() is None
+
+
+def test_gateway_timeout_kills_and_reaps_the_solver(spawned):
+    hung = [sys.executable, "-c",
+            "import sys, time; sys.stdin.readline(); time.sleep(60)"]
+    start = time.monotonic()
+    r = solve(load_problem("sara.smt2"),
+              SolverConfig(command=hung, timeout_ms=300,
+                           fallback_enabled=False))
+    assert r.status == "timeout"
+    assert time.monotonic() - start < 5
+    [proc] = spawned
+    assert proc.returncode == -signal.SIGKILL
+    assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+def test_zero_to_a_negative_power_is_unknown(command):
+    cfg = SolverConfig(command=command, fallback_enabled=False)
+    for value in ("(^ 0 -1)", "(/ 1 0)"):
+        p = parse(f"(declare-fun x () Real)(assert (= x {value}))"
+                  "(check-sat)(get-value (x))")
+        assert solve(p, cfg).status == "unknown"
 
 
 def test_numeric_fallback_solves_nonlinear_real():
