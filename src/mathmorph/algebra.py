@@ -4,6 +4,7 @@ constant folding, linear decompositions, and closed-form equation solving.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -215,6 +216,41 @@ def solve_for(lhs, rhs, var: str):
     return fold_constants(sol)
 
 
+_FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=", "!=": "!="}
+
+
+def bound(c: Compare, v: str):
+    """Read ``c`` as ``v rel rest``: returns ``(rel, rest)`` with ``rest``
+    folded and free of ``v``, the relation flipped when ``v``'s
+    coefficient is negative.  None when ``v`` is not linear on both sides
+    or its coefficient cancels."""
+    l = lin(c.lhs, v)
+    r = lin(c.rhs, v)
+    if l is None or r is None:
+        return None
+    a = l[0] - r[0]
+    if a == 0:
+        return None
+    rest = fold_constants(div_e(sub_e(r[1], l[1]), Const(a)))
+    return (_FLIPPED[c.rel] if a < 0 else c.rel), rest
+
+
+def int_range(rel: str, value: Fraction):
+    """Integers ``n`` with ``n rel value`` as ``(lo, hi)``, None for an
+    open side (both sides for ``!=``).  ``=`` gives ``(ceil, floor)``, an
+    empty range when ``value`` is not an integer."""
+    lo = hi = None
+    if rel in ("<", "<=", "="):
+        hi = math.floor(value)
+        if rel == "<" and hi == value:
+            hi -= 1
+    if rel in (">", ">=", "="):
+        lo = math.ceil(value)
+        if rel == ">" and lo == value:
+            lo += 1
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # Multivariate linear forms (for Gaussian / Fourier-Motzkin reasoning)
 # ---------------------------------------------------------------------------
@@ -241,6 +277,12 @@ class LinearForm:
 
     def is_constant(self):
         return not self.coeffs
+
+    def isolate(self, v: str) -> "LinearForm":
+        """The form ``g`` with ``v = g`` wherever ``self = 0``."""
+        a = self.coeffs[v]
+        return LinearForm({u: -k / a for u, k in self.coeffs.items()
+                           if u != v}, -self.const / a)
 
     def substitute(self, v: str, g: "LinearForm") -> "LinearForm":
         """Replace variable ``v`` by the linear form ``g``."""
@@ -270,9 +312,7 @@ def eliminate(eqs, order):
         if pick is None:
             return chain, eqs, free
         f, v = pick
-        a = f.coeffs[v]
-        g = LinearForm({u: -k / a for u, k in f.coeffs.items() if u != v},
-                       -f.const / a)
+        g = f.isolate(v)
         eqs = [e.substitute(v, g) for e in eqs if e is not f]
         chain.append((v, g))
         free.remove(v)

@@ -17,10 +17,6 @@ class MathMorphError(Exception):
     """Base class for all package errors."""
 
 
-class SortError(MathMorphError):
-    """Raised when an operation would mix incompatible sorts."""
-
-
 class ValidationError(MathMorphError):
     """Raised when a Problem violates a structural invariant."""
 
@@ -286,6 +282,32 @@ def children(node) -> Iterator:
         yield node.body
     else:
         raise TypeError(f"not an AST node: {node!r}")
+
+
+def rebuild(node, kids):
+    """``node`` with its children replaced by ``kids``, in ``children``
+    order; a leaf comes back as it is."""
+    if isinstance(node, (Const, NamedConst, Var, BoolConst)):
+        return node
+    if isinstance(node, BinOp):
+        return BinOp(node.op, *kids)
+    if isinstance(node, Pow):
+        return Pow(*kids)
+    if isinstance(node, FuncApp):
+        return FuncApp(node.name, tuple(kids))
+    if isinstance(node, Compare):
+        return Compare(kids[0], node.rel, kids[1])
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(kids))
+    if isinstance(node, Not):
+        return Not(kids[0])
+    if isinstance(node, Implies):
+        return Implies(*kids)
+    if isinstance(node, (TermIte, ConstraintIte)):
+        return type(node)(*kids)
+    if isinstance(node, Quantifier):
+        return Quantifier(node.kind, node.bindings, kids[0])
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 def node_count(node) -> int:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import (BinOp, Compare, Const, Domain, FuncApp, Goal,
                   MathMorphError, Problem, Var, _FreshNames, rename_var)
-from .algebra import scale_e, sub_e, add_e
+from .algebra import LinearForm, add_e, eliminate, scale_e, sub_e
 from .simplify import MutationRecord, TacticError, simplify_level0
 from .solver import SolverConfig, solve
 
@@ -297,23 +297,12 @@ def _row_expr(row: Sequence[int], names: Sequence[str]):
     return expr if expr is not None else Const(Fraction(0))
 
 
-def _det(matrix) -> Fraction:
-    m = [list(map(Fraction, row)) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for cc in range(col, n):
-                m[r][cc] -= factor * m[col][cc]
-    return det
+def _invertible(matrix) -> bool:
+    """A square matrix is invertible when elimination over its rows
+    leaves no column free."""
+    rows = [LinearForm(dict(enumerate(map(Fraction, row))))
+            for row in matrix]
+    return not eliminate(rows, range(len(matrix)))[2]
 
 
 def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
@@ -323,7 +312,7 @@ def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
     counterpart, and append the linear system matrix @ fresh = matrix @
     values."""
     values = [v for _, _, v in entries] + list(extra_values)
-    if _det(matrix) == 0:
+    if not _invertible(matrix):
         raise ComplicationError("matrix is singular")
     drop = {i for i, _, _ in entries}
     constraints = [c for i, c in enumerate(p.constraints) if i not in drop]
@@ -362,7 +351,7 @@ def complicate_constraint(p: Problem, rng,
     matrix = None
     for _ in range(20):
         draw = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        if _det(draw) != 0:
+        if _invertible(draw):
             matrix = draw
             break
     if matrix is None:

@@ -2,8 +2,8 @@
 
 Prompt assembly for the six informalization operations (patterns P1/P2),
 variable refresh, chat-completion endpoints (real HTTP and offline
-replay), autoformalization, reasoning-path generation, answer
-extraction, and the surrogate consistency-rate protocol.
+replay), reasoning-path generation, answer extraction, and the
+surrogate consistency-rate protocol.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import MathMorphError, Problem, ValidationError, rename_var, Goal
-from .funcs import Num
-from .parser import ParseError, parse
 from .printer import print_smtlib
 from .solver import SolverResult
 
@@ -30,10 +28,6 @@ ANSWER_MARKER = "The answer is"
 
 
 class EndpointError(MathMorphError):
-    pass
-
-
-class FormalizeError(MathMorphError):
     pass
 
 
@@ -292,32 +286,6 @@ class RecordingEndpoint:
 def informalize(p: Problem, pattern: PromptPattern, endpoint,
                 context: Optional[PromptContext] = None) -> str:
     return endpoint.complete(build_prompt(p, pattern, context))
-
-
-FORMALIZE_INSTRUCTION = ("Translate the natural language problem into "
-                         "SMT-LIB language: ")
-
-
-def formalize(text: str, endpoint, registry=None) -> Problem:
-    prompt = f'{FORMALIZE_INSTRUCTION}"{text}"'
-    reply = endpoint.complete(prompt)
-    try:
-        return parse(_extract_script(reply), registry=registry)
-    except (ParseError, MathMorphError) as first:
-        repair = (f"{prompt}\nYour previous output could not be parsed "
-                  f"({first}). Reply with a valid SMT-LIB script only.")
-        reply = endpoint.complete(repair)
-        try:
-            return parse(_extract_script(reply), registry=registry)
-        except (ParseError, MathMorphError) as second:
-            raise FormalizeError(f"unparseable after repair: {second}")
-
-
-def _extract_script(reply: str) -> str:
-    """Pull the SMT-LIB body out of a possibly fenced completion."""
-    fence = re.search(r"```(?:smt[-a-z0-9]*|lisp)?\n(.*?)```", reply,
-                      re.DOTALL)
-    return fence.group(1) if fence else reply
 
 
 REASONING_INSTRUCTION = (

@@ -17,7 +17,6 @@ bounds; anything undecidable is answered ``unknown``.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 
@@ -25,11 +24,12 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem,
                   Quantifier, Var, conjuncts, contains_complex,
                   free_variables, is_quantifier_free, negate, substitute_all)
-from .algebra import (LinearForm, eliminate, fold_constraint, lin,
-                      linear_form, solve_for)
+from .algebra import (LinearForm, bound, eliminate, fold_constraint,
+                      int_range, linear_form, solve_for)
 from .funcs import (DomainError, Num, UnboundVariableError,
                     coerce_to_domain, eval_constraint, eval_expression)
-from .parser import ParseError, parse, read_sexprs, sexpr_to_text, Atom
+from .parser import (Atom, ParseError, build_sexprs, parse, sexpr_to_text,
+                     tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
 
 DEFAULT_ENUM_SPAN = 1000
@@ -321,15 +321,13 @@ class ExactSolver:
             sub = self._substitute_model(c, model)
             if not isinstance(sub, Compare):
                 continue
-            b = self._compare_bound(sub, v)
-            if b is not None:
-                kind, value = b
-                if kind == "hi":
-                    hi = value if hi is None else min(hi, value)
-                    sound_hi = True
-                else:
-                    lo = value if lo is None else max(lo, value)
-                    sound_lo = True
+            b_lo, b_hi = self._compare_bound(sub, v)
+            if b_lo is not None:
+                lo = b_lo if lo is None else max(lo, b_lo)
+                sound_lo = True
+            if b_hi is not None:
+                hi = b_hi if hi is None else min(hi, b_hi)
+                sound_hi = True
             m = self._monotone_bound(sub, v, model)
             if m is not None:
                 hi = m if hi is None else min(hi, m)
@@ -341,35 +339,12 @@ class ExactSolver:
         return lo, hi, sound_lo and sound_hi
 
     def _compare_bound(self, c: Compare, v):
-        """Bound from a linear comparison with only ``v`` free."""
-        if free_variables(c) != {v}:
-            return None
-        l = lin(c.lhs, v)
-        r = lin(c.rhs, v)
-        if l is None or r is None:
-            return None
-        a = l[0] - r[0]
-        if a == 0:
-            return None
-        rest_l, rest_r = l[1], r[1]
-        if not (isinstance(rest_l, Const) and isinstance(rest_r, Const)):
-            return None
-        bound = (rest_r.value - rest_l.value) / a
-        rel = c.rel
-        if a < 0:
-            rel = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=",
-                   "!=": "!="}[rel]
-        if rel in ("<=", "<", "="):
-            hi = math.floor(bound) if rel != "<" or bound != int(bound) \
-                else int(bound) - 1
-            if rel == "=":
-                return ("hi", math.floor(bound))
-            return ("hi", hi)
-        if rel in (">=", ">"):
-            lo = math.ceil(bound) if rel != ">" or bound != int(bound) \
-                else int(bound) + 1
-            return ("lo", lo)
-        return None
+        """Integer ``(lo, hi)`` from a linear comparison with only ``v``
+        free and a constant bound; None marks an open side."""
+        b = bound(c, v) if free_variables(c) == {v} else None
+        if b is None or not isinstance(b[1], Const):
+            return None, None
+        return int_range(b[0], b[1].value)
 
     def _monotone_bound(self, c: Compare, v, model):
         """Upper bound for a NAT/POS variable from an equality whose side
@@ -515,10 +490,8 @@ class ExactSolver:
             ineqs = [(f, s) for f, s in ineqs if v not in f.coeffs]
             lowers, uppers = [], []
             for f, strict in with_v:
-                a = f.coeffs[v]
-                rest = LinearForm({u: -k / a for u, k in f.coeffs.items()
-                                   if u != v}, -f.const / a)
-                if a > 0:
+                rest = f.isolate(v)
+                if f.coeffs[v] > 0:
                     uppers.append((rest, strict))     # v <= rest
                 else:
                     lowers.append((rest, strict))     # v >= rest
@@ -745,22 +718,26 @@ class _Session:
 
 def main(argv=None) -> int:
     session = _Session(sys.stdout)
-    buf = ""
-    depth = 0
+    tokens, depth, pending = [], 0, ""
     for line in sys.stdin:
-        stripped = line.split(";", 1)[0]
-        buf += stripped
-        depth += stripped.count("(") - stripped.count(")")
-        if depth > 0 or not buf.strip():
+        try:
+            line_tokens = list(tokenize(pending + line))
+        except ParseError:
+            pending += line             # a string literal runs on
+            continue
+        pending = ""
+        tokens += line_tokens
+        depth += sum((t.text == "(") - (t.text == ")") for t in line_tokens)
+        if depth > 0 or not tokens:
             continue
         try:
-            sexprs = read_sexprs(buf)
+            sexprs = build_sexprs(tokens)
         except ParseError as exc:
             print(f'(error "{exc}")')
-            buf, depth = "", 0
+            tokens, depth = [], 0
             sys.stdout.flush()
             continue
-        buf, depth = "", 0
+        tokens, depth = [], 0
         for s in sexprs:
             if isinstance(s, list) and s and isinstance(s[0], Atom) \
                     and s[0].text == "exit":

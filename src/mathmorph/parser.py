@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  Domain, FuncApp, Goal, MathMorphError, NamedConst, Not, Or,
-                  Implies, Pow, Problem, Quantifier, TermIte, ValidationError,
-                  Var, make_and, substitute_all, validate)
+from .ast import (BINDER_SLOTS, And, BinOp, BoolConst, Compare, Const,
+                  ConstraintIte, Domain, FuncApp, Goal, MathMorphError,
+                  NamedConst, Not, Or, Implies, Pow, Problem, Quantifier,
+                  TermIte, ValidationError, Var, make_and, substitute_all,
+                  validate)
 from .funcs import REGISTRY
 
 
@@ -51,6 +52,9 @@ class Atom:
 
 
 def tokenize(text: str):
+    """Atoms of ``text``: parentheses, symbols and numerals, and each
+    ``"..."`` string literal whole (``""`` inside it is a quote);
+    comments are skipped.  An unterminated literal raises ParseError."""
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
@@ -69,6 +73,22 @@ def tokenize(text: str):
             yield Atom(ch, line, col)
             col += 1
             i += 1
+        elif ch == '"':
+            end = i + 1
+            while True:
+                end = text.find('"', end) + 1
+                if not end:
+                    raise ParseError("unterminated string literal", line, col)
+                if text[end:end + 1] != '"':
+                    break
+                end += 1
+            lexeme = text[i:end]
+            yield Atom(lexeme, line, col)
+            newlines = lexeme.count("\n")
+            line += newlines
+            col = end - text.rfind("\n", 0, end) if newlines \
+                else col + len(lexeme)
+            i = end
         else:
             start = i
             start_col = col
@@ -80,9 +100,14 @@ def tokenize(text: str):
 
 def read_sexprs(text: str):
     """Parse text into a list of nested lists of Atoms."""
+    return build_sexprs(tokenize(text))
+
+
+def build_sexprs(tokens):
+    """Nest a sequence of Atoms into lists at their parentheses."""
     stack = [[]]
     opens = []
-    for tok in tokenize(text):
+    for tok in tokens:
         if tok.text == "(":
             stack.append([])
             opens.append(tok)
@@ -124,13 +149,6 @@ def _parse_numeral(text: str):
 # ---------------------------------------------------------------------------
 
 _SORTS = {"Int": Domain.INT, "Real": Domain.REAL, "Complex": Domain.COMPLEX}
-
-_BOOL_HEADS = {"and", "or", "not", "=>", "forall", "exists",
-               "true", "false", ">=", "<=", ">", "<", "=", "distinct"}
-
-SUPPORTED_COMMANDS = ("set-logic", "declare-fun", "declare-const",
-                      "define-fun", "define-fun-rec", "assert", "minimize",
-                      "maximize", "check-sat", "get-value")
 
 
 class _Macro:
@@ -345,10 +363,8 @@ class _ProblemBuilder:
 
     def _elab_interpreted(self, op, args, bound, head):
         # summation / derivative / integral bind one variable argument.
-        binder_slots = {"summation": (0, 3), "derivative": (1, 0),
-                        "integral": (1, 0)}
-        if op in binder_slots:
-            var_idx, body_idx = binder_slots[op]
+        if op in BINDER_SLOTS:
+            var_idx, body_idx = BINDER_SLOTS[op]
             var_tok = args[var_idx]
             if not isinstance(var_tok, Atom):
                 raise ParseError(f"{op} binder must be a symbol",

@@ -138,8 +138,11 @@ def _pick_pattern(rng, ratio: float, has_original: bool) -> str:
 
 def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
                   original: Optional[str], level: int, index: int,
-                  few_shot_pool) -> Tuple[Optional[dict], Optional[dict]]:
-    """(row, reject) for one sample; exactly one of the two is set."""
+                  few_shot_pool) -> Tuple[Optional[dict], Optional[dict],
+                                          Optional[int]]:
+    """(row, reject, nodes) for one sample: exactly one of row and reject
+    is set; ``nodes`` counts the mutated constraints' AST nodes, None
+    when mutation failed."""
     rng_seed = sample_rng_seed(plan.global_seed, seed_id, level, index)
     rng = random.Random(rng_seed)
     name = _pick_pattern(rng, plan.pattern_ratio, original is not None)
@@ -149,12 +152,13 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     try:
         mutated, records = mutate_to_level(seed, level, rng, mcmc)
     except MathMorphError as exc:
-        return None, dict(base, reason=f"mutation failed: {exc}")
+        return None, dict(base, reason=f"mutation failed: {exc}"), None
+    nodes = sum(node_count(c) for c in mutated.constraints)
     base["formal"] = canonical_print(mutated)
     base["provenance"] = _records_json(records)
     result = solve(mutated, plan.solver)
     if result.status != "sat":
-        return None, dict(base, reason=f"solver status {result.status}")
+        return None, dict(base, reason=f"solver status {result.status}"), nodes
     base["answer"] = _answer_str(result)
     context = PromptContext(original_text=original,
                             few_shot_pool=few_shot_pool, rng=rng,
@@ -163,17 +167,18 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
         informal = informalize(mutated, PATTERNS[name], plan.endpoint,
                                context)
     except (EndpointError, MathMorphError) as exc:
-        return None, dict(base, reason=f"informalization failed: {exc}")
+        return (None, dict(base, reason=f"informalization failed: {exc}"),
+                nodes)
     base["informal"] = informal
     if plan.skip_verification:
         return None, dict(base, reasoning="", verified=False,
-                          reason="verification skipped by plan")
+                          reason="verification skipped by plan"), nodes
     reasoning, verdict = "", None
     for _ in range(plan.reasoning_attempts):
         try:
             reasoning = generate_reasoning(informal, plan.endpoint)
         except (EndpointError, MathMorphError) as exc:
-            return None, dict(base, reason=f"reasoning failed: {exc}")
+            return None, dict(base, reason=f"reasoning failed: {exc}"), nodes
         verdict = consistency_check(reasoning, result)
         if verdict.consistent:
             break
@@ -182,9 +187,9 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
         return None, dict(base, verified=False,
                           reason="answer mismatch: reasoning "
                           f"{verdict.llm_answer} vs solver "
-                          f"{verdict.solver_answer}")
+                          f"{verdict.solver_answer}"), nodes
     base["verified"] = True
-    return base, None
+    return base, None, nodes
 
 
 def generate_dataset(plan: GenerationPlan, out_path: str,
@@ -202,11 +207,10 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
         for level in sorted(plan.level_counts):
             for index in range(plan.level_counts[level]):
                 report.attempted += 1
-                row, reject = _generate_row(plan, seed_id, seed, original,
-                                            level, index,
-                                            DEFAULT_FEW_SHOT_POOL)
-                picked = row if row is not None else reject
-                if "answer" in picked:
+                row, reject, nodes = _generate_row(
+                    plan, seed_id, seed, original, level, index,
+                    DEFAULT_FEW_SHOT_POOL)
+                if "answer" in (row or reject):
                     report.solved += 1
                 if row is not None:
                     report.verified += 1
@@ -215,10 +219,8 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
                     rows.append(row)
                 else:
                     rejects.append(reject)
-                if "formal" in picked:
-                    total = sum(node_count(c)
-                                for c in parse(picked["formal"]).constraints)
-                    node_totals.setdefault(level, []).append(total)
+                if nodes is not None:
+                    node_totals.setdefault(level, []).append(nodes)
     report.rows = len(rows)
     report.rejects = len(rejects)
     report.mean_node_count = {lvl: sum(v) / len(v)

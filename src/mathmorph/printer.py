@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   FuncApp, Goal, Implies, NamedConst, Not, Or, Pow, Problem,
-                  Quantifier, TermIte, Var, children, make_and)
+                  Quantifier, TermIte, Var, children, make_and, rebuild)
 
 _SMT_REL = {"=": "=", "!=": "distinct", ">=": ">=", "<=": "<=",
             ">": ">", "<": "<"}
@@ -185,37 +185,7 @@ def canonical_print(p: Problem) -> str:
 def _strip_lexemes(node):
     if isinstance(node, Const):
         return Const(node.value)
-    if isinstance(node, (NamedConst, Var, BoolConst)):
-        return node
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _strip_lexemes(node.left),
-                     _strip_lexemes(node.right))
-    if isinstance(node, Pow):
-        return Pow(_strip_lexemes(node.base), _strip_lexemes(node.exponent))
-    if isinstance(node, FuncApp):
-        return FuncApp(node.name, tuple(_strip_lexemes(a) for a in node.args))
-    if isinstance(node, TermIte):
-        return TermIte(_strip_lexemes(node.cond), _strip_lexemes(node.then),
-                       _strip_lexemes(node.els))
-    if isinstance(node, Compare):
-        return Compare(_strip_lexemes(node.lhs), node.rel,
-                       _strip_lexemes(node.rhs))
-    if isinstance(node, And):
-        return And(tuple(_strip_lexemes(i) for i in node.items))
-    if isinstance(node, Or):
-        return Or(tuple(_strip_lexemes(i) for i in node.items))
-    if isinstance(node, Not):
-        return Not(_strip_lexemes(node.child))
-    if isinstance(node, Implies):
-        return Implies(_strip_lexemes(node.antecedent),
-                       _strip_lexemes(node.consequent))
-    if isinstance(node, ConstraintIte):
-        return ConstraintIte(_strip_lexemes(node.cond),
-                             _strip_lexemes(node.then),
-                             _strip_lexemes(node.els))
-    if isinstance(node, Quantifier):
-        return Quantifier(node.kind, node.bindings, _strip_lexemes(node.body))
-    raise TypeError(f"not an AST node: {node!r}")
+    return rebuild(node, [_strip_lexemes(k) for k in children(node)])
 
 
 def _strip_lexemes_problem(p: Problem) -> Problem:

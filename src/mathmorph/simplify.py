@@ -10,7 +10,6 @@ returns a MutationRecord that replays bit-exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -19,9 +18,10 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, FuncApp, Goal, Implies, MathMorphError, NamedConst,
                   Not, Or, Pow, Problem, Quantifier, TermIte, Var,
                   _FreshNames, children, conjuncts, free_variables, make_and,
-                  negate, substitute, substitute_all, substitute_in_problem)
-from .algebra import (add_e, div_e, fold_constants, fold_constraint, lin,
-                      mul_e, scale_e, solve_for, sub_e)
+                  negate, rebuild, substitute, substitute_all,
+                  substitute_in_problem)
+from .algebra import (add_e, bound, fold_constants, fold_constraint,
+                      int_range, mul_e, scale_e, solve_for, sub_e)
 from .funcs import reduce_app
 from .printer import expr_to_sexpr
 
@@ -109,15 +109,7 @@ def _multi_poly(e) -> Optional[Dict[tuple, Fraction]]:
                 out[m] = out.get(m, Fraction(0)) + (c if e.op == "+" else -c)
             return {m: c for m, c in out.items() if c}
         if e.op == "*":
-            out = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    powers = dict(m1)
-                    for v, k in m2:
-                        powers[v] = powers.get(v, 0) + k
-                    key = tuple(sorted(powers.items()))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return {m: c for m, c in out.items() if c}
+            return _poly_mul(a, b)
         return None
     if isinstance(e, Pow):
         if not (isinstance(e.exponent, Const)
@@ -129,17 +121,22 @@ def _multi_poly(e) -> Optional[Dict[tuple, Fraction]]:
             return None
         acc = {(): Fraction(1)}
         for _ in range(int(e.exponent.value)):
-            nxt = {}
-            for m1, c1 in acc.items():
-                for m2, c2 in base.items():
-                    powers = dict(m1)
-                    for v, k in m2:
-                        powers[v] = powers.get(v, 0) + k
-                    key = tuple(sorted(powers.items()))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-            acc = {m: c for m, c in nxt.items() if c}
+            acc = _poly_mul(acc, base)
         return acc
     return None
+
+
+def _poly_mul(a, b):
+    """Product of two ``_multi_poly`` polynomials."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            powers = dict(m1)
+            for v, k in m2:
+                powers[v] = powers.get(v, 0) + k
+            key = tuple(sorted(powers.items()))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _monomial_expr(monomial, coeff):
@@ -232,26 +229,9 @@ class _SimplifyPass:
         return substitute_all(e, self.bindings)
 
     def constraint(self, c):
-        if isinstance(c, BoolConst):
-            return c
         if isinstance(c, Compare):
             return Compare(self.expr(c.lhs), c.rel, self.expr(c.rhs))
-        if isinstance(c, And):
-            return And(tuple(self.constraint(i) for i in c.items))
-        if isinstance(c, Or):
-            return Or(tuple(self.constraint(i) for i in c.items))
-        if isinstance(c, Not):
-            return Not(self.constraint(c.child))
-        if isinstance(c, Implies):
-            return Implies(self.constraint(c.antecedent),
-                           self.constraint(c.consequent))
-        if isinstance(c, ConstraintIte):
-            return ConstraintIte(self.constraint(c.cond),
-                                 self.constraint(c.then),
-                                 self.constraint(c.els))
-        if isinstance(c, Quantifier):
-            return Quantifier(c.kind, c.bindings, self.constraint(c.body))
-        raise TypeError(f"not a constraint: {c!r}")
+        return rebuild(c, [self.constraint(k) for k in children(c)])
 
 
 def _constant_bindings(p: Problem) -> Dict[str, Const]:
@@ -380,33 +360,7 @@ def _replace_at(node, path, replacement):
         return replacement
     kids = list(children(node))
     kids[path[0]] = _replace_at(kids[path[0]], path[1:], replacement)
-    return _rebuild(node, kids)
-
-
-def _rebuild(node, kids):
-    if isinstance(node, BinOp):
-        return BinOp(node.op, *kids)
-    if isinstance(node, Pow):
-        return Pow(*kids)
-    if isinstance(node, FuncApp):
-        return FuncApp(node.name, tuple(kids))
-    if isinstance(node, TermIte):
-        return TermIte(*kids)
-    if isinstance(node, Compare):
-        return Compare(kids[0], node.rel, kids[1])
-    if isinstance(node, And):
-        return And(tuple(kids))
-    if isinstance(node, Or):
-        return Or(tuple(kids))
-    if isinstance(node, Not):
-        return Not(kids[0])
-    if isinstance(node, Implies):
-        return Implies(*kids)
-    if isinstance(node, ConstraintIte):
-        return ConstraintIte(*kids)
-    if isinstance(node, Quantifier):
-        return Quantifier(node.kind, node.bindings, kids[0])
-    raise TypeError(f"cannot rebuild {node!r}")
+    return rebuild(node, kids)
 
 
 def tactic_elim_term_ite(p: Problem) -> Tuple[Problem, MutationRecord]:
@@ -510,22 +464,14 @@ def _qe_fm(name, atoms):
         if name not in free_variables(a):
             others.append(a)
             continue
-        l = lin(a.lhs, name)
-        r = lin(a.rhs, name)
-        if l is None or r is None:
+        b = bound(a, name)
+        if b is None or b[0] in ("=", "!="):
             return None
-        coeff = l[0] - r[0]
-        rest = fold_constants(sub_e(r[1], l[1]))   # a*name rel rest
-        if coeff == 0 or a.rel in ("=", "!="):
-            return None
-        rel = a.rel
-        if coeff < 0:
-            rel = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}[rel]
-        bound = fold_constants(div_e(rest, Const(coeff)))
+        rel, rest = b
         if rel in ("<=", "<"):
-            uppers.append((bound, rel == "<"))
+            uppers.append((rest, rel == "<"))
         else:
-            lowers.append((bound, rel == ">"))
+            lowers.append((rest, rel == ">"))
     out = list(others)
     for lo, ls in lowers:
         for hi, hs in uppers:
@@ -544,34 +490,16 @@ def _qe_int_enum(name, dom, atoms):
             continue
         if not isinstance(a, Compare):
             return None
-        l = lin(a.lhs, name)
-        r = lin(a.rhs, name)
-        if l is None or r is None:
+        b = bound(a, name)
+        if b is None or not isinstance(b[1], Const) or b[0] == "!=":
             return None
-        coeff = l[0] - r[0]
-        rest = fold_constants(sub_e(r[1], l[1]))
-        if not isinstance(rest, Const) or coeff == 0:
-            return None
-        bound = rest.value / coeff
-        rel = a.rel
-        if coeff < 0:
-            rel = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=",
-                   "!=": "!="}[rel]
-        if rel in ("<=", "<"):
-            b = math.floor(bound) if rel == "<=" or bound != int(bound) \
-                else int(bound) - 1
-            hi = b if hi is None else min(hi, b)
-        elif rel in (">=", ">"):
-            b = math.ceil(bound) if rel == ">=" or bound != int(bound) \
-                else int(bound) + 1
-            lo = b if lo is None else max(lo, b)
-        elif rel == "=":
-            if bound.denominator != 1:
-                return BoolConst(False)
-            lo = max(lo, int(bound)) if lo is not None else int(bound)
-            hi = min(hi, int(bound)) if hi is not None else int(bound)
-        else:
-            return None
+        b_lo, b_hi = int_range(b[0], b[1].value)
+        if b_lo is not None and b_hi is not None and b_lo > b_hi:
+            return BoolConst(False)         # = with a non-integral value
+        if b_lo is not None:
+            lo = b_lo if lo is None else max(lo, b_lo)
+        if b_hi is not None:
+            hi = b_hi if hi is None else min(hi, b_hi)
     if lo is None or hi is None or hi - lo > QE_INT_ENUM_CAP:
         return None
     disjuncts = []

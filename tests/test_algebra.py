@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
-from mathmorph.algebra import (LinearForm, eliminate, fold_constants,
-                               fold_constraint, lin, linear_form, solve_for)
-from mathmorph.ast import BinOp, Const, Var, free_variables
+from mathmorph.algebra import (LinearForm, bound, eliminate, fold_constants,
+                               fold_constraint, int_range, lin, linear_form,
+                               solve_for)
+from mathmorph.ast import BinOp, Const, Var, free_variables, substitute
 from mathmorph.parser import parse
 
 
@@ -120,3 +121,48 @@ def test_linear_form_substitute_replaces_one_variable():
     s = f.substitute("x", g)
     assert s.coeffs == {"y": -1} and s.const == 7
     assert f.substitute("w", g) is f
+
+
+def _compare(text, decls="(declare-fun x () Real)(declare-fun y () Real)"):
+    return parse(f"{decls}(assert {text})(check-sat)").constraints[0]
+
+
+def test_bound_flips_the_relation_for_a_negative_coefficient():
+    # 3 - 2x < y  <=>  x > (3 - y) / 2
+    rel, rest = bound(_compare("(< (- 3 (* 2 x)) y)"), "x")
+    assert rel == ">"
+    assert "x" not in free_variables(rest)
+    assert fold_constants(substitute(rest, "y", Const(Fraction(1)))) \
+        == Const(Fraction(1))
+
+
+def test_bound_folds_a_constant_rest():
+    assert bound(_compare("(<= (+ (* 4 x) 1) 7)"), "x") \
+        == ("<=", Const(Fraction(3, 2)))
+
+
+def test_bound_is_none_for_nonlinear_or_cancelling_input():
+    assert bound(_compare("(<= (* x x) 4)"), "x") is None
+    assert bound(_compare("(= (+ x y) (+ x 1))"), "x") is None
+
+
+def test_int_range_rounds_strict_bounds_inward():
+    assert int_range("<", Fraction(3)) == (None, 2)
+    assert int_range("<", Fraction(5, 2)) == (None, 2)
+    assert int_range("<=", Fraction(5, 2)) == (None, 2)
+    assert int_range(">", Fraction(3)) == (4, None)
+    assert int_range(">=", Fraction(-5, 2)) == (-2, None)
+    assert int_range("!=", Fraction(3)) == (None, None)
+
+
+def test_int_range_of_an_equality_is_empty_off_the_integers():
+    assert int_range("=", Fraction(4)) == (4, 4)
+    lo, hi = int_range("=", Fraction(3, 2))
+    assert (lo, hi) == (2, 1) and lo > hi
+
+
+def test_linear_form_isolate_solves_for_one_variable():
+    # 2x - 4y + 6 = 0  <=>  x = 2y - 3
+    g = LinearForm({"x": Fraction(2), "y": Fraction(-4)}, Fraction(6)) \
+        .isolate("x")
+    assert (g.coeffs, g.const) == ({"y": Fraction(2)}, Fraction(-3))

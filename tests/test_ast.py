@@ -6,9 +6,10 @@ import pytest
 
 from mathmorph.ast import (And, BinOp, Compare, Const, Domain, Exists,
                            Forall, Goal, Not, Or, Problem, ValidationError,
-                           Var, conjuncts, free_variables, is_quantifier_free,
-                           make_and, negate, node_count, rename_var,
-                           substitute, substitute_all, validate)
+                           Var, children, conjuncts, free_variables,
+                           is_quantifier_free, make_and, negate, node_count,
+                           rebuild, rename_var, substitute, substitute_all,
+                           validate)
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
 from conftest import read_fixture
@@ -135,3 +136,24 @@ def test_print_after_rename_stays_parseable():
                                 for t in p.goal.targets)),
         p.recursive_defs)
     parse(print_smtlib(renamed))
+
+
+def test_rebuild_inverts_children():
+    p = parse("(declare-fun x () Int)(declare-fun y () Real)"
+              "(assert (exists ((k Int)) (and (=> (> x k) (not (= y pi)))"
+              " (ite (< x 1) (>= (^ y 2) (summation k 1 3 (+ k x)))"
+              " (<= (ite (> y 0) y (- y)) 5)))))(check-sat)")
+    seen = set()
+
+    def walk(node):
+        seen.add(type(node).__name__)
+        kids = list(children(node))
+        assert rebuild(node, kids) == node
+        for k in kids:
+            walk(k)
+    walk(p.constraints[0])
+    assert seen >= {"Quantifier", "And", "Implies", "Not", "Compare",
+                    "ConstraintIte", "Pow", "FuncApp", "TermIte", "BinOp",
+                    "NamedConst", "Var", "Const"}
+    leaf = Var("x")
+    assert rebuild(leaf, []) is leaf

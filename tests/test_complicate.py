@@ -83,6 +83,28 @@ def test_reverse_gauss_rejects_singular_matrix():
                             ["d", "e"], [[1, 1], [1, 1]], [])
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0, 0], [0, 0]],
+    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],        # second row twice the first
+    [[0, 1, 1], [1, 0, 1], [1, 1, 2]],        # third row the sum of two
+])
+def test_reverse_gauss_rejects_rank_deficient_matrices(matrix):
+    p = load_problem("m3_golden.smt2")
+    extra = [Fraction(7)] * (len(matrix) - 2)
+    with pytest.raises(ComplicationError, match="singular"):
+        apply_reverse_gauss(p, [(3, "z_1", Fraction(114)),
+                                (4, "z_2", Fraction(36))],
+                            ["d", "e", "f"][:len(matrix)], matrix, extra)
+
+
+def test_reverse_gauss_accepts_a_matrix_that_needs_a_row_swap():
+    p = load_problem("m3_golden.smt2")
+    out = apply_reverse_gauss(p, [(3, "z_1", Fraction(114)),
+                                  (4, "z_2", Fraction(36))],
+                              ["d", "e"], [[0, 1], [1, 0]], [])
+    assert solve(out).status == "sat"
+
+
 def test_reverse_gauss_renames_and_appends_rows():
     p = load_problem("m3_golden.smt2")
     out = apply_reverse_gauss(p, [(3, "z_1", Fraction(114)),

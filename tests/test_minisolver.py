@@ -6,7 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from mathmorph.minisolver import solve_exact
+from mathmorph.funcs import Num
+from mathmorph.minisolver import ExactSolver, solve_exact
 from mathmorph.parser import parse
 from conftest import load_problem, random_seed_problem, read_fixture
 
@@ -136,3 +137,26 @@ def test_one_session_answers_reset_separated_scripts_like_fresh_ones():
     replies = session.split('"x"\n')
     assert replies == fresh + [""]
     assert [r.split("\n")[0] for r in fresh] == ["sat", "sat", "unsat"]
+
+
+def test_string_literals_do_not_split_commands():
+    # a ';' or a parenthesis inside a string literal neither starts a
+    # comment nor opens a command
+    script = ('(echo "a;b")\n' + read_fixture("sara.smt2")
+              + '(echo "done (really)")\n')
+    out = stdio(script).splitlines()
+    assert out[0] == '"a;b"'
+    assert out[1] == "sat"
+    assert "(rachel_budget 500)" in out[2]
+    assert out[3:] == ['"done (really)"']
+
+
+def test_an_equality_left_with_one_unknown_bounds_it_from_both_sides():
+    # propagation skips the equality, since 0*c still names c; once a is
+    # assigned, the folded atom reads 3b = 24 and pins b to 8
+    p = parse("(declare-fun a () Int)(declare-fun b () Int)"
+              "(declare-fun c () Int)(assert (>= a 0))(assert (>= b 0))"
+              "(assert (>= c 0))"
+              "(assert (= (+ (* 0 c) (* 2 a) (* 3 b)) 26))(check-sat)")
+    solver = ExactSolver(p)
+    assert solver._int_bounds("b", {"a": Num(Fraction(1))}) == (8, 8, True)

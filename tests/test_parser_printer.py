@@ -7,7 +7,7 @@ import pytest
 from mathmorph.ast import Domain
 from mathmorph.parser import (ArityMismatchError, ParseError,
                               UndeclaredVariableError,
-                              UnsupportedCommandError, parse)
+                              UnsupportedCommandError, parse, tokenize)
 from mathmorph.printer import canonical_print, print_smtlib, render_infix
 from mathmorph.solver import SolverConfig, solve
 from conftest import read_fixture
@@ -107,3 +107,12 @@ def test_golden_chain_fixtures_round_trip():
     for name in ("m1.smt2", "m3_golden.smt2", "m4_golden.smt2"):
         text = read_fixture(name)
         assert print_smtlib(parse(text)) == text
+
+
+def test_tokenize_reads_a_string_literal_as_one_atom():
+    text = '(echo "a ;b ""q""\n(c")) x'
+    assert [a.text for a in tokenize(text)] \
+        == ["(", "echo", '"a ;b ""q""\n(c"', ")", ")", "x"]
+    assert [(a.line, a.col) for a in tokenize(text)][-2:] == [(2, 5), (2, 7)]
+    with pytest.raises(ParseError, match="unterminated"):
+        list(tokenize('(echo "a)'))

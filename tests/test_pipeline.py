@@ -134,6 +134,14 @@ def test_report_rates(corpus_dir, tmp_path):
     assert all(v > 0 for v in report.mean_node_count.values())
 
 
+def test_mean_node_count_is_pinned_for_the_fixture_corpus(corpus_dir,
+                                                          tmp_path):
+    plan = make_plan(corpus_dir, level_counts={0: 2, 1: 2, 2: 2, 3: 1})
+    report = generate_dataset(plan, str(tmp_path / "ds.jsonl"))
+    assert report.attempted == 14
+    assert report.mean_node_count == {0: 7.0, 1: 20.5, 2: 40.75, 3: 46.5}
+
+
 def test_parse_level_counts():
     assert _parse_level_counts("0:2,1:3") == {0: 2, 1: 3}
     with pytest.raises(PipelineError):

@@ -1,15 +1,19 @@
 """Rewriting tactics: golden rewrites, soundness, and level-0 driver."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import node_count
+from mathmorph.ast import (BinOp, BoolConst, Compare, Const, Domain, Var,
+                           node_count)
+from mathmorph.funcs import Num, eval_constraint
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
-from mathmorph.simplify import (TacticError, simplify_level0,
-                                tactic_elim_term_ite, tactic_gaussian_elim,
-                                tactic_qe, tactic_simplify)
+from mathmorph.simplify import (QE_INT_ENUM_CAP, TacticError, _qe_int_enum,
+                                simplify_level0, tactic_elim_term_ite,
+                                tactic_gaussian_elim, tactic_qe,
+                                tactic_simplify)
 from mathmorph.solver import solve
 from conftest import load_problem
 
@@ -130,6 +134,46 @@ def test_qe_flags_quantifiers_it_cannot_remove():
     out, rec = tactic_qe(p)
     assert rec.parameters.get("flagged")
     assert "(forall" in asserts(out)[0]
+
+
+def test_qe_combines_a_strict_lower_and_an_upper_real_bound():
+    # exists y. x < y <= (w + 4) / 2  <=>  x < (w + 4) / 2
+    p = parse("(declare-fun x () Real)(declare-fun w () Real)"
+              "(assert (exists ((y Real))"
+              " (and (< x y) (<= (* 2 y) (+ w 4)) (> w 0))))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"eliminated": [0]}
+    (c,) = out.constraints
+    assert "exists" not in asserts(out)[0]
+    cases = [(2, 1, True), (3, 2, False), (Fraction(5, 2), 1, False)]
+    for x, w, expected in cases:
+        env = {"x": Num(Fraction(x)), "w": Num(Fraction(w))}
+        assert eval_constraint(c, env) is expected
+
+
+def test_qe_enumerates_an_integer_between_strict_bounds():
+    # 2k > 3 and k < 4 leave k in {2, 3}
+    p = parse("(declare-fun x () Int)"
+              "(assert (exists ((k Int)) (and (> (* 2 k) 3) (< k 4)"
+              " (> x 0))))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"eliminated": [0]}
+    assert asserts(out) == ["(assert (or (and (> 4 3) (< 2 4) (> x 0))"
+                            " (and (> 6 3) (< 3 4) (> x 0))))"]
+
+
+def test_qe_int_enum_refutes_a_non_integral_equality():
+    two_k_is_3 = Compare(BinOp("*", Const(2), Var("k")), "=", Const(3))
+    assert _qe_int_enum("k", Domain.INT, [two_k_is_3]) == BoolConst(False)
+
+
+def test_qe_flags_an_integer_range_wider_than_the_enumeration_cap():
+    p = parse("(declare-fun x () Int)"
+              "(assert (exists ((k Int)) (and (>= k 0)"
+              f" (<= k {QE_INT_ENUM_CAP + 1}))))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"flagged": [0]}
+    assert out == p
 
 
 def test_tactics_preserve_goal_value():
