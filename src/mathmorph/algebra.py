@@ -358,3 +358,12 @@ def linear_form(expr, variables) -> Optional[LinearForm]:
             return LinearForm(const=inner.const ** k)
         return None
     return None
+
+
+def is_integral(expr, int_vars) -> bool:
+    """True when ``expr`` is a linear form with integer coefficients over
+    ``int_vars`` and an integer constant, so it is an integer wherever
+    they are."""
+    f = linear_form(expr, int_vars)
+    return f is not None and f.const.denominator == 1 \
+        and all(k.denominator == 1 for k in f.coeffs.values())

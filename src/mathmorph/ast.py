@@ -346,28 +346,6 @@ def free_variables(node) -> set:
     return out
 
 
-def occurrences(node, name: str) -> int:
-    """Number of free occurrences of ``name`` in ``node``."""
-    if isinstance(node, Var):
-        return 1 if node.name == name else 0
-    if isinstance(node, Quantifier):
-        if any(n == name for n, _ in node.bindings):
-            return 0
-        return occurrences(node.body, name)
-    if isinstance(node, FuncApp) and node.name in BINDER_SLOTS:
-        var_idx, body_idx = BINDER_SLOTS[node.name]
-        idx = node.args[var_idx]
-        total = 0
-        for i, a in enumerate(node.args):
-            if i == var_idx:
-                continue
-            if i == body_idx and isinstance(idx, Var) and idx.name == name:
-                continue
-            total += occurrences(a, name)
-        return total
-    return sum(occurrences(c, name) for c in children(node))
-
-
 class _FreshNames:
     """Deterministic fresh-name supply: appends a numeric suffix."""
 
@@ -547,7 +525,7 @@ def is_quantifier_free(p: Problem) -> bool:
     return all(qf(c) for c in p.constraints)
 
 
-def validate(p: Problem, registry=None) -> None:
+def validate(p: Problem) -> None:
     """Check Problem invariants; raises ValidationError."""
     declared = set(p.declared_names())
     if len(declared) != len(p.declarations):
@@ -562,21 +540,3 @@ def validate(p: Problem, registry=None) -> None:
         if undeclared:
             raise ValidationError(
                 f"undeclared variable(s) in goal: {', '.join(sorted(undeclared))}")
-    if registry is not None:
-        _check_arities(p, registry)
-
-
-def _check_arities(p: Problem, registry) -> None:
-    def walk(node):
-        if isinstance(node, FuncApp):
-            desc = registry.lookup(node.name)
-            if desc.arity != len(node.args):
-                raise ValidationError(
-                    f"{node.name} expects {desc.arity} argument(s), "
-                    f"got {len(node.args)}")
-        for c in children(node):
-            walk(c)
-    for c in p.constraints:
-        walk(c)
-    for t in p.goal.targets:
-        walk(t)

@@ -38,7 +38,7 @@ class AuxSite:
     constraint_index: int
     side: str                     # "lhs" | "rhs"
     op: str                       # "+", "-", "*", "/"
-    foo: str                      # "id" or a registry function name
+    foo: str                      # "id" or an interpreted function name
     aux: str                      # auxiliary variable name
     domain: Domain = Domain.REAL
 
@@ -51,19 +51,23 @@ class AuxScheme:
         return [s.aux for s in self.sites]
 
 
+# an MCMC step moves an integer aux value by 1..INT_STEP_MAX either way,
+# and a real one by a Gaussian draw of deviation REAL_SIGMA
+INT_STEP_MAX = 50
+REAL_SIGMA = 10.0
+# fresh variables of each reverse-Gaussian linear system
+REVERSE_GAUSS_VARS = 2
+
+
 @dataclass
 class McmcConfig:
     max_iters: int = 20
-    int_step_max: int = 50
-    real_sigma: float = 10.0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    reverse_gauss_vars: int = 2
     foo_pool: Tuple[str, ...] = ("id",)
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.int_step_max <= 0 \
-                or self.real_sigma <= 0:
-            raise ValueError("MCMC bounds must be positive")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +176,13 @@ def sample_aux_solution(p_mutated: Problem, aux: Sequence[str], rng,
         proposal = dict(state)
         for a in subset:
             if integer_walk or doms[a].is_integer:
-                step = rng.randint(1, cfg.int_step_max)
+                step = rng.randint(1, INT_STEP_MAX)
                 if rng.random() < 0.5:
                     step = -step
                 proposal[a] = state[a] + step
             else:
                 proposal[a] = state[a] + Fraction(
-                    rng.gauss(0.0, cfg.real_sigma)).limit_denominator(10 ** 6)
+                    rng.gauss(0.0, REAL_SIGMA)).limit_denominator(10 ** 6)
         pins = tuple(Compare(Var(a), "=", Const(proposal[a]))
                      for a in subset)
         candidate = Problem(p_mutated.declarations,
@@ -341,10 +345,10 @@ def complicate_constraint(p: Problem, rng,
     candidates = _constant_equalities(p)
     if not candidates:
         raise ComplicationError("no reversible equality")
-    m = min(cfg.reverse_gauss_vars, len(candidates))
+    k = REVERSE_GAUSS_VARS
+    m = min(k, len(candidates))
     picked = sorted(rng.sample(range(len(candidates)), m))
     entries = [candidates[i] for i in picked]
-    k = max(m, cfg.reverse_gauss_vars)
     extra_values = [Fraction(rng.randint(1, 100)) for _ in range(k - m)]
     fresh = _FreshNames([n for n, _ in p.declarations])
     names = [fresh.fresh(f"w_{i + 1}") for i in range(k)]

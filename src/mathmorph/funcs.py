@@ -1,9 +1,9 @@
-"""Registry and semantics for the pre-defined interpreted functions.
+"""Table and semantics of the pre-defined interpreted functions.
 
 Each function carries a numeric evaluator (exact rationals wherever the
-result is representable, high-precision decimals otherwise) and an
-optional symbolic reduction rule.  Transcendental results are computed
-with mpmath at 30 significant digits and converted back to rationals;
+result is representable, high-precision decimals otherwise) and a
+symbolic reduction rule.  Transcendental results are computed with
+mpmath at 30 significant digits and converted back to rationals;
 the documented precision of such values is 1e-25.
 """
 
@@ -130,42 +130,17 @@ def _cos_exact(ratio: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    name: str
     arity: int
-    arg_sorts: tuple
-    result_sort: str
-    evaluator: Callable            # (registry, app, assignment) -> Num
-    reducer: Optional[Callable] = None   # (registry, app) -> Expression
-    domain_pred: Optional[Callable] = None  # (values: list[Num]) -> bool
-
-
-class Registry:
-    def __init__(self):
-        self._table = {}
-
-    def register(self, desc: FunctionDescriptor) -> None:
-        self._table[desc.name] = desc
-
-    def lookup(self, name: str) -> FunctionDescriptor:
-        try:
-            return self._table[name]
-        except KeyError:
-            raise UnknownFunctionError(f"unknown function: {name}") from None
-
-    def known(self, name: str) -> bool:
-        return name in self._table
-
-    def names(self):
-        return tuple(self._table)
+    evaluator: Callable            # (app, assignment) -> Num
+    reducer: Callable              # (app) -> Expression
 
 
 # ---------------------------------------------------------------------------
 # Generic expression / constraint evaluation
 # ---------------------------------------------------------------------------
 
-def eval_expression(expr, assignment, registry=None) -> Num:
+def eval_expression(expr, assignment) -> Num:
     """Evaluate an expression under ``assignment`` (name -> Fraction/Num)."""
-    registry = registry or REGISTRY
     if isinstance(expr, Const):
         return Num(expr.value)
     if isinstance(expr, NamedConst):
@@ -176,8 +151,8 @@ def eval_expression(expr, assignment, registry=None) -> Num:
         v = assignment[expr.name]
         return v if isinstance(v, Num) else Num(Fraction(v))
     if isinstance(expr, BinOp):
-        a = eval_expression(expr.left, assignment, registry)
-        b = eval_expression(expr.right, assignment, registry)
+        a = eval_expression(expr.left, assignment)
+        b = eval_expression(expr.right, assignment)
         exact = a.exact and b.exact
         if expr.op == "+":
             return Num(a.value + b.value, exact)
@@ -189,8 +164,8 @@ def eval_expression(expr, assignment, registry=None) -> Num:
             raise DomainError("division by zero")
         return Num(a.value / b.value, exact)
     if isinstance(expr, Pow):
-        base = eval_expression(expr.base, assignment, registry)
-        expo = eval_expression(expr.exponent, assignment, registry)
+        base = eval_expression(expr.base, assignment)
+        expo = eval_expression(expr.exponent, assignment)
         if expo.exact and expo.value.denominator == 1:
             k = int(expo.value)
             if base.value == 0 and k < 0:
@@ -203,30 +178,29 @@ def eval_expression(expr, assignment, registry=None) -> Num:
                                     mpmath.mpf(expo.value.numerator) /
                                     expo.value.denominator))
     if isinstance(expr, FuncApp):
-        desc = registry.lookup(expr.name)
+        desc = lookup(expr.name)
         if desc.arity != len(expr.args):
             raise MathMorphError(
                 f"{expr.name} expects {desc.arity} argument(s)")
-        return desc.evaluator(registry, expr, assignment)
+        return desc.evaluator(expr, assignment)
     if isinstance(expr, TermIte):
-        if eval_constraint(expr.cond, assignment, registry):
-            return eval_expression(expr.then, assignment, registry)
-        return eval_expression(expr.els, assignment, registry)
+        if eval_constraint(expr.cond, assignment):
+            return eval_expression(expr.then, assignment)
+        return eval_expression(expr.els, assignment)
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def eval_constraint(c, assignment, registry=None) -> bool:
+def eval_constraint(c, assignment) -> bool:
     """Evaluate a constraint to a truth value under a total assignment.
 
     Comparisons between inexact values allow an absolute slack of
     ``APPROX_TOL``; quantifiers cannot be evaluated and raise.
     """
-    registry = registry or REGISTRY
     if isinstance(c, BoolConst):
         return c.value
     if isinstance(c, Compare):
-        a = eval_expression(c.lhs, assignment, registry)
-        b = eval_expression(c.rhs, assignment, registry)
+        a = eval_expression(c.lhs, assignment)
+        b = eval_expression(c.rhs, assignment)
         diff = a.value - b.value
         tol = Fraction(0) if (a.exact and b.exact) else APPROX_TOL
         if c.rel == "=":
@@ -241,18 +215,18 @@ def eval_constraint(c, assignment, registry=None) -> bool:
             return diff > -tol
         return diff < tol
     if isinstance(c, And):
-        return all(eval_constraint(i, assignment, registry) for i in c.items)
+        return all(eval_constraint(i, assignment) for i in c.items)
     if isinstance(c, Or):
-        return any(eval_constraint(i, assignment, registry) for i in c.items)
+        return any(eval_constraint(i, assignment) for i in c.items)
     if isinstance(c, Not):
-        return not eval_constraint(c.child, assignment, registry)
+        return not eval_constraint(c.child, assignment)
     if isinstance(c, Implies):
-        return (not eval_constraint(c.antecedent, assignment, registry)
-                or eval_constraint(c.consequent, assignment, registry))
+        return (not eval_constraint(c.antecedent, assignment)
+                or eval_constraint(c.consequent, assignment))
     if isinstance(c, ConstraintIte):
-        if eval_constraint(c.cond, assignment, registry):
-            return eval_constraint(c.then, assignment, registry)
-        return eval_constraint(c.els, assignment, registry)
+        if eval_constraint(c.cond, assignment):
+            return eval_constraint(c.then, assignment)
+        return eval_constraint(c.els, assignment)
     if isinstance(c, Quantifier):
         raise MathMorphError("cannot evaluate a quantified constraint")
     raise TypeError(f"not a constraint: {c!r}")
@@ -390,16 +364,16 @@ def _scale(c: Fraction, expr):
 # Evaluators
 # ---------------------------------------------------------------------------
 
-def _ev_args(registry, app, assignment):
-    return [eval_expression(a, assignment, registry) for a in app.args]
+def _ev_args(app, assignment):
+    return [eval_expression(a, assignment) for a in app.args]
 
 
-def _ev_identity(registry, app, assignment):
-    return eval_expression(app.args[0], assignment, registry)
+def _ev_identity(app, assignment):
+    return eval_expression(app.args[0], assignment)
 
 
-def _ev_log(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_log(app, assignment):
+    (v,) = _ev_args(app, assignment)
     if v.value <= 0:
         raise DomainError("log of non-positive value")
     if v.value == 1:
@@ -408,8 +382,8 @@ def _ev_log(registry, app, assignment):
                               v.value.denominator))
 
 
-def _ev_exp(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_exp(app, assignment):
+    (v,) = _ev_args(app, assignment)
     if v.value == 0:
         return Num(Fraction(1), v.exact)
     return _approx(mpmath.exp(mpmath.mpf(v.value.numerator) /
@@ -417,19 +391,19 @@ def _ev_exp(registry, app, assignment):
 
 
 def _ev_trig(fn, exact_table):
-    def ev(registry, app, assignment):
+    def ev(app, assignment):
         ratio = _pi_multiple(app.args[0])
         if ratio is not None:
             exact = exact_table(ratio)
             if exact is not None:
                 return Num(exact)
-        (v,) = _ev_args(registry, app, assignment)
+        (v,) = _ev_args(app, assignment)
         return _approx(fn(mpmath.mpf(v.value.numerator) / v.value.denominator))
     return ev
 
 
-def _ev_arcsin(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_arcsin(app, assignment):
+    (v,) = _ev_args(app, assignment)
     if not -1 <= v.value <= 1:
         raise DomainError("arcsin argument outside [-1, 1]")
     if v.value == 0:
@@ -438,8 +412,8 @@ def _ev_arcsin(registry, app, assignment):
                                v.value.denominator))
 
 
-def _ev_sqrt(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_sqrt(app, assignment):
+    (v,) = _ev_args(app, assignment)
     if v.value < 0:
         raise DomainError("sqrt of negative value")
     r = _exact_sqrt(v.value)
@@ -457,31 +431,31 @@ def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _ev_abs(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_abs(app, assignment):
+    (v,) = _ev_args(app, assignment)
     return Num(abs(v.value), v.exact)
 
 
-def _ev_gcd(registry, app, assignment):
-    a, b = (_require_int(v, "gcd") for v in _ev_args(registry, app, assignment))
+def _ev_gcd(app, assignment):
+    a, b = (_require_int(v, "gcd") for v in _ev_args(app, assignment))
     return Num(Fraction(math.gcd(a, b)))
 
 
-def _ev_lcm(registry, app, assignment):
-    a, b = (_require_int(v, "lcm") for v in _ev_args(registry, app, assignment))
+def _ev_lcm(app, assignment):
+    a, b = (_require_int(v, "lcm") for v in _ev_args(app, assignment))
     return Num(Fraction(math.lcm(a, b)))
 
 
-def _ev_binomial(registry, app, assignment):
+def _ev_binomial(app, assignment):
     n, k = (_require_int(v, "binomial")
-            for v in _ev_args(registry, app, assignment))
+            for v in _ev_args(app, assignment))
     if n < 0 or k < 0:
         raise DomainError("binomial expects nonnegative arguments")
     return Num(Fraction(math.comb(n, k)))
 
 
-def _ev_factorial(registry, app, assignment):
-    (v,) = _ev_args(registry, app, assignment)
+def _ev_factorial(app, assignment):
+    (v,) = _ev_args(app, assignment)
     n = _require_int(v, "factorial")
     if n < 0:
         raise DomainError("factorial of a negative value")
@@ -491,12 +465,12 @@ def _ev_factorial(registry, app, assignment):
 _SUMMATION_CAP = 100_000
 
 
-def _ev_summation(registry, app, assignment):
+def _ev_summation(app, assignment):
     idx, lo_e, hi_e, body = app.args
     if not isinstance(idx, Var):
         raise DomainError("summation index must be a variable")
-    lo = eval_expression(lo_e, assignment, registry)
-    hi = eval_expression(hi_e, assignment, registry)
+    lo = eval_expression(lo_e, assignment)
+    hi = eval_expression(hi_e, assignment)
     lo_i, hi_i = _require_int(lo, "summation"), _require_int(hi, "summation")
     if hi_i - lo_i > _SUMMATION_CAP:
         raise DomainError("summation range too large")
@@ -504,39 +478,39 @@ def _ev_summation(registry, app, assignment):
     inner = dict(assignment)
     for i in range(lo_i, hi_i + 1):
         inner[idx.name] = Num(Fraction(i))
-        v = eval_expression(body, inner, registry)
+        v = eval_expression(body, inner)
         total += v.value
         exact = exact and v.exact
     return Num(total, exact)
 
 
-def _ev_derivative(registry, app, assignment):
-    reduced = _red_derivative(registry, app)
+def _ev_derivative(app, assignment):
+    reduced = _red_derivative(app)
     if isinstance(reduced, FuncApp) and reduced.name == "derivative":
         raise DomainError("derivative only defined for polynomial expressions")
-    return eval_expression(reduced, assignment, registry)
+    return eval_expression(reduced, assignment)
 
 
-def _ev_integral(registry, app, assignment):
-    reduced = _red_integral(registry, app)
+def _ev_integral(app, assignment):
+    reduced = _red_integral(app)
     if isinstance(reduced, FuncApp) and reduced.name == "integral":
         raise DomainError("integral only defined for polynomial expressions"
                           " with rational bounds")
-    return eval_expression(reduced, assignment, registry)
+    return eval_expression(reduced, assignment)
 
 
 # ---------------------------------------------------------------------------
 # Reducers
 # ---------------------------------------------------------------------------
 
-def _red_identity(registry, app):
+def _red_identity(app):
     return app.args[0]
 
 
-def _red_gcd(registry, app):
+def _red_gcd(app):
     a, b = app.args
     try:
-        v = _ev_gcd(registry, app, {})
+        v = _ev_gcd(app, {})
         return Const(v.value)
     except (UnboundVariableError, DomainError):
         pass
@@ -550,10 +524,10 @@ def _red_gcd(registry, app):
     return reduced if node_count(reduced) <= node_count(app) else app
 
 
-def _numeric_fold(name):
-    def red(registry, app):
+def _numeric_fold(evaluator):
+    def red(app):
         try:
-            v = registry.lookup(name).evaluator(registry, app, {})
+            v = evaluator(app, {})
         except (UnboundVariableError, DomainError):
             return app
         if v.exact:
@@ -562,20 +536,20 @@ def _numeric_fold(name):
     return red
 
 
-def _red_trig(name, exact_table):
-    fold = _numeric_fold(name)
+def _red_trig(evaluator, exact_table):
+    fold = _numeric_fold(evaluator)
 
-    def red(registry, app):
+    def red(app):
         ratio = _pi_multiple(app.args[0])
         if ratio is not None:
             exact = exact_table(ratio)
             if exact is not None:
                 return Const(exact)
-        return fold(registry, app)
+        return fold(app)
     return red
 
 
-def _red_derivative(registry, app):
+def _red_derivative(app):
     expr, var = app.args
     if not isinstance(var, Var):
         return app
@@ -586,7 +560,7 @@ def _red_derivative(registry, app):
     return build_polynomial(deriv, var.name)
 
 
-def _red_integral(registry, app):
+def _red_integral(app):
     expr, var, lo, hi = app.args
     if not isinstance(var, Var):
         return app
@@ -605,9 +579,8 @@ def _red_integral(registry, app):
 _UNROLL_CAP = 50
 
 
-def _red_summation(registry, app):
-    fold = _numeric_fold("summation")
-    folded = fold(registry, app)
+def _red_summation(app):
+    folded = _numeric_fold(_ev_summation)(app)
     if folded is not app:
         return folded
     idx, lo, hi, body = app.args
@@ -627,54 +600,42 @@ def _red_summation(registry, app):
     return acc
 
 
-def reduce_app(app: FuncApp, registry=None):
+def reduce_app(app: FuncApp):
     """Value-preserving rewrite of one function application; returns the
     input unchanged when no rule applies."""
-    registry = registry or REGISTRY
-    desc = registry.lookup(app.name)
-    if desc.reducer is None:
-        return app
-    return desc.reducer(registry, app)
+    return lookup(app.name).reducer(app)
 
 
 # ---------------------------------------------------------------------------
-# Default registry
+# Function table
 # ---------------------------------------------------------------------------
 
-def _build_registry() -> Registry:
-    r = Registry()
+_ev_sin = _ev_trig(mpmath.sin, _sin_exact)
+_ev_cos = _ev_trig(mpmath.cos, _cos_exact)
 
-    def add(name, arity, sorts, result, evaluator, reducer=None):
-        r.register(FunctionDescriptor(name, arity, sorts, result,
-                                      evaluator, reducer))
-
-    add("identity", 1, ("Real",), "Real", _ev_identity, _red_identity)
-    add("log", 1, ("Real",), "Real", _ev_log, _numeric_fold("log"))
-    add("exp", 1, ("Real",), "Real", _ev_exp, _numeric_fold("exp"))
-    add("sin", 1, ("Real",), "Real", _ev_trig(mpmath.sin, _sin_exact),
-        _red_trig("sin", _sin_exact))
-    add("cos", 1, ("Real",), "Real", _ev_trig(mpmath.cos, _cos_exact),
-        _red_trig("cos", _cos_exact))
-    add("arcsin", 1, ("Real",), "Real", _ev_arcsin, _numeric_fold("arcsin"))
-    add("sqrt", 1, ("Real",), "Real", _ev_sqrt, _numeric_fold("sqrt"))
-    add("abs", 1, ("Real",), "Real", _ev_abs, _numeric_fold("abs"))
-    add("gcd", 2, ("Int", "Int"), "Int", _ev_gcd, _red_gcd)
-    add("lcm", 2, ("Int", "Int"), "Int", _ev_lcm, _numeric_fold("lcm"))
-    add("binomial", 2, ("Int", "Int"), "Int", _ev_binomial,
-        _numeric_fold("binomial"))
-    add("factorial", 1, ("Int",), "Int", _ev_factorial,
-        _numeric_fold("factorial"))
-    add("summation", 4, ("Var", "Int", "Int", "Real"), "Real",
-        _ev_summation, _red_summation)
-    add("derivative", 2, ("Real", "Var"), "Real", _ev_derivative,
-        _red_derivative)
-    add("integral", 4, ("Real", "Var", "Real", "Real"), "Real",
-        _ev_integral, _red_integral)
-    return r
-
-
-REGISTRY = _build_registry()
+FUNCTIONS = {
+    "identity": FunctionDescriptor(1, _ev_identity, _red_identity),
+    "log": FunctionDescriptor(1, _ev_log, _numeric_fold(_ev_log)),
+    "exp": FunctionDescriptor(1, _ev_exp, _numeric_fold(_ev_exp)),
+    "sin": FunctionDescriptor(1, _ev_sin, _red_trig(_ev_sin, _sin_exact)),
+    "cos": FunctionDescriptor(1, _ev_cos, _red_trig(_ev_cos, _cos_exact)),
+    "arcsin": FunctionDescriptor(1, _ev_arcsin, _numeric_fold(_ev_arcsin)),
+    "sqrt": FunctionDescriptor(1, _ev_sqrt, _numeric_fold(_ev_sqrt)),
+    "abs": FunctionDescriptor(1, _ev_abs, _numeric_fold(_ev_abs)),
+    "gcd": FunctionDescriptor(2, _ev_gcd, _red_gcd),
+    "lcm": FunctionDescriptor(2, _ev_lcm, _numeric_fold(_ev_lcm)),
+    "binomial": FunctionDescriptor(2, _ev_binomial,
+                                   _numeric_fold(_ev_binomial)),
+    "factorial": FunctionDescriptor(1, _ev_factorial,
+                                    _numeric_fold(_ev_factorial)),
+    "summation": FunctionDescriptor(4, _ev_summation, _red_summation),
+    "derivative": FunctionDescriptor(2, _ev_derivative, _red_derivative),
+    "integral": FunctionDescriptor(4, _ev_integral, _red_integral),
+}
 
 
 def lookup(name: str) -> FunctionDescriptor:
-    return REGISTRY.lookup(name)
+    try:
+        return FUNCTIONS[name]
+    except KeyError:
+        raise UnknownFunctionError(f"unknown function: {name}") from None

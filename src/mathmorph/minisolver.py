@@ -32,16 +32,14 @@ from .parser import (Atom, ParseError, build_sexprs, parse, sexpr_to_text,
                      tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
 
-DEFAULT_ENUM_SPAN = 1000
+ENUM_SPAN = 1000
 DEFAULT_NODE_BUDGET = 100_000
 PROBE_WIDTH = 12
 
 
 class ExactSolver:
-    def __init__(self, problem: Problem, enum_span=DEFAULT_ENUM_SPAN,
-                 node_budget=DEFAULT_NODE_BUDGET):
+    def __init__(self, problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
         self.problem = problem
-        self.enum_span = enum_span
         self.node_budget = node_budget
         self.nodes = 0
         self.domains = dict(problem.declarations)
@@ -68,7 +66,7 @@ class ExactSolver:
                     Problem(self.problem.declarations,
                             tuple(branch) or (BoolConst(True),),
                             self.problem.goal, self.problem.recursive_defs),
-                    self.enum_span, self.node_budget)
+                    self.node_budget)
                 status, model = sub.solve()
                 if status == "sat":
                     return status, model
@@ -333,9 +331,9 @@ class ExactSolver:
                 hi = m if hi is None else min(hi, m)
                 sound_hi = True
         if lo is None:
-            lo = -self.enum_span // 2
+            lo = -ENUM_SPAN // 2
         if hi is None:
-            hi = lo + self.enum_span
+            hi = lo + ENUM_SPAN
         return lo, hi, sound_lo and sound_hi
 
     def _compare_bound(self, c: Compare, v):
@@ -408,7 +406,7 @@ class ExactSolver:
         lo, hi, sound = self._int_bounds(v, model)
         if not sound:
             self.unsound = True
-        if hi - lo > self.enum_span or (not sound and hi - lo > 200):
+        if hi - lo > ENUM_SPAN or (not sound and hi - lo > 200):
             # the range cannot be enumerated exhaustively; probe a small
             # window anyway so underdetermined problems still get a
             # witness, and remember that unsat can no longer be claimed
@@ -554,9 +552,8 @@ class ExactSolver:
         return "unknown", {}
 
 
-def solve_exact(problem: Problem, enum_span=DEFAULT_ENUM_SPAN,
-                node_budget=DEFAULT_NODE_BUDGET):
-    return ExactSolver(problem, enum_span, node_budget).solve()
+def solve_exact(problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
+    return ExactSolver(problem, node_budget).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +656,10 @@ class _Session:
         self.status = None
 
     def handle(self, sexpr):
+        if not isinstance(sexpr, list):
+            text = sexpr_to_text(sexpr).replace('"', '""')
+            print(f'(error "not a command: {text}")', file=self.out)
+            return
         head = sexpr[0].text if sexpr and isinstance(sexpr[0], Atom) else ""
         if head in ("set-option", "set-info", "set-logic"):
             return

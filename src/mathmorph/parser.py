@@ -16,7 +16,7 @@ from .ast import (BINDER_SLOTS, And, BinOp, BoolConst, Compare, Const,
                   NamedConst, Not, Or, Implies, Pow, Problem, Quantifier,
                   TermIte, ValidationError, Var, make_and, substitute_all,
                   validate)
-from .funcs import REGISTRY
+from .funcs import FUNCTIONS
 
 
 class ParseError(MathMorphError):
@@ -158,8 +158,7 @@ class _Macro:
 
 
 class _ProblemBuilder:
-    def __init__(self, registry=None):
-        self.registry = registry or REGISTRY
+    def __init__(self):
         self.declarations = []          # [(name, Domain)]
         self.constraints = []
         self.macros = {}
@@ -351,11 +350,11 @@ class _ProblemBuilder:
                 for p, a in zip(macro.params, args)})
         if op in self.rec_names:
             return FuncApp(op, tuple(self.elab_term(a, bound) for a in args))
-        if self.registry.known(op):
-            desc = self.registry.lookup(op)
-            if len(args) != desc.arity:
+        if op in FUNCTIONS:
+            arity = FUNCTIONS[op].arity
+            if len(args) != arity:
                 raise ArityMismatchError(
-                    f"{op} expects {desc.arity} argument(s), got {len(args)}",
+                    f"{op} expects {arity} argument(s), got {len(args)}",
                     head.line, head.col)
             return self._elab_interpreted(op, args, bound, head)
         raise UndeclaredVariableError(f"unknown function or variable: {op}",
@@ -507,9 +506,9 @@ def _absorb_side_constraints(declarations, constraints):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def parse(text: str, registry=None) -> Problem:
+def parse(text: str) -> Problem:
     """Parse SMT-LIB source into a Problem."""
-    builder = _ProblemBuilder(registry)
+    builder = _ProblemBuilder()
     for s in read_sexprs(text):
         builder.feed(s)
     decls, constraints = _absorb_side_constraints(builder.declarations,

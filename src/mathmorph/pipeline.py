@@ -55,8 +55,6 @@ class GenerationPlan:
     global_seed: int = 0
     skip_verification: bool = False
     reasoning_attempts: int = 3
-    mcmc: Optional[McmcConfig] = None
-    few_shot_count: int = 2
 
     def __post_init__(self):
         if not self.level_counts:
@@ -148,9 +146,9 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     name = _pick_pattern(rng, plan.pattern_ratio, original is not None)
     base = {"seed_id": seed_id, "level": level, "rng_seed": rng_seed,
             "pattern": name}
-    mcmc = plan.mcmc or McmcConfig(solver=plan.solver)
     try:
-        mutated, records = mutate_to_level(seed, level, rng, mcmc)
+        mutated, records = mutate_to_level(seed, level, rng,
+                                           McmcConfig(solver=plan.solver))
     except MathMorphError as exc:
         return None, dict(base, reason=f"mutation failed: {exc}"), None
     nodes = sum(node_count(c) for c in mutated.constraints)
@@ -161,8 +159,7 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
         return None, dict(base, reason=f"solver status {result.status}"), nodes
     base["answer"] = _answer_str(result)
     context = PromptContext(original_text=original,
-                            few_shot_pool=few_shot_pool, rng=rng,
-                            few_shot_count=plan.few_shot_count)
+                            few_shot_pool=few_shot_pool, rng=rng)
     try:
         informal = informalize(mutated, PATTERNS[name], plan.endpoint,
                                context)

@@ -21,7 +21,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   negate, rebuild, substitute, substitute_all,
                   substitute_in_problem)
 from .algebra import (add_e, bound, fold_constants, fold_constraint,
-                      int_range, mul_e, scale_e, solve_for, sub_e)
+                      int_range, is_integral, mul_e, scale_e, solve_for,
+                      sub_e)
 from .funcs import reduce_app
 from .printer import expr_to_sexpr
 
@@ -280,7 +281,7 @@ def tactic_simplify(p: Problem, rng=None,
 # tactic_gaussian_elim
 # ---------------------------------------------------------------------------
 
-def _gaussian_candidates(p: Problem, allow_goal_targets: bool):
+def _gaussian_candidates(p: Problem):
     goal_vars = set()
     for t in p.goal.targets:
         goal_vars |= free_variables(t)
@@ -293,7 +294,7 @@ def _gaussian_candidates(p: Problem, allow_goal_targets: bool):
         for v in sorted(free_variables(c)):
             if v not in declared:
                 continue
-            if not allow_goal_targets and v in goal_vars:
+            if v in goal_vars:
                 continue
             sol = solve_for(c.lhs, c.rhs, v)
             if sol is None:
@@ -304,39 +305,25 @@ def _gaussian_candidates(p: Problem, allow_goal_targets: bool):
     return out
 
 
-def tactic_gaussian_elim(p: Problem, rng,
-                         allow_goal_retarget: bool = False
-                         ) -> Tuple[Problem, MutationRecord]:
-    """Pick a random equality solvable for a variable, substitute its
-    solution everywhere and drop the variable.
-
-    Goal-target variables are only eliminated with ``allow_goal_retarget``,
-    in which case the goal is retargeted to the variables of the defining
-    expression (the goal value changes accordingly)."""
-    candidates = _gaussian_candidates(p, allow_goal_retarget)
+def tactic_gaussian_elim(p: Problem, rng) -> Tuple[Problem, MutationRecord]:
+    """Pick a random equality solvable for a variable that the goal does
+    not mention, substitute its solution everywhere and drop the
+    variable."""
+    candidates = _gaussian_candidates(p)
     if not candidates:
         raise TacticError("no eliminable equality")
     idx, vars_here = candidates[rng.randrange(len(candidates))]
     v, sol = vars_here[rng.randrange(len(vars_here))]
-    goal_vars = set()
-    for t in p.goal.targets:
-        goal_vars |= free_variables(t)
     remaining = tuple(c for j, c in enumerate(p.constraints) if j != idx)
     stripped = Problem(p.declarations, remaining, p.goal, p.recursive_defs)
     out = substitute_in_problem(stripped, v, sol, drop_declaration=True)
-    retargeted = False
-    if v in goal_vars:
-        new_targets = tuple(Var(n) for n in sorted(free_variables(sol)))
-        out = Problem(out.declarations, out.constraints,
-                      Goal(out.goal.kind, new_targets), out.recursive_defs)
-        retargeted = True
     out = Problem(out.declarations,
                   tuple(fold_constraint(c) for c in out.constraints),
                   out.goal, out.recursive_defs)
     record = MutationRecord("gaussian_elim", (idx,),
                             {"variable": v,
                              "definition": expr_to_sexpr(sol),
-                             "retargeted": retargeted})
+                             "retargeted": False})
     return out, record
 
 
@@ -422,12 +409,14 @@ def _trivially_true(c) -> bool:
     return False
 
 
-def _qe_exists(q: Quantifier):
-    """Eliminate one existential binding; None when not eligible."""
+def _qe_exists(q: Quantifier, int_vars):
+    """Eliminate one existential binding; None when not eligible.
+    ``int_vars`` names the integer variables free in ``q``."""
     (name, dom), *rest = q.bindings
     body = q.body if not rest else Quantifier("exists", tuple(rest), q.body)
+    int_vars = int_vars | {name} if dom.is_integer else int_vars - {name}
     if rest:
-        inner = _qe_exists(body)
+        inner = _qe_exists(body, int_vars)
         if inner is None:
             return None
         body = inner
@@ -439,12 +428,16 @@ def _qe_exists(q: Quantifier):
     if any(isinstance(a, (Quantifier, Or, Not, Implies, ConstraintIte))
            for a in atoms):
         return None
-    # try defining-equality substitution first
+    # try defining-equality substitution first; an integer binder only
+    # through an integral definition, or the substitution would drop its
+    # integrality
     for a in atoms:
         if not (isinstance(a, Compare) and a.rel == "="):
             continue
         sol = solve_for(a.lhs, a.rhs, name)
         if sol is None:
+            continue
+        if dom.is_integer and not is_integral(sol, int_vars):
             continue
         kept = [substitute(other, name, sol) for other in atoms if other is not a]
         kept = [_normalize_compare(fold_constraint(k)) for k in kept]
@@ -522,13 +515,14 @@ def tactic_qe(p: Problem) -> Tuple[Problem, MutationRecord]:
     linearly; ineligible quantifiers are left in place and flagged."""
     new_constraints = []
     eliminated, flagged = [], []
+    int_vars = {n for n, d in p.declarations if d.is_integer}
     for i, c in enumerate(p.constraints):
         if not isinstance(c, Quantifier):
             new_constraints.append(c)
             continue
         result = None
         if c.kind == "exists":
-            result = _qe_exists(c)
+            result = _qe_exists(c, int_vars)
         else:
             # forall x. phi: valid iff exists x. not(phi) is unsat
             body = fold_constraint(c.body)
@@ -536,7 +530,7 @@ def tactic_qe(p: Problem) -> Tuple[Problem, MutationRecord]:
                 result = BoolConst(True)
             else:
                 neg = _qe_exists(Quantifier("exists", c.bindings,
-                                            negate(body)))
+                                            negate(body)), int_vars)
                 if isinstance(neg, BoolConst):
                     result = BoolConst(not neg.value)
         if result is None:
@@ -561,19 +555,16 @@ def tactic_qe(p: Problem) -> Tuple[Problem, MutationRecord]:
 # ---------------------------------------------------------------------------
 
 TACTIC_NAMES = ("simplify", "gaussian_elim", "elim_term_ite", "qe")
-DEFAULT_ROUNDS = 2
+ROUNDS = 2
 MAX_RESAMPLES = 10
 
 
-def simplify_level0(p: Problem, rng, rounds: int = DEFAULT_ROUNDS
-                    ) -> Tuple[Problem, List[MutationRecord]]:
-    """Apply ``rounds`` random applicable tactics; inapplicable draws are
+def simplify_level0(p: Problem, rng) -> Tuple[Problem, List[MutationRecord]]:
+    """Apply ``ROUNDS`` random applicable tactics; inapplicable draws are
     resampled up to 10 times, then the chain stops early."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     current = p
     records: List[MutationRecord] = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         applied = False
         for _ in range(MAX_RESAMPLES):
             name = TACTIC_NAMES[rng.randrange(len(TACTIC_NAMES))]

@@ -27,12 +27,17 @@ from .ast import (And, BoolConst, Compare, Const, ConstraintIte, Goal,
                   ValidationError, Var, conjuncts, contains_complex,
                   free_variables, make_and, negate, substitute_in_problem,
                   validate)
-from .algebra import fold_constraint, linear_form, solve_for
+from .algebra import fold_constraint, is_integral, solve_for
 from .funcs import Num, coerce_to_domain, eval_expression
 from .parser import Atom, ParseError, read_sexprs
-from .printer import constraint_to_sexpr, expr_to_sexpr
+from .printer import expr_to_sexpr, print_smtlib
 
 STRICT_EPS = 1e-9
+# differential evolution in the numeric fallback: a model counts when its
+# summed penalty is below FALLBACK_TOLERANCE
+FALLBACK_TOLERANCE = 1e-6
+FALLBACK_POPSIZE = 20
+FALLBACK_MAXITER = 300
 
 
 class SolverError(MathMorphError):
@@ -58,20 +63,12 @@ def default_command() -> List[str]:
 class SolverConfig:
     command: Optional[Sequence[str]] = None
     timeout_ms: int = 20_000
-    logic: Optional[str] = None
-    seed: Optional[int] = None
     fallback_enabled: bool = True
-    fallback_tolerance: float = 1e-6
-    fallback_popsize: int = 20
-    fallback_maxiter: int = 300
-    enum_span: int = 1000
     node_budget: int = 100_000
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
-        if self.fallback_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     def resolved_command(self) -> List[str]:
         if self.command:
@@ -97,27 +94,17 @@ class SolverResult:
 # script construction and reply parsing
 # ---------------------------------------------------------------------------
 
-def build_script(p: Problem, logic: Optional[str] = None) -> str:
-    lines = []
-    if logic:
-        lines.append(f"(set-logic {logic})")
-    for raw in p.recursive_defs:
-        lines.append(raw)
-    for name, dom in p.declarations:
-        lines.append(f"(declare-fun {name} () {dom.smt_sort})")
-        lb = dom.lower_bound
-        if lb is not None:
-            lines.append(f"(assert (>= {name} {lb}))")
-    for c in p.constraints:
-        lines.append(f"(assert {constraint_to_sexpr(c)})")
-    if p.goal.kind in ("minimize", "maximize"):
-        lines.append(f"({p.goal.kind} {expr_to_sexpr(p.goal.targets[0])})")
-    lines.append("(check-sat)")
+def build_script(p: Problem) -> str:
+    """``print_smtlib`` of ``p`` with its ``get-value`` asking for every
+    declared name instead of the goal targets, then ``(exit)``."""
+    goal = p.goal if p.goal.kind != "solve" else Goal("solve", ())
+    lines = [print_smtlib(Problem(p.declarations, p.constraints, goal,
+                                  p.recursive_defs))]
     if p.declarations:
         names = " ".join(name for name, _ in p.declarations)
-        lines.append(f"(get-value ({names}))")
-    lines.append("(exit)")
-    return "\n".join(lines) + "\n"
+        lines.append(f"(get-value ({names}))\n")
+    lines.append("(exit)\n")
+    return "".join(lines)
 
 
 def _parse_value(node) -> Num:
@@ -195,14 +182,14 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     elapsed = time.monotonic() - start
     if status == "timeout":
         if cfg.fallback_enabled:
-            return numeric_fallback_solve(p, cfg)
+            return numeric_fallback_solve(p)
         return SolverResult("timeout", elapsed=elapsed)
     if status == "sat":
         model = _coerce_domains(p, model)
         if model is None:
             status = "unknown"
     if status == "unknown" and cfg.fallback_enabled:
-        fb = numeric_fallback_solve(p, cfg)
+        fb = numeric_fallback_solve(p)
         if fb.status != "unknown":
             return fb
         return SolverResult("unknown", elapsed=elapsed, raw=raw)
@@ -220,9 +207,9 @@ def _exact_stage(p: Problem, cfg: SolverConfig):
         # bundled solver: skip the subprocess round trip; imported on
         # first use so that importing the package does not load it
         from .minisolver import solve_exact
-        status, model = solve_exact(p, cfg.enum_span, cfg.node_budget)
+        status, model = solve_exact(p, cfg.node_budget)
         return status, model, ""
-    raw = _ask_solver(cfg.resolved_command(), build_script(p, cfg.logic),
+    raw = _ask_solver(cfg.resolved_command(), build_script(p),
                       cfg.timeout_ms / 1000.0)
     if raw is None:
         return "timeout", {}, ""
@@ -406,16 +393,14 @@ def _penalty(c, env) -> float:
     raise TypeError(f"not a constraint: {c!r}")
 
 
-def numeric_fallback_solve(p: Problem,
-                           cfg: Optional[SolverConfig] = None) -> SolverResult:
-    cfg = cfg or SolverConfig()
+def numeric_fallback_solve(p: Problem) -> SolverResult:
     from scipy.optimize import differential_evolution
 
     start = time.monotonic()
     names = [n for n, _ in p.declarations]
     if not names:
         env: Dict[str, Num] = {}
-        ok = all(_penalty(c, env) < cfg.fallback_tolerance
+        ok = all(_penalty(c, env) < FALLBACK_TOLERANCE
                  for c in p.constraints)
         return SolverResult("sat" if ok else "unknown", {}, [],
                             "numeric-fallback", time.monotonic() - start)
@@ -437,11 +422,9 @@ def numeric_fallback_solve(p: Problem,
         except MathMorphError:
             return 1e12
 
-    seed = cfg.seed if cfg.seed is not None else 0
-    res = differential_evolution(loss, bounds, seed=seed, tol=1e-12,
-                                 popsize=cfg.fallback_popsize,
-                                 maxiter=cfg.fallback_maxiter,
-                                 polish=True)
+    res = differential_evolution(loss, bounds, seed=0, tol=1e-12,
+                                 popsize=FALLBACK_POPSIZE,
+                                 maxiter=FALLBACK_MAXITER, polish=True)
     x = res.x
     model = {}
     for n, xi in zip(names, x):
@@ -452,7 +435,7 @@ def numeric_fallback_solve(p: Problem,
                            exact=False)
     residual = sum(_penalty(c, model) for c in p.constraints)
     elapsed = time.monotonic() - start
-    if residual < cfg.fallback_tolerance:
+    if residual < FALLBACK_TOLERANCE:
         return SolverResult("sat", model, _goal_values(p, model),
                             "numeric-fallback", elapsed)
     return SolverResult("unknown", {}, [], "numeric-fallback", elapsed)
@@ -472,8 +455,8 @@ class EquivalenceVerdict:
 def project_onto(p: Problem, shared) -> Optional[Problem]:
     """Eliminate private variables that are defined by equalities; None
     when some private variable resists elimination.  An integer variable
-    is eliminated only by an integral definition (see ``_integral``), so
-    the projection keeps integrality."""
+    is eliminated only by an integral definition (see ``is_integral``),
+    so the projection keeps integrality."""
     current = p
     pending = [n for n, _ in current.declarations if n not in shared]
     changed = True
@@ -489,7 +472,7 @@ def project_onto(p: Problem, shared) -> Optional[Problem]:
                 sol = solve_for(c.lhs, c.rhs, v)
                 if sol is None:
                     continue
-                if v in int_vars and not _integral(sol, int_vars):
+                if v in int_vars and not is_integral(sol, int_vars):
                     continue
                 current = _eliminate(current, v, sol, c)
                 pending.remove(v)
@@ -502,15 +485,6 @@ def project_onto(p: Problem, shared) -> Optional[Problem]:
 
 def _atoms(p: Problem) -> list:
     return [a for c in p.constraints for a in conjuncts(c)]
-
-
-def _integral(sol, int_vars) -> bool:
-    """True when ``sol`` is a linear form with integer coefficients over
-    ``int_vars`` and an integer constant, so it is an integer wherever
-    they are."""
-    f = linear_form(sol, int_vars)
-    return f is not None and f.const.denominator == 1 \
-        and all(k.denominator == 1 for k in f.coeffs.values())
 
 
 def _eliminate(p: Problem, v: str, sol, defining) -> Problem:

@@ -48,6 +48,17 @@ def test_solve_unsat_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "unsat"
 
 
+def test_an_unexpected_error_exits_two_with_one_line(tmp_path, capsys):
+    # the numeric fallback's search on exp x = 5 overflows a float
+    script = tmp_path / "exp.smt2"
+    script.write_text("(declare-fun x () Real)(assert (= (exp x) 5))"
+                      "(check-sat)(get-value (x))\n")
+    assert cli.main(["solve", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ")
+    assert err.count("\n") == 1
+
+
 def test_complicate_prints_mutated_script(capsys):
     assert cli.main(["complicate", fixture_path("m1.smt2"),
                      "--level", "1", "--seed", "3"]) == 0

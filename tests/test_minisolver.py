@@ -151,6 +151,12 @@ def test_string_literals_do_not_split_commands():
     assert out[3:] == ['"done (really)"']
 
 
+def test_a_bare_atom_is_answered_with_an_error_and_reading_goes_on():
+    out = stdio("foo\n" + read_fixture("sara.smt2")).splitlines()
+    assert out == ['(error "not a command: foo")', "sat",
+                   "((rachel_budget 500))"]
+
+
 def test_an_equality_left_with_one_unknown_bounds_it_from_both_sides():
     # propagation skips the equality, since 0*c still names c; once a is
     # assigned, the folded atom reads 3b = 24 and pins b to 8

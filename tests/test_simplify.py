@@ -176,6 +176,34 @@ def test_qe_flags_an_integer_range_wider_than_the_enumeration_cap():
     assert out == p
 
 
+def test_qe_refutes_an_integer_existential_with_a_non_integral_definition():
+    # no integer k has 2k = 3
+    p = parse("(declare-fun x () Int)"
+              "(assert (exists ((k Int)) (= (* 2 k) 3)))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"eliminated": [0]}
+    assert asserts(out) == ["(assert false)"]
+
+
+def test_qe_discharges_an_integer_universal_with_a_non_integral_definition():
+    p = parse("(declare-fun x () Int)"
+              "(assert (forall ((k Int)) (distinct (* 2 k) 3)))"
+              "(assert (> x 0))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"eliminated": [0]}
+    assert asserts(out) == ["(assert (> x 0))"]
+
+
+def test_qe_flags_an_integer_binder_defined_only_by_a_fraction():
+    # exists k. 2k = x says that x is even; substituting k = x/2 would
+    # drop that
+    p = parse("(declare-fun x () Int)"
+              "(assert (exists ((k Int)) (= (* 2 k) x)))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"flagged": [0]}
+    assert out == p
+
+
 def test_tactics_preserve_goal_value():
     p = load_problem("sara.smt2")
     before = solve(p).goal_values[0][1].value

@@ -1,9 +1,11 @@
 """Dead surface: every top-level name defined in ``src/mathmorph`` must be
-mentioned somewhere in ``src/`` or ``tests/`` outside its own definition."""
+mentioned somewhere in ``src/`` or ``tests/`` outside its own definition.
+A mention is an identifier in code: a name, an attribute, an imported name
+or a keyword argument.  Words in docstrings, comments and strings do not
+count."""
 
 import ast
 import os
-import re
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -11,7 +13,6 @@ PACKAGE = os.path.join(ROOT, "src", "mathmorph")
 # defined to be read from outside the code base: the package version and
 # the interpreter-exit hook that ``atexit.register`` decorates
 ALLOWED = {"__version__", "_close_solvers"}
-WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _python_files():
@@ -22,22 +23,35 @@ def _python_files():
                     yield os.path.join(dirpath, name)
 
 
+def _mentions(tree) -> Counter:
+    """Identifiers that ``tree`` mentions, with their counts."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out[node.arg] += 1
+    return out
+
+
 def _definitions(tree):
-    """``(name, first line, last line)`` of each top-level def, class and
-    assigned name."""
+    """``(name, line, node)`` of each top-level def, class and assigned
+    name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            first = min([node.lineno]
-                        + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+            yield node.name, node.lineno, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id, node.lineno, node.end_lineno
+                        yield sub.id, node.lineno, node
 
 
 def unmentioned_names():
@@ -48,17 +62,15 @@ def unmentioned_names():
     for path in _python_files():
         if os.path.abspath(path) != os.path.abspath(__file__):
             with open(path, encoding="utf-8") as fh:
-                mentions.update(WORD.findall(fh.read()))
+                mentions.update(_mentions(ast.parse(fh.read())))
     defined = {}
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.splitlines()
-        for what, first, last in _definitions(ast.parse(text)):
-            own = Counter(WORD.findall("\n".join(lines[first - 1:last])))
-            defined[f"{name}:{first}:{what}"] = (what, own)
+            tree = ast.parse(fh.read())
+        for what, line, node in _definitions(tree):
+            defined[f"{name}:{line}:{what}"] = (what, _mentions(node))
     dead = set()
     while True:
         live = mentions.copy()
