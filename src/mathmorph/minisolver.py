@@ -11,8 +11,13 @@ exact and deterministic:
 3. Gaussian elimination plus Fourier-Motzkin projection for the
    remaining linear real part, with witness extraction.
 
-Unsat is only reported when the search was exhaustive with sound
-bounds; anything undecidable is answered ``unknown``.
+Unsat is only reported when the search was exhaustive with sound bounds
+and every leaf was refuted; a leaf that answers ``unknown`` blocks it too.
+Anything undecidable is answered ``unknown``.  Once the search can no
+longer answer unsat, only a sat leaf can change its answer, so it stops at
+once when no leaf can be sat: when a real that no equality can pin divides
+a side of a comparison through ``+`` and ``-`` only, every leaf's real
+stage finds that side nonlinear.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ class ExactSolver:
         self.problem = problem
         self.node_budget = node_budget
         self.nodes = 0
+        # why the integer search stopped early: "budget", "cut" or None
+        self.stopped_by = None
         self.domains = dict(problem.declarations)
         self._atom_cache = {}
         self.atoms = []
@@ -298,14 +305,53 @@ class ExactSolver:
     # -- integer search -----------------------------------------------------
 
     def _int_search(self, model, int_vars, real_vars):
-        self.unsound = False
-        self.gave_up = False
-        result = self._dfs(dict(model), list(int_vars), real_vars)
+        self.undecided = False          # set once unsat cannot be claimed
+        try:
+            result = self._dfs(dict(model), list(int_vars), real_vars)
+        except _NoSatLeaf:
+            self.stopped_by = "cut"
+            return "unknown", {}
         if result is not None:
             return "sat", result
-        if self.nodes >= self.node_budget or self.unsound or self.gave_up:
+        if self.nodes > self.node_budget:
+            self.stopped_by = "budget"
+        if self.nodes >= self.node_budget or self.undecided:
             return "unknown", {}
         return "unsat", {}
+
+    def _undecided(self, model):
+        """Record that the search can no longer answer unsat.  The first
+        time, end it if no leaf can answer sat either."""
+        if self.undecided:
+            return
+        self.undecided = True
+        if self._no_leaf_can_be_sat(model):
+            raise _NoSatLeaf
+
+    def _no_leaf_can_be_sat(self, model):
+        """True when some comparison has a side that reaches, through
+        ``+`` and ``-`` only, a division by a variable that no leaf can
+        assign.  Folding keeps such a division and cannot cancel terms of
+        a sum, so at every leaf that side has no linear form and the real
+        stage answers unknown."""
+        # the search assigns the integers, and propagation any variable
+        # left alone in an equality
+        assignable = model.keys() | {v for v, d in self.domains.items()
+                                     if d.is_integer}
+        equalities = [self._atom(c)[1] for c in self.atoms
+                      if isinstance(c, Compare) and c.rel == "="]
+        grew = True
+        while grew:
+            grew = False
+            for fvs in equalities:
+                left = fvs - assignable
+                if len(left) == 1:
+                    assignable |= left
+                    grew = True
+        return any(isinstance(c, Compare)
+                   and (_divides_by_other(c.lhs, assignable)
+                        or _divides_by_other(c.rhs, assignable))
+                   for c in self.atoms)
 
     def _int_bounds(self, v, model):
         dom = self.domains[v]
@@ -397,21 +443,23 @@ class ExactSolver:
                          if v not in model]
             if remaining:
                 status, out = self._real_stage(model, remaining)
-                return out if status == "sat" else None
-            status, out = self._final_check(model)
+            else:
+                status, out = self._final_check(model)
+            if status == "unknown":
+                self._undecided(model)
             return out if status == "sat" else None
         v = todo[0]
         # bounds tighten as outer variables get assigned, so derive them
         # per level from the partially substituted constraints
         lo, hi, sound = self._int_bounds(v, model)
-        if not sound:
-            self.unsound = True
         if hi - lo > ENUM_SPAN or (not sound and hi - lo > 200):
             # the range cannot be enumerated exhaustively; probe a small
             # window anyway so underdetermined problems still get a
-            # witness, and remember that unsat can no longer be claimed
-            self.gave_up = True
+            # witness
             hi = lo + PROBE_WIDTH
+            sound = False
+        if not sound:
+            self._undecided(model)
         for val in range(lo, hi + 1):
             self.nodes += 1
             if self.nodes > self.node_budget:
@@ -561,6 +609,22 @@ def solve_exact(problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
 # ---------------------------------------------------------------------------
 
 _DNF_CAP = 256
+
+
+class _NoSatLeaf(Exception):
+    """Unwinds an integer search in which no leaf can answer sat."""
+
+
+def _divides_by_other(expr, names) -> bool:
+    """True when a division by a variable outside ``names`` is reached
+    from ``expr`` through ``+`` and ``-`` nodes only."""
+    if not isinstance(expr, BinOp):
+        return False
+    if expr.op in ("+", "-"):
+        return (_divides_by_other(expr.left, names)
+                or _divides_by_other(expr.right, names))
+    return (expr.op == "/" and isinstance(expr.right, Var)
+            and expr.right.name not in names)
 
 
 def _dnf_branches(atoms):

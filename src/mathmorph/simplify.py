@@ -387,8 +387,11 @@ def tactic_elim_term_ite(p: Problem) -> Tuple[Problem, MutationRecord]:
 QE_INT_ENUM_CAP = 200
 
 
-def _normalize_compare(c: Compare) -> Compare:
-    """(x - 2 > 0) -> (x > 2) and similar single-step normalizations."""
+def _normalize_compare(c):
+    """(x - 2 > 0) -> (x > 2) and similar single-step normalizations;
+    a Boolean constant passes through."""
+    if not isinstance(c, Compare):
+        return c
     lhs, rhs = c.lhs, c.rhs
     if isinstance(rhs, Const) and rhs.value == 0 and isinstance(lhs, BinOp) \
             and lhs.op == "-" and isinstance(lhs.right, Const):
@@ -441,6 +444,8 @@ def _qe_exists(q: Quantifier, int_vars):
             continue
         kept = [substitute(other, name, sol) for other in atoms if other is not a]
         kept = [_normalize_compare(fold_constraint(k)) for k in kept]
+        if BoolConst(False) in kept:
+            return BoolConst(False)
         kept = [k for k in kept if not _trivially_true(k)]
         return make_and(kept) if kept else BoolConst(True)
     if dom.is_integer:

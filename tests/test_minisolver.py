@@ -6,9 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from mathmorph.funcs import Num
-from mathmorph.minisolver import ExactSolver, solve_exact
+import pytest
+
+from mathmorph import minisolver
+from mathmorph.complicate import mutate_to_level
+from mathmorph.funcs import Num, eval_constraint
+from mathmorph.minisolver import DEFAULT_NODE_BUDGET, ExactSolver, solve_exact
 from mathmorph.parser import parse
+from mathmorph.solver import solve
 from conftest import load_problem, random_seed_problem, read_fixture
 
 
@@ -166,3 +171,84 @@ def test_an_equality_left_with_one_unknown_bounds_it_from_both_sides():
               "(assert (= (+ (* 0 c) (* 2 a) (* 3 b)) 26))(check-sat)")
     solver = ExactSolver(p)
     assert solver._int_bounds("b", {"a": Num(Fraction(1))}) == (8, 8, True)
+
+
+@pytest.mark.parametrize("nonlinear", ["(> (* z z) 1)", "(> (/ x z) 1)"])
+def test_an_unknown_leaf_blocks_unsat(nonlinear):
+    # every leaf leaves a nonlinear real part to the real stage, which
+    # answers unknown; both problems are satisfiable, so the exhaustive
+    # search over x may not claim unsat, and solve() goes on to the
+    # numeric fallback
+    p = parse("(declare-fun x () Int)(declare-fun z () Real)"
+              f"(assert (>= x 1))(assert (<= x 3))(assert {nonlinear})"
+              "(check-sat)(get-value (x))")
+    assert run(p)[0] == "unknown"
+    assert solve(p).status == "sat"
+
+
+# w is pinned by an equality once the integers are assigned; z is not
+NO_PIN_DIVISOR = ("(declare-fun a () Int)(declare-fun b () Int)"
+                  "(declare-fun c () Int)(declare-fun d () Int)"
+                  "(declare-fun w () Real)(declare-fun z () Real)"
+                  "(assert (>= a 1))(assert (>= b 1))(assert (>= c 1))"
+                  "(assert (>= d 1))(assert (= w (+ a b c d)))"
+                  "(assert (distinct (/ w z) 2))")
+
+
+def test_a_divisor_no_equality_can_pin_ends_the_search_at_once():
+    # every leaf divides by z, which no leaf can assign, so the search
+    # would probe 13^4 leaves without ever reaching sat
+    solver = ExactSolver(parse(NO_PIN_DIVISOR + "(check-sat)"),
+                         node_budget=5_000)
+    assert solver.solve() == ("unknown", {})
+    assert solver.nodes < 50
+    assert solver.stopped_by == "cut"
+
+
+def test_without_the_cut_the_same_search_burns_its_budget(monkeypatch):
+    monkeypatch.setattr(ExactSolver, "_no_leaf_can_be_sat",
+                        lambda self, model: False)
+    solver = ExactSolver(parse(NO_PIN_DIVISOR + "(check-sat)"),
+                         node_budget=300)
+    assert solver.solve() == ("unknown", {})
+    assert solver.nodes > 300
+    assert solver.stopped_by == "budget"
+
+
+@pytest.mark.parametrize("script", [
+    # a later equality pins the divisor once a is assigned
+    NO_PIN_DIVISOR + "(assert (= z (+ a 1)))",
+    # the division sits under a product that folds to 0 at x = 2
+    "(declare-fun x () Int)(declare-fun z () Real)(assert (>= x 0))"
+    "(assert (> z 0))(assert (> (+ (* (- x 2) (/ 1 z)) x) 1))",
+])
+def test_the_cut_spares_a_divisor_that_a_leaf_can_remove(script):
+    p = parse(script + "(check-sat)")
+    solver = ExactSolver(p, node_budget=5_000)
+    status, model = solver.solve()
+    assert status == "sat"
+    assert solver.stopped_by is None
+    assert all(eval_constraint(c, model) for c in p.constraints)
+
+
+def test_the_cut_moves_no_answer_of_the_mcmc_solves(monkeypatch):
+    # solve every exact query of the criterion-5 mutations of 20 chain
+    # seeds, then again with the cut switched off
+    calls = []
+
+    def recording(problem, node_budget=DEFAULT_NODE_BUDGET):
+        solver = ExactSolver(problem, node_budget)
+        answer = solver.solve()
+        calls.append((problem, node_budget, answer, solver.stopped_by))
+        return answer
+
+    monkeypatch.setattr(minisolver, "solve_exact", recording)
+    for s in range(20):
+        for level in (1, 2, 3):
+            mutate_to_level(random_seed_problem(random.Random(1000 + s)),
+                            level, random.Random(2000 + 10 * s + level))
+    assert sum(stop == "cut" for *_, stop in calls) >= 10
+    monkeypatch.setattr(ExactSolver, "_no_leaf_can_be_sat",
+                        lambda self, model: False)
+    for problem, node_budget, answer, _ in calls:
+        assert ExactSolver(problem, node_budget).solve() == answer

@@ -120,6 +120,18 @@ def test_qe_eliminates_existential_by_substitution():
     assert asserts(out) == ["(assert (> x 2))"]
 
 
+@pytest.mark.parametrize("conjunct, expected", [
+    ("true", []), ("false", ["(assert false)"])])
+def test_qe_substitution_keeps_a_boolean_conjunct(conjunct, expected):
+    # a true conjunct drops out and a false one refutes the body
+    p = parse("(declare-fun x () Real)(declare-fun w () Real)"
+              f"(assert (exists ((k Real)) (and (= k x) {conjunct})))"
+              "(assert (> w 1))(check-sat)")
+    out, rec = tactic_qe(p)
+    assert rec.parameters == {"eliminated": [0]}
+    assert asserts(out) == expected + ["(assert (> w 1))"]
+
+
 def test_qe_discharges_trivially_true_universal():
     p = parse("(declare-fun w () Real)"
               "(assert (forall ((x Real)) (= (+ x 0) x)))"
