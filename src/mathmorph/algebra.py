@@ -8,9 +8,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  FuncApp, NamedConst, Not, Or, Implies, Pow, Quantifier,
-                  TermIte, Var, free_variables)
+from .ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow, TermIte,
+                  Var, children, free_variables, rebuild)
 from .funcs import eval_expression
 
 
@@ -120,25 +119,10 @@ def fold_constants(expr):
 
 
 def fold_constraint(c):
-    if isinstance(c, BoolConst):
-        return c
+    """``fold_constants`` applied to both sides of every comparison."""
     if isinstance(c, Compare):
         return Compare(fold_constants(c.lhs), c.rel, fold_constants(c.rhs))
-    if isinstance(c, And):
-        return And(tuple(fold_constraint(i) for i in c.items))
-    if isinstance(c, Or):
-        return Or(tuple(fold_constraint(i) for i in c.items))
-    if isinstance(c, Not):
-        return Not(fold_constraint(c.child))
-    if isinstance(c, Implies):
-        return Implies(fold_constraint(c.antecedent),
-                       fold_constraint(c.consequent))
-    if isinstance(c, ConstraintIte):
-        return ConstraintIte(fold_constraint(c.cond), fold_constraint(c.then),
-                             fold_constraint(c.els))
-    if isinstance(c, Quantifier):
-        return Quantifier(c.kind, c.bindings, fold_constraint(c.body))
-    raise TypeError(f"not a constraint: {c!r}")
+    return rebuild(c, [fold_constraint(k) for k in children(c)])
 
 
 # ---------------------------------------------------------------------------

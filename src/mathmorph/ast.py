@@ -470,26 +470,38 @@ def _substitute_under(names: tuple, body, env: dict):
     return names, substitute_all(body, inner)
 
 
-def substitute_in_problem(p: Problem, name: str, replacement: Expression,
-                          drop_declaration: bool = False) -> Problem:
-    constraints = tuple(substitute(c, name, replacement) for c in p.constraints)
-    targets = tuple(substitute(t, name, replacement) for t in p.goal.targets)
-    decls = p.declarations
-    if drop_declaration:
-        decls = tuple((n, d) for n, d in decls if n != name)
-    return Problem(decls, constraints, Goal(p.goal.kind, targets),
+def substitute_in_problem(p: Problem, env: dict) -> Problem:
+    """``p`` with each variable named in ``env`` replaced by its
+    replacement in every constraint and goal target, simultaneously as in
+    ``substitute_all``, and its declaration dropped."""
+    return Problem(tuple((n, d) for n, d in p.declarations if n not in env),
+                   tuple(substitute_all(c, env) for c in p.constraints),
+                   Goal(p.goal.kind, tuple(substitute_all(t, env)
+                                           for t in p.goal.targets)),
                    p.recursive_defs)
 
 
 def negate(c: Constraint) -> Constraint:
-    """Logical negation, pushed through comparisons."""
-    if isinstance(c, Compare):
+    """Logical negation pushed through every connective down to the
+    comparisons and Boolean constants; a ``Not`` is unwrapped, never
+    added."""
+    t = type(c)
+    if t is Compare:
         return Compare(c.lhs, _NEGATED_REL[c.rel], c.rhs)
-    if isinstance(c, Not):
+    if t is Not:
         return c.child
-    if isinstance(c, BoolConst):
+    if t is BoolConst:
         return BoolConst(not c.value)
-    return Not(c)
+    if t is And or t is Or:
+        return (Or if t is And else And)(tuple(negate(i) for i in c.items))
+    if t is Implies:
+        return And((c.antecedent, negate(c.consequent)))
+    if t is ConstraintIte:
+        return ConstraintIte(c.cond, negate(c.then), negate(c.els))
+    if t is Quantifier:
+        dual = "exists" if c.kind == "forall" else "forall"
+        return Quantifier(dual, c.bindings, negate(c.body))
+    raise TypeError(f"not a constraint: {c!r}")
 
 
 def conjuncts(c: Constraint) -> list:

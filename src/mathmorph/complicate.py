@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import (BinOp, Compare, Const, Domain, FuncApp, Goal,
-                  MathMorphError, Problem, Var, _FreshNames, rename_var)
+from .ast import (BinOp, Compare, Const, Domain, FuncApp, MathMorphError,
+                  Problem, Var, _FreshNames, substitute_in_problem)
 from .algebra import LinearForm, add_e, eliminate, scale_e, sub_e
 from .simplify import MutationRecord, TacticError, simplify_level0
 from .solver import SolverConfig, solve
@@ -319,23 +319,26 @@ def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
     if not _invertible(matrix):
         raise ComplicationError("matrix is singular")
     drop = {i for i, _, _ in entries}
-    constraints = [c for i, c in enumerate(p.constraints) if i not in drop]
-    goal = p.goal
-    decls = list(p.declarations)
+    kept = Problem(p.declarations,
+                   tuple(c for i, c in enumerate(p.constraints)
+                         if i not in drop), p.goal, p.recursive_defs)
+    # a variable picked twice keeps the first fresh name and domain
+    renamed = {}
     for (_, old, value), new in zip(entries, fresh_names):
-        constraints = [rename_var(c, old, new) for c in constraints]
-        goal = Goal(goal.kind, tuple(rename_var(t, old, new)
-                                     for t in goal.targets))
-        decls = [(new, _domain_for(value)) if n == old else (n, d)
-                 for n, d in decls]
+        renamed.setdefault(old, (new, _domain_for(value)))
+    out = substitute_in_problem(kept, {old: Var(new) for old, (new, _)
+                                       in renamed.items()})
+    decls = [renamed.get(n, (n, d)) for n, d in p.declarations]
     for new, value in zip(fresh_names[len(entries):],
                           list(extra_values)):
         decls.append((new, _domain_for(value)))
+    constraints = list(out.constraints)
     for row in matrix:
         rhs = sum(Fraction(a) * v for a, v in zip(row, values))
         constraints.append(Compare(_row_expr(row, fresh_names), "=",
                                    Const(rhs)))
-    return Problem(tuple(decls), tuple(constraints), goal, p.recursive_defs)
+    return Problem(tuple(decls), tuple(constraints), out.goal,
+                   p.recursive_defs)
 
 
 def complicate_constraint(p: Problem, rng,

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import MathMorphError, Problem, ValidationError, rename_var, Goal
+from .ast import (MathMorphError, Problem, ValidationError, Var,
+                  substitute_in_problem)
 from .printer import print_smtlib
 from .solver import SolverResult
 
@@ -123,21 +124,9 @@ DEFAULT_FEW_SHOT_POOL: Tuple[Tuple[str, str], ...] = (
 def refresh_variables(p: Problem) -> Tuple[Problem, Dict[str, str]]:
     """Rename declarations to x_0, x_1, ... in declaration order."""
     mapping = {name: f"x_{i}" for i, (name, _) in enumerate(p.declarations)}
-    # two-phase rename so pre-existing x_i names cannot collide
-    temp = {name: f"__mm_tmp_{i}__"
-            for i, (name, _) in enumerate(p.declarations)}
-    current = p
-    for phase in (temp, {temp[k]: v for k, v in mapping.items()}):
-        decls = tuple((phase.get(n, n), d) for n, d in current.declarations)
-        constraints = current.constraints
-        targets = current.goal.targets
-        for old, new in phase.items():
-            constraints = tuple(rename_var(c, old, new) for c in constraints)
-            targets = tuple(rename_var(t, old, new) for t in targets)
-        current = Problem(decls, constraints,
-                          Goal(current.goal.kind, targets),
-                          current.recursive_defs)
-    return current, mapping
+    out = substitute_in_problem(p, {n: Var(m) for n, m in mapping.items()})
+    return Problem(tuple((mapping[n], d) for n, d in p.declarations),
+                   out.constraints, out.goal, out.recursive_defs), mapping
 
 
 def build_prompt(p: Problem, pattern: PromptPattern,
@@ -330,30 +319,26 @@ class ConsistencyVerdict:
     llm_answer: Optional[Fraction]
     solver_answer: Optional[Fraction]
     consistent: bool
-    tolerance: Fraction
 
 
 DEFAULT_REL_TOL = Fraction(1, 10_000)
 
 
-def consistency_check(llm_text: str, solver: SolverResult,
-                      tol: Optional[Fraction] = None) -> ConsistencyVerdict:
+def consistency_check(llm_text: str,
+                      solver: SolverResult) -> ConsistencyVerdict:
     """Compare the extracted LLM answer against the solver's first goal
-    value; integers are compared exactly by default, other values with a
-    relative tolerance of 1e-4."""
+    value; integers are compared exactly, other values with a relative
+    tolerance of 1e-4."""
     solver_answer = None
     if solver.status == "sat" and solver.goal_values:
         solver_answer = solver.goal_values[0][1].value
     llm_answer = extract_answer(llm_text)
     if solver_answer is None or llm_answer is None:
-        return ConsistencyVerdict(llm_answer, solver_answer, False,
-                                  Fraction(0))
-    if tol is None:
-        tol = (Fraction(0) if solver_answer.denominator == 1
-               else DEFAULT_REL_TOL)
+        return ConsistencyVerdict(llm_answer, solver_answer, False)
+    tol = Fraction(0) if solver_answer.denominator == 1 else DEFAULT_REL_TOL
     bound = tol * max(Fraction(1), abs(solver_answer))
     consistent = abs(llm_answer - solver_answer) <= bound
-    return ConsistencyVerdict(llm_answer, solver_answer, consistent, tol)
+    return ConsistencyVerdict(llm_answer, solver_answer, consistent)
 
 
 def consistency_rate(verdicts: Sequence[ConsistencyVerdict]) -> float:

@@ -26,9 +26,9 @@ import sys
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  Domain, Implies, MathMorphError, Not, Or, Problem,
-                  Quantifier, Var, conjuncts, contains_complex,
-                  free_variables, is_quantifier_free, negate, substitute_all)
+                  Domain, Implies, MathMorphError, Not, Or, Problem, Var,
+                  conjuncts, contains_complex, free_variables,
+                  is_quantifier_free, negate, substitute_all)
 from .algebra import (LinearForm, bound, eliminate, fold_constraint,
                       int_range, linear_form, solve_for)
 from .funcs import (DomainError, Num, UnboundVariableError,
@@ -139,32 +139,24 @@ class ExactSolver:
             for u, k in g.coeffs.items():
                 acc = acc + forms[u].scale(k)
             forms[v] = acc
-        if free:
-            # keep whatever the system forces regardless of the free part
-            for v, g in chain:
-                f = forms[v]
-                if f.is_constant():
-                    ok = coerce_to_domain(self.domains[v],
-                                          Num(f.const, exact=True))
-                    if ok is None:
-                        return "unsat", {}
-                    model[v] = ok
-            return None, {}
+        # pin whatever the system forces regardless of the free part;
+        # with no free variable that is every variable of the chain
         pinned = dict(model)
         for v, _ in chain:
-            ok = coerce_to_domain(self.domains[v],
-                                  Num(forms[v].const, exact=True))
-            if ok is None:
-                return "unsat", {}
-            pinned[v] = ok
+            f = forms[v]
+            if f.is_constant():
+                ok = coerce_to_domain(self.domains[v],
+                                      Num(f.const, exact=True))
+                if ok is None:
+                    return "unsat", {}
+                pinned[v] = ok
+        if free:
+            model.update(pinned)
+            return None, {}
+        # the equalities admit exactly this one solution, so a failed full
+        # check refutes the whole conjunction
         status, out = self._final_check(pinned)
-        if status == "sat":
-            return status, out
-        if status == "unsat":
-            # the equalities admit exactly this one solution, so a failed
-            # full check refutes the whole conjunction
-            return "unsat", {}
-        return None, {}
+        return (None, {}) if status == "unknown" else (status, out)
 
     # -- propagation --------------------------------------------------------
 
@@ -192,8 +184,6 @@ class ExactSolver:
                 if len(fv) != 1:
                     continue
                 (v,) = fv
-                if v in model:
-                    continue
                 sol = solve_for(sub.lhs, sub.rhs, v)
                 if sol is None or free_variables(sol):
                     val = self._invert_equality(sub, v)
@@ -363,8 +353,6 @@ class ExactSolver:
             if v not in self._atom(c)[1]:
                 continue
             sub = self._substitute_model(c, model)
-            if not isinstance(sub, Compare):
-                continue
             b_lo, b_hi = self._compare_bound(sub, v)
             if b_lo is not None:
                 lo = b_lo if lo is None else max(lo, b_lo)
@@ -476,19 +464,16 @@ class ExactSolver:
             if self._atom(c)[1] - model.keys():
                 continue
             sub = self._substitute_model(c, model)
-            if not free_variables(sub):
-                try:
-                    if not eval_constraint(sub, {}):
-                        return "unsat"
-                except (DomainError, MathMorphError):
-                    return None
+            try:
+                if not eval_constraint(sub, {}):
+                    return "unsat"
+            except (DomainError, MathMorphError):
+                return None
         return None
 
     # -- linear real stage --------------------------------------------------
 
     def _real_stage(self, model, real_vars):
-        if any(self.domains[v].is_integer for v in real_vars):
-            return "unknown", {}
         var_set = set(real_vars)
         eqs, ineqs, diseqs = [], [], []
         for c in self.atoms:
@@ -497,8 +482,6 @@ class ExactSolver:
                 if not sub.value:
                     return "unsat", {}
                 continue
-            if not isinstance(sub, Compare):
-                return "unknown", {}
             lf_l = linear_form(sub.lhs, var_set)
             lf_r = linear_form(sub.rhs, var_set)
             if lf_l is None or lf_r is None:
@@ -647,31 +630,13 @@ def _dnf_branches(atoms):
                 out.extend(b)
             return out
         if isinstance(c, Not):
-            inner = c.child
-            if isinstance(inner, Compare):
-                return [[negate(inner)]]
-            if isinstance(inner, BoolConst):
-                return [[BoolConst(not inner.value)]]
-            if isinstance(inner, And):
-                return norm(Or(tuple(Not(i) for i in inner.items)))
-            if isinstance(inner, Or):
-                return norm(And(tuple(Not(i) for i in inner.items)))
-            if isinstance(inner, Not):
-                return norm(inner.child)
-            if isinstance(inner, Implies):
-                return norm(And((inner.antecedent, Not(inner.consequent))))
-            if isinstance(inner, ConstraintIte):
-                return norm(ConstraintIte(inner.cond, Not(inner.then),
-                                          Not(inner.els)))
-            return None
+            return norm(negate(c.child))
         if isinstance(c, Implies):
             return norm(Or((Not(c.antecedent), c.consequent)))
         if isinstance(c, ConstraintIte):
             return norm(Or((And((c.cond, c.then)),
                             And((Not(c.cond), c.els)))))
-        if isinstance(c, Quantifier):
-            return None
-        return None
+        return None                     # a quantifier
 
     def combine(branch_lists):
         acc = [[]]

@@ -14,9 +14,16 @@ from fractions import Fraction
 from .ast import (BINDER_SLOTS, And, BinOp, BoolConst, Compare, Const,
                   ConstraintIte, Domain, FuncApp, Goal, MathMorphError,
                   NamedConst, Not, Or, Implies, Pow, Problem, Quantifier,
-                  TermIte, ValidationError, Var, make_and, substitute_all,
-                  validate)
+                  TermIte, ValidationError, Var, children, make_and,
+                  substitute_all, validate)
 from .funcs import FUNCTIONS
+
+# the most levels a constraint or goal term may have: the walkers that
+# print, rewrite and solve a problem recurse up to twice per level and
+# must stay within Python's recursion limit.  Source text may nest twice
+# as deep, since printing adds levels (a fraction's ``(- (/ p q))``, a
+# binder's guard) and elaboration recurses up to three times per level.
+MAX_DEPTH = 100
 
 
 class ParseError(MathMorphError):
@@ -509,15 +516,31 @@ def _absorb_side_constraints(declarations, constraints):
 def parse(text: str) -> Problem:
     """Parse SMT-LIB source into a Problem."""
     builder = _ProblemBuilder()
-    for s in read_sexprs(text):
+    sexprs = read_sexprs(text)
+    if _height(sexprs, lambda s: s if isinstance(s, list) else ()) \
+            > 2 * MAX_DEPTH:
+        raise ParseError(f"nested deeper than {2 * MAX_DEPTH} levels")
+    for s in sexprs:
         builder.feed(s)
     decls, constraints = _absorb_side_constraints(builder.declarations,
                                                   builder.constraints)
     kind = builder.goal_kind or "solve"
     goal = Goal(kind, tuple(builder.goal_targets))
     problem = Problem(decls, constraints, goal, tuple(builder.rec_defs))
+    if _height(constraints + goal.targets, children) > MAX_DEPTH:
+        raise ParseError(f"a term has more than {MAX_DEPTH} levels")
     _validate_parsed(problem, builder)
     return problem
+
+
+def _height(roots, kids) -> int:
+    """Levels of the trees under ``roots``, where ``kids`` gives a node's
+    children; counted level by level, without recursion."""
+    height, level = 0, list(roots)
+    while level:
+        height += 1
+        level = [k for n in level for k in kids(n)]
+    return height
 
 
 def _validate_parsed(problem, builder):

@@ -38,10 +38,6 @@ class MutationRecord:
     parameters: dict = field(default_factory=dict)
     seed: Optional[int] = None
 
-    @property
-    def empty(self) -> bool:
-        return not self.parameters and not self.site
-
 
 # ---------------------------------------------------------------------------
 # tactic_simplify
@@ -316,7 +312,7 @@ def tactic_gaussian_elim(p: Problem, rng) -> Tuple[Problem, MutationRecord]:
     v, sol = vars_here[rng.randrange(len(vars_here))]
     remaining = tuple(c for j, c in enumerate(p.constraints) if j != idx)
     stripped = Problem(p.declarations, remaining, p.goal, p.recursive_defs)
-    out = substitute_in_problem(stripped, v, sol, drop_declaration=True)
+    out = substitute_in_problem(stripped, {v: sol})
     out = Problem(out.declarations,
                   tuple(fold_constraint(c) for c in out.constraints),
                   out.goal, out.recursive_defs)

@@ -1,12 +1,13 @@
 """Uniform solving facade.
 
-Drives any SMT-LIB-2-conformant solver executable over a textual
-stdin/stdout protocol (the bundled ``mathmorph-minisolver`` by default,
-overridable via the ``MATHMORPH_SOLVER`` environment variable), with a
-loss-minimizing numerical fallback for problems the symbolic route
-answers ``unknown`` on.  One solver process per command stays alive for
-the life of the calling process; each question to it is framed by
-``(reset)`` and an ``(echo)`` of a sentinel.
+Solves with the bundled exact solver in process, or drives the
+SMT-LIB-2-conformant solver executable that ``SolverConfig.command``, else
+the ``MATHMORPH_SOLVER`` environment variable, names over a textual
+stdin/stdout protocol.  A loss-minimizing numerical fallback answers the
+problems with a ``solve`` goal that the symbolic route answers ``unknown``
+on.  One solver process per command stays alive for the life of the
+calling process; each question to it is framed by ``(reset)`` and an
+``(echo)`` of a sentinel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import os
 import selectors
 import shlex
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,13 +52,6 @@ class SolverError(MathMorphError):
         self.stderr = stderr
 
 
-def default_command() -> List[str]:
-    override = os.environ.get("MATHMORPH_SOLVER")
-    if override:
-        return shlex.split(override)
-    return [sys.executable, "-m", "mathmorph.minisolver"]
-
-
 @dataclass
 class SolverConfig:
     command: Optional[Sequence[str]] = None
@@ -69,11 +62,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
-
-    def resolved_command(self) -> List[str]:
-        if self.command:
-            return list(self.command)
-        return default_command()
 
 
 @dataclass
@@ -180,15 +168,18 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     start = time.monotonic()
     status, model, raw = _exact_stage(p, cfg)
     elapsed = time.monotonic() - start
+    # differential evolution finds a feasible point, not an optimum, so an
+    # optimization goal never falls back
+    fallback = cfg.fallback_enabled and p.goal.kind == "solve"
     if status == "timeout":
-        if cfg.fallback_enabled:
+        if fallback:
             return numeric_fallback_solve(p)
         return SolverResult("timeout", elapsed=elapsed)
     if status == "sat":
         model = _coerce_domains(p, model)
         if model is None:
             status = "unknown"
-    if status == "unknown" and cfg.fallback_enabled:
+    if status == "unknown" and fallback:
         fb = numeric_fallback_solve(p)
         if fb.status != "unknown":
             return fb
@@ -200,16 +191,19 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
 
 
 def _exact_stage(p: Problem, cfg: SolverConfig):
-    """``(status, model, raw reply)`` of the exact solver: the bundled one
-    in process, or the configured executable over stdio, where a timeout
-    gives the status ``"timeout"``."""
-    if cfg.command is None and not os.environ.get("MATHMORPH_SOLVER"):
-        # bundled solver: skip the subprocess round trip; imported on
-        # first use so that importing the package does not load it
+    """``(status, model, raw reply)`` of the exact solver: the executable
+    that ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio,
+    where a timeout gives the status ``"timeout"``; else the bundled
+    solver in process."""
+    command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
+                                                        ""))
+    if not command:
+        # imported on first use so that importing the package does not
+        # load it
         from .minisolver import solve_exact
         status, model = solve_exact(p, cfg.node_budget)
         return status, model, ""
-    raw = _ask_solver(cfg.resolved_command(), build_script(p),
+    raw = _ask_solver(list(command), build_script(p),
                       cfg.timeout_ms / 1000.0)
     if raw is None:
         return "timeout", {}, ""
@@ -493,7 +487,7 @@ def _eliminate(p: Problem, v: str, sol, defining) -> Problem:
     atoms = _atoms(p)
     atoms.remove(defining)
     stripped = Problem(p.declarations, tuple(atoms), p.goal, p.recursive_defs)
-    out = substitute_in_problem(stripped, v, sol, drop_declaration=True)
+    out = substitute_in_problem(stripped, {v: sol})
     constraints = [fold_constraint(c) for c in out.constraints]
     lb = p.domain_of(v).lower_bound
     if lb is not None:

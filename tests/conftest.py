@@ -48,6 +48,20 @@ def random_seed_problem(rng):
     return parse("\n".join(lines))
 
 
+def deep_script(shape: str, levels: int) -> str:
+    """``x`` equal to a sum of ones whose constraint tree has ``levels``
+    levels: nested as ``(+ 1 (+ 1 ... 1))``, or one flat ``(+ 1 1 ...)``,
+    which elaborates to a left fold."""
+    if shape == "nested":
+        term = "1"
+        for _ in range(levels - 2):
+            term = f"(+ 1 {term})"
+    else:
+        term = f"(+ {' '.join(['1'] * (levels - 1))})"
+    return (f"(declare-fun x () Int)(assert (= x {term}))"
+            "(check-sat)(get-value (x))")
+
+
 class FixtureEndpoint:
     """Offline endpoint: reasoning prompts are answered by echoing the
     value stated in the informal text; informalization prompts by solving

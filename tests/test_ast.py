@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import (And, BinOp, Compare, Const, Domain, Exists,
-                           Forall, Goal, Not, Or, Problem, ValidationError,
+from mathmorph.ast import (And, BinOp, BoolConst, Compare, Const,
+                           ConstraintIte, Domain, Exists, Forall, Goal,
+                           Implies, Not, Or, Problem, ValidationError,
                            Var, children, conjuncts, free_variables,
                            is_quantifier_free, make_and, negate, node_count,
                            rebuild, rename_var, substitute, substitute_all,
@@ -82,10 +83,21 @@ def test_negate_flips_comparisons():
     assert negate(negate(c)) == c
 
 
-def test_negate_wraps_compound_constraints():
-    c = And((Compare(Var("x"), "=", Const(Fraction(0))),
-             Compare(Var("y"), "=", Const(Fraction(1)))))
-    assert isinstance(negate(c), (Not, Or))
+def test_negate_pushes_through_every_connective():
+    a = Compare(Var("x"), "=", Const(Fraction(0)))
+    b = Compare(Var("y"), "<", Const(Fraction(1)))
+    na, nb = negate(a), negate(b)
+    binding = (("y", Domain.REAL),)
+    assert negate(And((a, b))) == Or((na, nb))
+    assert negate(Or((a, b))) == And((na, nb))
+    assert negate(Implies(a, b)) == And((a, nb))
+    assert negate(ConstraintIte(a, b, BoolConst(True))) \
+        == ConstraintIte(a, nb, BoolConst(False))
+    assert negate(Not(Or((a, b)))) == Or((a, b))
+    assert negate(Forall(binding, Or((a, b)))) \
+        == Exists(binding, And((na, nb)))
+    assert negate(Exists(binding, Implies(a, b))) \
+        == Forall(binding, And((a, nb)))
 
 
 def test_and_requires_two_children():

@@ -8,7 +8,7 @@ import pytest
 from mathmorph import cli
 from mathmorph.informalize import RecordingEndpoint
 from mathmorph.pipeline import GenerationPlan, generate_dataset
-from conftest import FIXTURES, FixtureEndpoint, read_fixture
+from conftest import FIXTURES, FixtureEndpoint, deep_script, read_fixture
 
 
 def fixture_path(name):
@@ -57,6 +57,14 @@ def test_an_unexpected_error_exits_two_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: OverflowError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", ["nested", "flat"])
+def test_parse_of_a_too_deep_tree_exits_one(tmp_path, capsys, shape):
+    script = tmp_path / "deep.smt2"
+    script.write_text(deep_script(shape, 3000))
+    assert cli.main(["parse", str(script)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_complicate_prints_mutated_script(capsys):

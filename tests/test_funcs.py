@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.funcs import (DomainError, Num, UnknownFunctionError,
-                             eval_constraint, eval_expression, lookup,
-                             reduce_app)
+from mathmorph.funcs import (APPROX_TOL, DomainError, Num,
+                             UnknownFunctionError, eval_constraint,
+                             eval_expression, lookup, reduce_app)
 from mathmorph.parser import parse
-from mathmorph.printer import print_smtlib
+from mathmorph.printer import expr_to_sexpr, print_smtlib
 
 
 def _expr(rhs: str, decls=""):
@@ -98,3 +98,59 @@ def test_reduce_app_folds_closed_applications():
 def test_num_tracks_exactness():
     assert Num(Fraction(1, 2), True).exact
     assert not ev("(exp 1)").exact
+
+
+# at x = 2 and k = 5: (term, its reduction or None, value, exact)
+INTERPRETED = [
+    ("(derivative (^ x 3) x)", "(* 3 (^ x 2))", 12, True),
+    ("(derivative (- (* 3 (^ x 2)) (/ x 2)) x)", "(- (* 6 x) (/ 1 2))",
+     Fraction(23, 2), True),
+    ("(integral (* 2 x) x 0 3)", "9", 9, True),
+    ("(summation i 1 3 (* i k))", "(+ (+ (* 1 k) (* 2 k)) (* 3 k))", 30,
+     True),
+    ("(sqrt (/ 16 9))", "(/ 4 3)", Fraction(4, 3), True),
+    ("(sqrt 2)", "(sqrt 2)", Fraction(14142135623731, 10 ** 13), False),
+    ("(^ 4 (/ 1 2))", None, 2, False),
+    ("(abs (- 3))", "3", 3, True),
+    ("(cos (* 2 pi))", "1", 1, True),
+    ("(sin (* pi (/ 1 2)))", "1", 1, True),
+]
+
+
+@pytest.mark.parametrize("term, reduced, value, exact", INTERPRETED,
+                         ids=[t for t, *_ in INTERPRETED])
+def test_interpreted_function_reduces_and_evaluates(term, reduced, value,
+                                                    exact):
+    e = _expr(term, "(declare-fun k () Int)")
+    at = {"x": Fraction(2), "k": Fraction(5)}
+    out = eval_expression(e, at)
+    assert out.exact is exact
+    assert abs(out.value - value) < APPROX_TOL
+    if reduced is not None:
+        r = reduce_app(e)
+        assert expr_to_sexpr(r) == reduced
+        assert eval_expression(r, at) == out
+
+
+def test_derivative_of_a_non_polynomial_is_a_domain_error():
+    with pytest.raises(DomainError):
+        eval_expression(_expr("(derivative (* x k) x)",
+                              "(declare-fun k () Int)"),
+                        {"x": Fraction(2), "k": Fraction(5)})
+
+
+@pytest.mark.parametrize("constraint, holds", [
+    ("(or (> x 5) (= y 3))", True),
+    ("(or (> x 5) (= y 4))", False),
+    ("(not (> x 1))", False),
+    ("(not (and (> x 1) (= y 4)))", True),
+    ("(=> (> x 5) (= y 4))", True),
+    ("(=> (> x 1) (= y 4))", False),
+    ("(ite (> x 1) (= y 3) (= y 4))", True),
+    ("(ite (< x 1) (= y 3) (= y 4))", False),
+])
+def test_eval_constraint_over_connectives(constraint, holds):
+    p = parse("(declare-fun x () Int)(declare-fun y () Int)"
+              f"(assert {constraint})(check-sat)")
+    assert eval_constraint(p.constraints[0],
+                           {"x": Fraction(2), "y": Fraction(3)}) is holds

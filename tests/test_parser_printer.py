@@ -1,16 +1,17 @@
 """Parser / printer round trips and error reporting."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from mathmorph.ast import Domain
-from mathmorph.parser import (ArityMismatchError, ParseError,
+from mathmorph.parser import (MAX_DEPTH, ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse, tokenize)
 from mathmorph.printer import canonical_print, print_smtlib, render_infix
 from mathmorph.solver import SolverConfig, solve
-from conftest import read_fixture
+from conftest import deep_script, read_fixture
 
 
 def test_round_trip_preserves_source_lexemes():
@@ -82,6 +83,23 @@ def test_unsupported_command_raises():
 def test_unbalanced_input_raises():
     with pytest.raises(ParseError):
         parse("(declare-fun x () Int")
+
+
+@pytest.mark.parametrize("shape", ["nested", "flat"])
+def test_a_tree_at_the_depth_cap_parses_prints_and_solves(shape):
+    p = parse(deep_script(shape, MAX_DEPTH))
+    assert parse(print_smtlib(p)) == p
+    for command in (None, [sys.executable, "-m", "mathmorph.minisolver"]):
+        r = solve(p, SolverConfig(command=command))
+        assert r.status == "sat"
+        assert r.model["x"].value == MAX_DEPTH - 1
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
+@pytest.mark.parametrize("shape", ["nested", "flat"])
+def test_a_tree_beyond_the_depth_cap_is_a_parse_error(shape, levels):
+    with pytest.raises(ParseError):
+        parse(deep_script(shape, levels))
 
 
 def test_comment_rendering_marks_complex_constraints():

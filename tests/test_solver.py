@@ -1,6 +1,8 @@
 """Solver gateway: script construction, subprocess protocol, numeric
 fallback, and projected equivalence checking."""
 
+import itertools
+import random
 import signal
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 from mathmorph import solver
 from mathmorph.ast import ValidationError
+from mathmorph.funcs import eval_constraint
 from mathmorph.parser import parse
 from mathmorph.solver import (SolverConfig, SolverError, build_script,
                               parse_reply, solve, verify_equivalence)
@@ -149,6 +152,82 @@ def test_numeric_fallback_solves_nonlinear_real():
     assert r.status == "sat"
     assert r.provenance == "numeric-fallback"
     assert abs(float(r.goal_values[0][1].value) - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("negated", [
+    "(not (and (> x 0) (< x 1)))",
+    "(=> (and (> x 0) (< x 10)) (> x 1))",
+], ids=["not-and", "implies-and"])
+def test_the_fallback_reads_a_negated_connective(negated, command):
+    # x * x = 2 leaves the problem to the fallback, whose penalty of a
+    # negated conjunction recursed without end
+    p = parse(f"(declare-fun x () Real)(assert (= (* x x) 2))"
+              f"(assert {negated})(check-sat)(get-value (x))")
+    r = solve(p, SolverConfig(command=command))
+    assert r.status == "sat" and r.provenance == "numeric-fallback"
+    assert abs(float(r.model["x"].value) ** 2 - 2) < 1e-6
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("script", [
+    "(declare-fun x () Real)(assert (>= x 3))(minimize x)",
+    "(declare-fun x () Int)(assert (>= x 3))(assert (<= x 10))(maximize x)",
+], ids=["minimize-real", "maximize-int"])
+def test_an_optimization_goal_never_takes_the_fallback(script, command):
+    # differential evolution finds a feasible point, not the optimum
+    r = solve(parse(script), SolverConfig(command=command))
+    assert r.status == "unknown" and r.model == {}
+
+
+RELATIONS = ("=", "distinct", "<", "<=", ">", ">=")
+
+
+def _connective_problem(rng):
+    """Up to three variables in 0..4 and one constraint: comparisons
+    joined by and/or/not/=>/ite up to depth 3, so that the constraint's
+    disjunctive normal form stays within the solver's branch cap."""
+    names = ["a", "b", "c"][:rng.randint(1, 3)]
+
+    def atom():
+        lhs = rng.choice(names)
+        if rng.random() < 0.4:
+            lhs = f"(+ {lhs} {rng.choice(names)})"
+        rhs = rng.choice(names) if rng.random() < 0.3 \
+            else str(rng.randint(0, 6))
+        return f"({rng.choice(RELATIONS)} {lhs} {rhs})"
+
+    def formula(depth):
+        op = rng.choice(("and", "or", "not", "=>", "ite", "atom")) \
+            if depth else "atom"
+        if op == "atom":
+            return atom()
+        args = [formula(depth - 1)
+                for _ in range({"not": 1, "ite": 3}.get(op, 2))]
+        return f"({op} {' '.join(args)})"
+
+    text = "".join(f"(declare-fun {v} () Int)(assert (>= {v} 0))"
+                   f"(assert (<= {v} 4))" for v in names)
+    return parse(f"{text}(assert {formula(3)})(check-sat)"), names
+
+
+def test_connectives_agree_with_brute_force():
+    for seed in range(200):
+        p, names = _connective_problem(random.Random(seed))
+        feasible = any(
+            all(eval_constraint(c, dict(zip(names, map(Fraction, point))))
+                for c in p.constraints)
+            for point in itertools.product(range(5), repeat=len(names)))
+        for command in (None, GATEWAY):
+            r = solve(p, SolverConfig(command=command,
+                                      fallback_enabled=False))
+            assert r.status == ("sat" if feasible else "unsat"), seed
+            if feasible:
+                model = {n: v.value for n, v in r.model.items()}
+                assert all(eval_constraint(c, model)
+                           for c in p.constraints), seed
 
 
 def test_fallback_disabled_reports_unknown():

@@ -1,4 +1,5 @@
-"""Dead surface: every top-level name defined in ``src/mathmorph`` must be
+"""Dead surface: every top-level name defined in ``src/mathmorph``, and
+every method, property and annotated field of a top-level class, must be
 mentioned somewhere in ``src/`` or ``tests/`` outside its own definition.
 A mention is an identifier in code: a name, an attribute, an imported name
 or a keyword argument.  Words in docstrings, comments and strings do not
@@ -39,19 +40,36 @@ def _mentions(tree) -> Counter:
 
 
 def _definitions(tree):
-    """``(name, line, node)`` of each top-level def, class and assigned
-    name."""
+    """``(label, name, line, node)`` of each top-level def, class and
+    assigned name, and of each member of a top-level class (labelled
+    ``Class.member``)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node.name, node.lineno, node
+            yield node.name, node.name, node.lineno, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id, node.lineno, node
+                        yield sub.id, sub.id, node.lineno, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                name = _member_name(member)
+                if name is not None:
+                    yield f"{node.name}.{name}", name, member.lineno, member
+
+
+def _member_name(node):
+    """The name a method, property or annotated field defines; None for
+    anything else, and for a dunder method, which Python calls itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        return None if dunder else node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
 
 
 def unmentioned_names():
@@ -69,8 +87,8 @@ def unmentioned_names():
             continue
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        for what, line, node in _definitions(tree):
-            defined[f"{name}:{line}:{what}"] = (what, _mentions(node))
+        for label, what, line, node in _definitions(tree):
+            defined[f"{name}:{line}:{label}"] = (what, _mentions(node))
     dead = set()
     while True:
         live = mentions.copy()
