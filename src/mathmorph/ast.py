@@ -7,7 +7,7 @@ transformation ever depends on floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -474,11 +474,12 @@ def substitute_in_problem(p: Problem, env: dict) -> Problem:
     """``p`` with each variable named in ``env`` replaced by its
     replacement in every constraint and goal target, simultaneously as in
     ``substitute_all``, and its declaration dropped."""
-    return Problem(tuple((n, d) for n, d in p.declarations if n not in env),
-                   tuple(substitute_all(c, env) for c in p.constraints),
-                   Goal(p.goal.kind, tuple(substitute_all(t, env)
-                                           for t in p.goal.targets)),
-                   p.recursive_defs)
+    return replace(
+        p, declarations=tuple((n, d) for n, d in p.declarations
+                              if n not in env),
+        constraints=tuple(substitute_all(c, env) for c in p.constraints),
+        goal=Goal(p.goal.kind, tuple(substitute_all(t, env)
+                                     for t in p.goal.targets)))
 
 
 def negate(c: Constraint) -> Constraint:
@@ -525,16 +526,6 @@ def make_and(items) -> Constraint:
 
 def contains_complex(p: Problem) -> bool:
     return any(d is Domain.COMPLEX for _, d in p.declarations)
-
-
-def is_quantifier_free(p: Problem) -> bool:
-    def qf(c) -> bool:
-        if isinstance(c, Quantifier):
-            return False
-        return all(qf(ch) for ch in children(c)
-                   if isinstance(ch, (Compare, And, Or, Not, Implies,
-                                      ConstraintIte, BoolConst, Quantifier)))
-    return all(qf(c) for c in p.constraints)
 
 
 def validate(p: Problem) -> None:

@@ -117,8 +117,8 @@ def mutated_problem(p: Problem, scheme: AuxScheme) -> Problem:
         if site.op == "/":
             guards.append(Compare(term, "!=", Const(Fraction(0))))
     decls = p.declarations + tuple((s.aux, s.domain) for s in scheme.sites)
-    return Problem(decls, tuple(constraints) + tuple(guards), p.goal,
-                   p.recursive_defs)
+    return replace(p, declarations=decls,
+                   constraints=tuple(constraints) + tuple(guards))
 
 
 def apply_scheme(p: Problem, scheme: AuxScheme,
@@ -137,9 +137,7 @@ def apply_scheme(p: Problem, scheme: AuxScheme,
     out = mutated_problem(p, kept_scheme)
     pins = tuple(Compare(Var(s.aux), "=", Const(assignment[s.aux]))
                  for s in kept)
-    return (Problem(out.declarations, out.constraints + pins, out.goal,
-                    out.recursive_defs),
-            kept_scheme)
+    return replace(out, constraints=out.constraints + pins), kept_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +183,8 @@ def sample_aux_solution(p_mutated: Problem, aux: Sequence[str], rng,
                     rng.gauss(0.0, REAL_SIGMA)).limit_denominator(10 ** 6)
         pins = tuple(Compare(Var(a), "=", Const(proposal[a]))
                      for a in subset)
-        candidate = Problem(p_mutated.declarations,
-                            p_mutated.constraints + pins,
-                            p_mutated.goal, p_mutated.recursive_defs)
+        candidate = replace(p_mutated,
+                            constraints=p_mutated.constraints + pins)
         # proposals are cheap and frequent: symbolic check only with a
         # small search budget, the numeric fallback and deep enumeration
         # would dominate the walk's runtime
@@ -319,9 +316,8 @@ def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
     if not _invertible(matrix):
         raise ComplicationError("matrix is singular")
     drop = {i for i, _, _ in entries}
-    kept = Problem(p.declarations,
-                   tuple(c for i, c in enumerate(p.constraints)
-                         if i not in drop), p.goal, p.recursive_defs)
+    kept = replace(p, constraints=tuple(
+        c for i, c in enumerate(p.constraints) if i not in drop))
     # a variable picked twice keeps the first fresh name and domain
     renamed = {}
     for (_, old, value), new in zip(entries, fresh_names):
@@ -337,8 +333,8 @@ def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
         rhs = sum(Fraction(a) * v for a, v in zip(row, values))
         constraints.append(Compare(_row_expr(row, fresh_names), "=",
                                    Const(rhs)))
-    return Problem(tuple(decls), tuple(constraints), out.goal,
-                   p.recursive_defs)
+    return replace(out, declarations=tuple(decls),
+                   constraints=tuple(constraints))
 
 
 def complicate_constraint(p: Problem, rng,

@@ -19,7 +19,8 @@ import mpmath
 
 from .ast import (BinOp, BoolConst, Compare, Const, ConstraintIte, Domain,
                   FuncApp, MathMorphError, NamedConst, Not, And, Or, Implies,
-                  Pow, Quantifier, TermIte, Var, node_count, substitute)
+                  Pow, Quantifier, TermIte, Var, free_variables, node_count,
+                  substitute)
 
 mpmath.mp.dps = 30
 
@@ -233,89 +234,90 @@ def eval_constraint(c, assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers (shared by derivative / integral / gcd reductions)
+# Polynomials (derivative / integral reductions, tactic_simplify's power
+# expansion) and the content helpers of the gcd reduction
 # ---------------------------------------------------------------------------
 
-def poly_coeffs(expr, var: str) -> Optional[dict]:
-    """Coefficients {degree: Fraction} of ``expr`` as a univariate
-    polynomial in ``var`` with constant coefficients, or None."""
+def polynomial(expr, max_exponent=None) -> Optional[dict]:
+    """``expr`` as ``{monomial: coeff}`` with rational coefficients, where
+    a monomial is a sorted tuple of ``(variable, power)`` pairs; None when
+    it is not a polynomial.  Division is by a nonzero constant only, and
+    an exponent must be a non-negative integer constant, at most
+    ``max_exponent`` when one is given."""
     if isinstance(expr, Const):
-        return {0: expr.value} if expr.value else {}
+        return {(): expr.value} if expr.value else {}
     if isinstance(expr, Var):
-        if expr.name == var:
-            return {1: Fraction(1)}
-        return None
+        return {((expr.name, 1),): Fraction(1)}
     if isinstance(expr, BinOp):
-        a = poly_coeffs(expr.left, var)
-        b = poly_coeffs(expr.right, var)
+        a = polynomial(expr.left, max_exponent)
+        b = polynomial(expr.right, max_exponent)
         if a is None or b is None:
             return None
-        if expr.op == "+":
-            return _poly_add(a, b)
-        if expr.op == "-":
-            return _poly_add(a, {k: -v for k, v in b.items()})
         if expr.op == "*":
             return _poly_mul(a, b)
         if expr.op == "/":
-            if set(b) <= {0}:
-                d = b.get(0, Fraction(0))
-                if d == 0:
-                    return None
-                return {k: v / d for k, v in a.items()}
-            return None
-    if isinstance(expr, Pow):
-        if isinstance(expr.exponent, Const) and \
-                expr.exponent.value.denominator == 1 and expr.exponent.value >= 0:
-            base = poly_coeffs(expr.base, var)
-            if base is None:
+            if set(b) != {()}:
                 return None
-            out = {0: Fraction(1)}
-            for _ in range(int(expr.exponent.value)):
-                out = _poly_mul(out, base)
-            return out
+            return {m: c / b[()] for m, c in a.items()}
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + (c if expr.op == "+" else -c)
+        return {m: c for m, c in out.items() if c}
+    if isinstance(expr, Pow):
+        k = expr.exponent.value if isinstance(expr.exponent, Const) else None
+        if k is None or k.denominator != 1 or k < 0 \
+                or (max_exponent is not None and k > max_exponent):
+            return None
+        base = polynomial(expr.base, max_exponent)
+        if base is None:
+            return None
+        out = {(): Fraction(1)}
+        for _ in range(int(k)):
+            out = _poly_mul(out, base)
+        return out
     return None
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def _poly_mul(a, b):
     out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            out[ka + kb] = out.get(ka + kb, Fraction(0)) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            powers = dict(m1)
+            for v, k in m2:
+                powers[v] = powers.get(v, 0) + k
+            key = tuple(sorted(powers.items()))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
-def build_polynomial(coeffs: dict, var: str):
-    """Canonical expression for {degree: coeff}: descending degrees,
-    left-associated additions/subtractions."""
-    if not coeffs:
-        return Const(Fraction(0))
-    terms = []
-    for deg in sorted(coeffs, reverse=True):
-        c = coeffs[deg]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if deg == 0:
-            t = Const(mag)
-        elif deg == 1:
-            t = Var(var) if mag == 1 else BinOp("*", Const(mag), Var(var))
+def poly_expr(poly: dict):
+    """The expression of a ``polynomial``: terms by total degree
+    descending, then by monomial, left-associated additions and
+    subtractions, and a leading negative term as ``(- 0 t)``."""
+    acc = None
+    for m, c in sorted(poly.items(),
+                       key=lambda it: (-sum(k for _, k in it[0]), it[0])):
+        t = None
+        for v, k in m:
+            f = Var(v) if k == 1 else Pow(Var(v), Const(Fraction(k)))
+            t = f if t is None else BinOp("*", t, f)
+        if t is None or abs(c) != 1:
+            t = Const(abs(c)) if t is None else BinOp("*", Const(abs(c)), t)
+        if acc is None:
+            acc = BinOp("-", Const(Fraction(0)), t) if c < 0 else t
         else:
-            p = Pow(Var(var), Const(Fraction(deg)))
-            t = p if mag == 1 else BinOp("*", Const(mag), p)
-        terms.append((c < 0, t))
-    neg0, acc = terms[0]
-    if neg0:
-        acc = BinOp("-", Const(Fraction(0)), acc)
-    for neg, t in terms[1:]:
-        acc = BinOp("-" if neg else "+", acc, t)
-    return acc
+            acc = BinOp("-" if c < 0 else "+", acc, t)
+    return Const(Fraction(0)) if acc is None else acc
+
+
+def _univariate(expr, var) -> Optional[dict]:
+    """``{degree: coeff}`` of ``expr`` as a polynomial in the variable
+    ``var`` with constant coefficients, or None."""
+    if not (isinstance(var, Var) and free_variables(expr) <= {var.name}):
+        return None
+    poly = polynomial(expr)
+    return None if poly is None else \
+        {(m[0][1] if m else 0): c for m, c in poly.items()}
 
 
 def _content(expr):
@@ -536,37 +538,20 @@ def _numeric_fold(evaluator):
     return red
 
 
-def _red_trig(evaluator, exact_table):
-    fold = _numeric_fold(evaluator)
-
-    def red(app):
-        ratio = _pi_multiple(app.args[0])
-        if ratio is not None:
-            exact = exact_table(ratio)
-            if exact is not None:
-                return Const(exact)
-        return fold(app)
-    return red
-
-
 def _red_derivative(app):
     expr, var = app.args
-    if not isinstance(var, Var):
-        return app
-    coeffs = poly_coeffs(expr, var.name)
+    coeffs = _univariate(expr, var)
     if coeffs is None:
         return app
-    deriv = {k - 1: v * k for k, v in coeffs.items() if k >= 1}
-    return build_polynomial(deriv, var.name)
+    return poly_expr({((var.name, k - 1),) if k > 1 else (): c * k
+                      for k, c in coeffs.items() if k})
 
 
 def _red_integral(app):
     expr, var, lo, hi = app.args
-    if not isinstance(var, Var):
-        return app
     if not (isinstance(lo, Const) and isinstance(hi, Const)):
         return app
-    coeffs = poly_coeffs(expr, var.name)
+    coeffs = _univariate(expr, var)
     if coeffs is None:
         return app
     anti = {k + 1: v / (k + 1) for k, v in coeffs.items()}
@@ -617,8 +602,8 @@ FUNCTIONS = {
     "identity": FunctionDescriptor(1, _ev_identity, _red_identity),
     "log": FunctionDescriptor(1, _ev_log, _numeric_fold(_ev_log)),
     "exp": FunctionDescriptor(1, _ev_exp, _numeric_fold(_ev_exp)),
-    "sin": FunctionDescriptor(1, _ev_sin, _red_trig(_ev_sin, _sin_exact)),
-    "cos": FunctionDescriptor(1, _ev_cos, _red_trig(_ev_cos, _cos_exact)),
+    "sin": FunctionDescriptor(1, _ev_sin, _numeric_fold(_ev_sin)),
+    "cos": FunctionDescriptor(1, _ev_cos, _numeric_fold(_ev_cos)),
     "arcsin": FunctionDescriptor(1, _ev_arcsin, _numeric_fold(_ev_arcsin)),
     "sqrt": FunctionDescriptor(1, _ev_sqrt, _numeric_fold(_ev_sqrt)),
     "abs": FunctionDescriptor(1, _ev_abs, _numeric_fold(_ev_abs)),

@@ -13,7 +13,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,8 +125,8 @@ def refresh_variables(p: Problem) -> Tuple[Problem, Dict[str, str]]:
     """Rename declarations to x_0, x_1, ... in declaration order."""
     mapping = {name: f"x_{i}" for i, (name, _) in enumerate(p.declarations)}
     out = substitute_in_problem(p, {n: Var(m) for n, m in mapping.items()})
-    return Problem(tuple((mapping[n], d) for n, d in p.declarations),
-                   out.constraints, out.goal, out.recursive_defs), mapping
+    return replace(out, declarations=tuple(
+        (mapping[n], d) for n, d in p.declarations)), mapping
 
 
 def build_prompt(p: Problem, pattern: PromptPattern,

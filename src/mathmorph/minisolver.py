@@ -23,18 +23,19 @@ stage finds that side nonlinear.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
-                  conjuncts, contains_complex, free_variables,
-                  is_quantifier_free, negate, substitute_all)
+                  conjuncts, contains_complex, free_variables, negate,
+                  substitute_all)
 from .algebra import (LinearForm, bound, eliminate, fold_constraint,
                       int_range, linear_form, solve_for)
 from .funcs import (DomainError, Num, UnboundVariableError,
                     coerce_to_domain, eval_constraint, eval_expression)
-from .parser import (Atom, ParseError, build_sexprs, parse, sexpr_to_text,
-                     tokenize)
+from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
+                     sexpr_to_text, tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
 
 ENUM_SPAN = 1000
@@ -61,8 +62,6 @@ class ExactSolver:
         """Returns (status, model) with model mapping names to Num."""
         if contains_complex(self.problem):
             return "unknown", {}
-        if not is_quantifier_free(self.problem):
-            return "unknown", {}
         branches = _dnf_branches(self.atoms)
         if branches is None:
             return "unknown", {}
@@ -70,9 +69,8 @@ class ExactSolver:
             saw_unknown = False
             for branch in branches:
                 sub = ExactSolver(
-                    Problem(self.problem.declarations,
-                            tuple(branch) or (BoolConst(True),),
-                            self.problem.goal, self.problem.recursive_defs),
+                    replace(self.problem,
+                            constraints=tuple(branch) or (BoolConst(True),)),
                     self.node_budget)
                 status, model = sub.solve()
                 if status == "sat":
@@ -678,11 +676,17 @@ def _format_value(num: Num) -> str:
 
 
 class _Session:
+    """Elaborates each command as it arrives; the first one that fails is
+    the answer to every ``check-sat`` until ``reset``."""
+
     def __init__(self, out):
         self.out = out
-        self.commands = []
+        self.reset()
+
+    def reset(self):
+        self.builder = ProblemBuilder()
+        self.error = None
         self.model = None
-        self.status = None
 
     def handle(self, sexpr):
         if not isinstance(sexpr, list):
@@ -697,9 +701,7 @@ class _Session:
                   file=self.out)
             return
         if head == "reset":
-            self.commands = []
-            self.model = None
-            self.status = None
+            self.reset()
             return
         if head == "check-sat":
             self._check_sat()
@@ -707,22 +709,24 @@ class _Session:
         if head == "get-value":
             self._get_value(sexpr)
             return
-        self.commands.append(sexpr_to_text(sexpr))
-
-    def _script(self, extra=""):
-        return "\n".join(self.commands) + "\n" + extra
+        try:
+            self.builder.feed(sexpr)
+        except MathMorphError as exc:
+            self.error = self.error or exc
 
     def _check_sat(self):
+        self.model = None
         try:
-            problem = parse(self._script("(check-sat)\n"))
-        except (ParseError, MathMorphError) as exc:
+            if self.error is not None:
+                raise self.error.with_traceback(None)
+            problem = self.builder.problem()
+        except MathMorphError as exc:
             print(f'(error "{exc}")', file=self.out)
             print("unknown", file=self.out)
-            self.status = "unknown"
             return
         status, model = solve_exact(problem)
-        self.status = status
-        self.model = model if status == "sat" else None
+        if status == "sat":
+            self.model = model
         print(status, file=self.out)
 
     def _get_value(self, sexpr):
@@ -730,19 +734,12 @@ class _Session:
             print('(error "no model available")', file=self.out)
             return
         try:
-            targets_text = sexpr_to_text(sexpr)
-            problem = parse(self._script(f"(check-sat)\n{targets_text}\n"))
-        except (ParseError, MathMorphError) as exc:
+            parts = [f"({expr_to_sexpr(t)} "
+                     f"{_format_value(eval_expression(t, self.model))})"
+                     for t in self.builder.value_targets(sexpr)]
+        except MathMorphError as exc:
             print(f'(error "{exc}")', file=self.out)
             return
-        parts = []
-        for t in problem.goal.targets:
-            try:
-                v = eval_expression(t, self.model)
-            except MathMorphError as exc:
-                print(f'(error "{exc}")', file=self.out)
-                return
-            parts.append(f"({expr_to_sexpr(t)} {_format_value(v)})")
         print(f"({' '.join(parts)})", file=self.out)
 
 

@@ -1,7 +1,7 @@
 """SMT-LIB 2 parser for the supported fragment.
 
 Supported commands: set-logic (ignored), declare-fun/declare-const,
-define-fun (expanded as a macro), define-fun-rec (kept verbatim), assert,
+define-fun (an Int or Real macro), define-fun-rec (kept verbatim), assert,
 minimize, maximize, check-sat, get-value.  Comments start with ``;``.
 """
 
@@ -158,22 +158,18 @@ def _parse_numeral(text: str):
 _SORTS = {"Int": Domain.INT, "Real": Domain.REAL, "Complex": Domain.COMPLEX}
 
 
-class _Macro:
-    def __init__(self, params, body_sexpr):
-        self.params = params            # [name, ...]
-        self.body = body_sexpr
+class ProblemBuilder:
+    """Elaborates one command at a time.  Each entry caps a command's
+    nesting before elaborating it and a term's height before it is walked."""
 
-
-class _ProblemBuilder:
     def __init__(self):
         self.declarations = []          # [(name, Domain)]
         self.constraints = []
-        self.macros = {}
+        self.macros = {}                # name -> (params, elaborated body)
         self.rec_defs = []
         self.rec_names = set()
         self.goal_kind = None
         self.goal_targets = []
-        self.saw_check_sat = False
         self._rename_counter = 0
 
     # -- helpers ------------------------------------------------------------
@@ -194,9 +190,10 @@ class _ProblemBuilder:
     def feed(self, s):
         if isinstance(s, Atom):
             raise ParseError(f"stray token {s.text!r}", s.line, s.col)
+        _cap_nesting(s)
         head = self._head(s)
         cmd = head.text
-        if cmd == "set-logic":
+        if cmd in ("set-logic", "check-sat"):
             return
         if cmd in ("declare-fun", "declare-const"):
             self._declare(s, cmd)
@@ -221,20 +218,37 @@ class _ProblemBuilder:
                                  head.line, head.col)
             self.goal_kind = cmd
             self.goal_targets = [self.elab_term(s[1], {})]
-        elif cmd == "check-sat":
-            self.saw_check_sat = True
         elif cmd == "get-value":
-            if len(s) != 2 or isinstance(s[1], Atom):
-                raise ParseError("get-value expects a parenthesized list",
-                                 head.line, head.col)
-            if self.goal_kind in ("minimize", "maximize"):
-                raise ParseError("get-value cannot follow an optimization "
-                                 "goal", head.line, head.col)
-            for t in s[1]:
-                self.goal_targets.append(self.elab_term(t, {}))
+            self.goal_targets.extend(self.value_targets(s))
         else:
             raise UnsupportedCommandError(f"unsupported command: {cmd}",
                                           head.line, head.col)
+
+    def value_targets(self, s):
+        """The elaborated terms of the ``get-value`` command ``s``."""
+        _cap_nesting(s)
+        head = self._head(s)
+        if len(s) != 2 or isinstance(s[1], Atom):
+            raise ParseError("get-value expects a parenthesized list",
+                             head.line, head.col)
+        if self.goal_kind in ("minimize", "maximize"):
+            raise ParseError("get-value cannot follow an optimization "
+                             "goal", head.line, head.col)
+        return [_capped(self.elab_term(t, {})) for t in s[1]]
+
+    def problem(self) -> Problem:
+        """The Problem stated by the commands fed so far."""
+        decls, constraints = _absorb_side_constraints(self.declarations,
+                                                      self.constraints)
+        goal = Goal(self.goal_kind or "solve", tuple(self.goal_targets))
+        problem = Problem(decls, constraints, goal, tuple(self.rec_defs))
+        for tree in constraints + goal.targets:
+            _capped(tree)
+        try:
+            validate(problem)
+        except ValidationError as exc:
+            raise UndeclaredVariableError(str(exc)) from exc
+        return problem
 
     def _declare(self, s, cmd):
         head = self._head(s)
@@ -261,16 +275,22 @@ class _ProblemBuilder:
         self.declarations.append((name_tok.text, _SORTS[sort_tok.text]))
 
     def _define_fun(self, s):
+        # the body is elaborated once, over its parameters and the symbols
+        # declared so far (SMT-LIB 2.6, section 4.2)
         head = self._head(s)
         if len(s) != 5 or not isinstance(s[1], Atom) or isinstance(s[2], Atom):
             raise ParseError("malformed define-fun", head.line, head.col)
         params = []
         for p in s[2]:
-            if isinstance(p, Atom) or len(p) != 2:
+            if isinstance(p, Atom) or len(p) != 2 or isinstance(p[0], list):
                 raise ParseError("malformed define-fun parameter",
                                  head.line, head.col)
             params.append(p[0].text)
-        self.macros[s[1].text] = _Macro(params, s[4])
+        if not (isinstance(s[3], Atom) and s[3].text in ("Int", "Real")):
+            raise UnsupportedCommandError("define-fun sort must be Int or "
+                                          "Real", head.line, head.col)
+        body = self.elab_term(s[4], {p: True for p in params})
+        self.macros[s[1].text] = (params, _capped(body))
 
     # -- terms --------------------------------------------------------------
 
@@ -285,8 +305,9 @@ class _ProblemBuilder:
                 return Var(name)
             if self.declared(name):
                 return Var(name)
-            if name in self.macros and not self.macros[name].params:
-                return self.elab_term(self.macros[name].body, bound)
+            macro = self.macros.get(name)
+            if macro is not None and not macro[0]:
+                return macro[1]
             if name in ("pi", "e"):
                 return NamedConst(name)
             raise UndeclaredVariableError(f"undeclared variable: {name}",
@@ -343,18 +364,16 @@ class _ProblemBuilder:
                            self.elab_term(args[1], bound),
                            self.elab_term(args[2], bound))
         if op in self.macros:
-            macro = self.macros[op]
-            if len(args) != len(macro.params):
+            params, body = self.macros[op]
+            if len(args) != len(params):
                 raise ArityMismatchError(
-                    f"{op} expects {len(macro.params)} argument(s), "
+                    f"{op} expects {len(params)} argument(s), "
                     f"got {len(args)}", head.line, head.col)
-            expansion = self.elab_term(
-                macro.body, {**bound, **{p: True for p in macro.params}})
             # simultaneous, so an argument that names a later parameter
             # is not substituted again
-            return substitute_all(expansion, {
-                p: self.elab_term(a, bound)
-                for p, a in zip(macro.params, args)})
+            return substitute_all(body, {
+                p: _capped(self.elab_term(a, bound))
+                for p, a in zip(params, args)})
         if op in self.rec_names:
             return FuncApp(op, tuple(self.elab_term(a, bound) for a in args))
         if op in FUNCTIONS:
@@ -515,22 +534,24 @@ def _absorb_side_constraints(declarations, constraints):
 
 def parse(text: str) -> Problem:
     """Parse SMT-LIB source into a Problem."""
-    builder = _ProblemBuilder()
-    sexprs = read_sexprs(text)
-    if _height(sexprs, lambda s: s if isinstance(s, list) else ()) \
+    builder = ProblemBuilder()
+    for s in read_sexprs(text):
+        builder.feed(s)
+    return builder.problem()
+
+
+def _cap_nesting(s):
+    """ParseError when command ``s`` nests over ``2 * MAX_DEPTH`` levels."""
+    if _height([s], lambda n: n if isinstance(n, list) else ()) \
             > 2 * MAX_DEPTH:
         raise ParseError(f"nested deeper than {2 * MAX_DEPTH} levels")
-    for s in sexprs:
-        builder.feed(s)
-    decls, constraints = _absorb_side_constraints(builder.declarations,
-                                                  builder.constraints)
-    kind = builder.goal_kind or "solve"
-    goal = Goal(kind, tuple(builder.goal_targets))
-    problem = Problem(decls, constraints, goal, tuple(builder.rec_defs))
-    if _height(constraints + goal.targets, children) > MAX_DEPTH:
+
+
+def _capped(tree):
+    """``tree``; ParseError when it has more than ``MAX_DEPTH`` levels."""
+    if _height([tree], children) > MAX_DEPTH:
         raise ParseError(f"a term has more than {MAX_DEPTH} levels")
-    _validate_parsed(problem, builder)
-    return problem
+    return tree
 
 
 def _height(roots, kids) -> int:
@@ -541,10 +562,3 @@ def _height(roots, kids) -> int:
         height += 1
         level = [k for n in level for k in kids(n)]
     return height
-
-
-def _validate_parsed(problem, builder):
-    try:
-        validate(problem)
-    except ValidationError as exc:
-        raise UndeclaredVariableError(str(exc)) from exc

@@ -76,7 +76,6 @@ class GenerationReport:
     per_level: Dict[int, int] = field(default_factory=dict)
     attempted: int = 0
     solved: int = 0
-    verified: int = 0
     mean_node_count: Dict[int, float] = field(default_factory=dict)
 
     @property
@@ -85,7 +84,7 @@ class GenerationReport:
 
     @property
     def verification_rate(self) -> float:
-        return self.verified / self.solved if self.solved else 0.0
+        return self.rows / self.solved if self.solved else 0.0
 
 
 def sample_rng_seed(global_seed: int, seed_id: str, level: int,
@@ -210,7 +209,6 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
                 if "answer" in (row or reject):
                     report.solved += 1
                 if row is not None:
-                    report.verified += 1
                     report.per_level[level] = \
                         report.per_level.get(level, 0) + 1
                     rows.append(row)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
@@ -189,8 +190,7 @@ def _strip_lexemes(node):
 
 
 def _strip_lexemes_problem(p: Problem) -> Problem:
-    return Problem(p.declarations,
-                   tuple(_strip_lexemes(c) for c in p.constraints),
-                   Goal(p.goal.kind,
-                        tuple(_strip_lexemes(t) for t in p.goal.targets)),
-                   p.recursive_defs)
+    return replace(p,
+                   constraints=tuple(_strip_lexemes(c) for c in p.constraints),
+                   goal=Goal(p.goal.kind, tuple(_strip_lexemes(t)
+                                                for t in p.goal.targets)))

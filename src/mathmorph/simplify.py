@@ -10,7 +10,7 @@ returns a MutationRecord that replays bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -21,9 +21,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   negate, rebuild, substitute, substitute_all,
                   substitute_in_problem)
 from .algebra import (add_e, bound, fold_constants, fold_constraint,
-                      int_range, is_integral, mul_e, scale_e, solve_for,
-                      sub_e)
-from .funcs import reduce_app
+                      int_range, is_integral, solve_for, sub_e)
+from .funcs import poly_expr, polynomial, reduce_app
 from .printer import expr_to_sexpr
 
 
@@ -88,84 +87,6 @@ def _cancel_terms(e):
     return _rebuild_sum(kept)
 
 
-def _multi_poly(e) -> Optional[Dict[tuple, Fraction]]:
-    """Multivariate polynomial as {((var, power), ...): coeff}; None when
-    the expression is not polynomial."""
-    if isinstance(e, Const):
-        return {(): e.value} if e.value else {}
-    if isinstance(e, Var):
-        return {((e.name, 1),): Fraction(1)}
-    if isinstance(e, BinOp):
-        a = _multi_poly(e.left)
-        b = _multi_poly(e.right)
-        if a is None or b is None:
-            return None
-        if e.op in ("+", "-"):
-            out = dict(a)
-            for m, c in b.items():
-                out[m] = out.get(m, Fraction(0)) + (c if e.op == "+" else -c)
-            return {m: c for m, c in out.items() if c}
-        if e.op == "*":
-            return _poly_mul(a, b)
-        return None
-    if isinstance(e, Pow):
-        if not (isinstance(e.exponent, Const)
-                and e.exponent.value.denominator == 1
-                and 0 <= e.exponent.value <= EXPAND_MAX_EXPONENT):
-            return None
-        base = _multi_poly(e.base)
-        if base is None:
-            return None
-        acc = {(): Fraction(1)}
-        for _ in range(int(e.exponent.value)):
-            acc = _poly_mul(acc, base)
-        return acc
-    return None
-
-
-def _poly_mul(a, b):
-    """Product of two ``_multi_poly`` polynomials."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            powers = dict(m1)
-            for v, k in m2:
-                powers[v] = powers.get(v, 0) + k
-            key = tuple(sorted(powers.items()))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _monomial_expr(monomial, coeff):
-    factors = []
-    for v, k in monomial:
-        factors.append(Var(v) if k == 1
-                       else Pow(Var(v), Const(Fraction(k))))
-    if not factors:
-        return Const(coeff)
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = mul_e(prod, f)
-    return scale_e(coeff, prod)
-
-
-def _poly_expr(poly):
-    """Canonical sum: total degree descending, then lexicographic."""
-    def degree(m):
-        return sum(k for _, k in m)
-
-    items = sorted(poly.items(), key=lambda it: (-degree(it[0]), it[0]))
-    if not items:
-        return Const(Fraction(0))
-    terms = []
-    for m, c in items:
-        if c < 0:
-            terms.append((-1, _monomial_expr(m, -c)))
-        else:
-            terms.append((1, _monomial_expr(m, c)))
-    return _rebuild_sum(terms)
-
-
 def _expand_pow(e: Pow):
     """(x+1)^2 -> x^2 + 2x + 1 for small integer exponents of sums."""
     if not (isinstance(e.exponent, Const)
@@ -174,10 +95,8 @@ def _expand_pow(e: Pow):
         return e
     if not (isinstance(e.base, BinOp) and e.base.op in ("+", "-")):
         return e
-    poly = _multi_poly(e)
-    if poly is None:
-        return e
-    return _poly_expr(poly)
+    poly = polynomial(e, EXPAND_MAX_EXPONENT)
+    return e if poly is None else poly_expr(poly)
 
 
 class _SimplifyPass:
@@ -259,9 +178,8 @@ def tactic_simplify(p: Problem, rng=None,
         new_constraints = tuple(walker.constraint(c)
                                 for c in current.constraints)
         new_targets = tuple(walker.expr(t) for t in current.goal.targets)
-        candidate = Problem(current.declarations, new_constraints,
-                            Goal(current.goal.kind, new_targets),
-                            current.recursive_defs)
+        candidate = replace(current, constraints=new_constraints,
+                            goal=Goal(current.goal.kind, new_targets))
         passes += 1
         if candidate == current:
             passes -= 1
@@ -311,11 +229,9 @@ def tactic_gaussian_elim(p: Problem, rng) -> Tuple[Problem, MutationRecord]:
     idx, vars_here = candidates[rng.randrange(len(candidates))]
     v, sol = vars_here[rng.randrange(len(vars_here))]
     remaining = tuple(c for j, c in enumerate(p.constraints) if j != idx)
-    stripped = Problem(p.declarations, remaining, p.goal, p.recursive_defs)
-    out = substitute_in_problem(stripped, {v: sol})
-    out = Problem(out.declarations,
-                  tuple(fold_constraint(c) for c in out.constraints),
-                  out.goal, out.recursive_defs)
+    out = substitute_in_problem(replace(p, constraints=remaining), {v: sol})
+    out = replace(out, constraints=tuple(fold_constraint(c)
+                                         for c in out.constraints))
     record = MutationRecord("gaussian_elim", (idx,),
                             {"variable": v,
                              "definition": expr_to_sexpr(sol),
@@ -369,8 +285,8 @@ def tactic_elim_term_ite(p: Problem) -> Tuple[Problem, MutationRecord]:
         constraints = (current.constraints[:i] + (rewritten,)
                        + current.constraints[i + 1:] + side)
         decls = current.declarations + ((k, Domain.REAL),)
-        current = Problem(decls, constraints, current.goal,
-                          current.recursive_defs)
+        current = replace(current, declarations=decls,
+                          constraints=constraints)
         introduced.append(k)
     params = {"fresh": introduced} if introduced else {}
     return current, MutationRecord("elim_term_ite", (), params)
@@ -546,8 +462,7 @@ def tactic_qe(p: Problem) -> Tuple[Problem, MutationRecord]:
         params["eliminated"] = eliminated
     if flagged:
         params["flagged"] = flagged
-    return (Problem(p.declarations, tuple(new_constraints), p.goal,
-                    p.recursive_defs),
+    return (replace(p, constraints=tuple(new_constraints)),
             MutationRecord("qe", (), params))
 
 

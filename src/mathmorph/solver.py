@@ -18,7 +18,7 @@ import selectors
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,8 +86,7 @@ def build_script(p: Problem) -> str:
     """``print_smtlib`` of ``p`` with its ``get-value`` asking for every
     declared name instead of the goal targets, then ``(exit)``."""
     goal = p.goal if p.goal.kind != "solve" else Goal("solve", ())
-    lines = [print_smtlib(Problem(p.declarations, p.constraints, goal,
-                                  p.recursive_defs))]
+    lines = [print_smtlib(replace(p, goal=goal))]
     if p.declarations:
         names = " ".join(name for name, _ in p.declarations)
         lines.append(f"(get-value ({names}))\n")
@@ -486,15 +485,14 @@ def _eliminate(p: Problem, v: str, sol, defining) -> Problem:
     ``v``'s domain bound as a constraint on ``sol``."""
     atoms = _atoms(p)
     atoms.remove(defining)
-    stripped = Problem(p.declarations, tuple(atoms), p.goal, p.recursive_defs)
-    out = substitute_in_problem(stripped, {v: sol})
+    out = substitute_in_problem(replace(p, constraints=tuple(atoms)),
+                                {v: sol})
     constraints = [fold_constraint(c) for c in out.constraints]
     lb = p.domain_of(v).lower_bound
     if lb is not None:
         constraints.append(fold_constraint(
             Compare(sol, ">=", Const(Fraction(lb)))))
-    return Problem(out.declarations, tuple(constraints), out.goal,
-                   out.recursive_defs)
+    return replace(out, constraints=tuple(constraints))
 
 
 def verify_equivalence(p1: Problem, p2: Problem, shared,
@@ -514,9 +512,8 @@ def verify_equivalence(p1: Problem, p2: Problem, shared,
             return EquivalenceVerdict("unknown",
                                       detail=f"{tag}: projection failed")
         neg = negate(make_and(list(_all_atoms(proj_b))))
-        combined = Problem(a.declarations,
-                           a.constraints + (fold_constraint(neg),),
-                           Goal("solve", ()), a.recursive_defs)
+        combined = replace(a, constraints=a.constraints
+                           + (fold_constraint(neg),), goal=Goal("solve", ()))
         result = solve(combined, cfg)
         if result.status == "sat":
             witness = {k: v for k, v in result.model.items() if k in shared}

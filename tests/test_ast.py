@@ -8,9 +8,8 @@ from mathmorph.ast import (And, BinOp, BoolConst, Compare, Const,
                            ConstraintIte, Domain, Exists, Forall, Goal,
                            Implies, Not, Or, Problem, ValidationError,
                            Var, children, conjuncts, free_variables,
-                           is_quantifier_free, make_and, negate, node_count,
-                           rebuild, rename_var, substitute, substitute_all,
-                           validate)
+                           make_and, negate, node_count, rebuild, rename_var,
+                           substitute, substitute_all, validate)
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
 from conftest import read_fixture
@@ -109,14 +108,6 @@ def test_conjuncts_and_make_and_round_trip():
     parts = [Compare(Var("x"), ">", Const(Fraction(0))),
              Compare(Var("y"), ">", Const(Fraction(0)))]
     assert conjuncts(make_and(parts)) == parts
-
-
-def test_is_quantifier_free():
-    p = parse("(declare-fun x () Real)"
-              "(assert (exists ((y Real)) (> y x)))(check-sat)")
-    assert not is_quantifier_free(p)
-    q = parse("(declare-fun x () Real)(assert (> x 0))(check-sat)")
-    assert is_quantifier_free(q)
 
 
 def test_validate_rejects_undeclared_goal_target():

@@ -12,8 +12,8 @@ from mathmorph import minisolver
 from mathmorph.complicate import mutate_to_level
 from mathmorph.funcs import Num, eval_constraint
 from mathmorph.minisolver import DEFAULT_NODE_BUDGET, ExactSolver, solve_exact
-from mathmorph.parser import parse
-from mathmorph.solver import solve
+from mathmorph.parser import MAX_DEPTH, parse
+from mathmorph.solver import SolverConfig, solve
 from conftest import load_problem, random_seed_problem, read_fixture
 
 
@@ -160,6 +160,57 @@ def test_a_bare_atom_is_answered_with_an_error_and_reading_goes_on():
     out = stdio("foo\n" + read_fixture("sara.smt2")).splitlines()
     assert out == ['(error "not a command: foo")', "sat",
                    "((rachel_budget 500))"]
+
+
+def test_a_bad_command_is_answered_at_each_check_sat_until_reset():
+    good = read_fixture("sara.smt2")
+    out = stdio("(declare-fun x () Int)(assert (> y 0))(assert (> x 0))\n"
+                "(check-sat)\n(check-sat)\n(reset)\n" + good).splitlines()
+    assert out[0].startswith('(error "undeclared variable: y')
+    assert out[1:4] == ["unknown", out[0], "unknown"]
+    assert out[4:] == stdio(good).splitlines()
+
+
+def test_get_value_of_a_compound_term_and_of_a_macro_use():
+    out = stdio("(declare-fun x () Int)"
+                "(define-fun twice ((a Int)) Int (* 2 a))"
+                "(assert (= x 3))(check-sat)(get-value ((+ x 1) (twice x)))")
+    assert out == "sat\n(((+ x 1) 4) ((* 2 x) 6))\n"
+
+
+def test_deep_input_is_an_error_and_reading_goes_on():
+    deep = "(+ 1 " * 3000 + "x" + ")" * 3000
+    out = stdio(f"(declare-fun x () Int)(assert (= x {deep}))(check-sat)\n"
+                '(echo "a")\n'
+                "(reset)(declare-fun x () Int)(assert (= x 1))(check-sat)\n"
+                f"(get-value ({deep}))\n" + '(echo "b")\n')
+    too_deep = f'(error "nested deeper than {2 * MAX_DEPTH} levels")'
+    assert out.splitlines() == [too_deep, "unknown", '"a"',
+                                "sat", too_deep, '"b"']
+
+
+@pytest.mark.parametrize("constraint", [
+    "(exists ((y Int)) (= x (* 2 y)))",
+    "(not (forall ((y Int)) (distinct x (* 2 y))))",
+    "(or (< x 0) (exists ((y Int)) (= x (* 2 y))))",
+], ids=["top", "under-not", "under-or"])
+def test_a_quantifier_anywhere_in_a_constraint_is_unknown(constraint):
+    script = ("(declare-fun x () Int)(assert (= x 4))"
+              f"(assert {constraint})(check-sat)")
+    assert run(parse(script)) == ("unknown", {})
+    assert stdio(script) == "unknown\n"
+
+
+@pytest.mark.parametrize("command", [None, MINISOLVER],
+                         ids=["in-process", "gateway"])
+def test_a_disequality_at_the_chosen_real_point_steps_off_it(command):
+    # the real stage picks the midpoint 1 of [0, 2], which the
+    # disequality refutes, and then tries 1 + 1/7
+    p = parse("(declare-fun x () Real)(assert (>= x 0))(assert (<= x 2))"
+              "(assert (distinct x 1))(check-sat)(get-value (x))")
+    r = solve(p, SolverConfig(command=command, fallback_enabled=False))
+    assert r.status == "sat"
+    assert r.model["x"].value == Fraction(8, 7)
 
 
 def test_an_equality_left_with_one_unknown_bounds_it_from_both_sides():

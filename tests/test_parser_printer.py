@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import Domain
+from mathmorph.ast import Domain, free_variables
 from mathmorph.parser import (MAX_DEPTH, ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse, tokenize)
@@ -68,6 +68,51 @@ def test_define_fun_substitutes_arguments_simultaneously():
     r = solve(p, SolverConfig(fallback_enabled=False))
     assert r.status == "sat"
     assert r.goal_values[0][1].value == 13
+
+
+def chain(n, body):
+    """``n`` macros ``m_i``, each defined by ``body`` over ``m_{i-1}``,
+    after ``m_0 = x``; then an assert on the last."""
+    lines = ["(declare-fun x () Int)(define-fun m_0 () Int x)"]
+    lines += [f"(define-fun m_{i} () Int {body.format(f'm_{i - 1}')})"
+              for i in range(1, n)]
+    return "".join(lines) + f"(assert (= m_{n - 1} 3))(check-sat)"
+
+
+def test_a_long_chain_of_alias_macros_parses():
+    assert parse(chain(1200, "{}")) == parse(
+        "(declare-fun x () Int)(assert (= x 3))(check-sat)")
+
+
+def test_a_macro_body_deeper_than_the_cap_is_a_parse_error():
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels"):
+        parse(chain(1200, "(+ {} 1)"))
+
+
+def test_a_macro_body_resolves_names_where_it_is_defined():
+    with pytest.raises(UndeclaredVariableError):
+        parse("(define-fun m () Int y)(declare-fun y () Int)"
+              "(assert (= m 1))(check-sat)")
+
+
+def test_a_binder_at_the_use_site_does_not_capture_the_body_s_names():
+    p = parse("(declare-fun x () Int)(define-fun m () Int (+ x 1))"
+              "(assert (forall ((x Int)) (> m x)))(check-sat)")
+    assert free_variables(p.constraints[0]) == {"x"}
+    # a name the body cannot resolve is not bound by the use site either
+    with pytest.raises(UndeclaredVariableError):
+        parse("(declare-fun x () Int)(define-fun m () Int y)"
+              "(assert (forall ((y Int)) (> m x)))(check-sat)")
+
+
+@pytest.mark.parametrize("definition, error", [
+    ("(define-fun pos () Bool (> x 0))", UnsupportedCommandError),
+    ("(define-fun f (((a) Int)) Int 1)", ParseError),
+], ids=["bool-sort", "list-parameter"])
+def test_a_non_numeric_or_malformed_macro_is_refused(definition, error):
+    with pytest.raises(error):
+        parse(f"(declare-fun x () Int){definition}(assert (= x 1))"
+              "(check-sat)")
 
 
 def test_arity_mismatch_raises():

@@ -1,6 +1,8 @@
 """Dead surface: every top-level name defined in ``src/mathmorph``, and
-every method, property and annotated field of a top-level class, must be
-mentioned somewhere in ``src/`` or ``tests/`` outside its own definition.
+every method, property, annotated field and ``self.<name> = ...``
+attribute of a top-level class, must be mentioned somewhere in ``src/`` or
+``tests/`` outside its own definition (for an attribute, outside the
+assignments that set it).
 A mention is an identifier in code: a name, an attribute, an imported name
 or a keyword argument.  Words in docstrings, comments and strings do not
 count."""
@@ -40,25 +42,51 @@ def _mentions(tree) -> Counter:
 
 
 def _definitions(tree):
-    """``(label, name, line, node)`` of each top-level def, class and
+    """``(label, name, line, mentions)`` of each top-level def, class and
     assigned name, and of each member of a top-level class (labelled
-    ``Class.member``)."""
+    ``Class.member``), with the identifiers its definition mentions."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node.name, node.name, node.lineno, node
+            yield node.name, node.name, node.lineno, _mentions(node)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
+            for target in _targets(node):
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id, sub.id, node.lineno, node
+                        yield sub.id, sub.id, node.lineno, _mentions(node)
         if isinstance(node, ast.ClassDef):
+            members = set()
             for member in node.body:
                 name = _member_name(member)
                 if name is not None:
-                    yield f"{node.name}.{name}", name, member.lineno, member
+                    members.add(name)
+                    yield (f"{node.name}.{name}", name, member.lineno,
+                           _mentions(member))
+            for name, sets in _self_attributes(node).items():
+                if name not in members:
+                    own = sum((_mentions(a) for a in sets), Counter())
+                    yield (f"{node.name}.{name}", name,
+                           min(a.lineno for a in sets), own)
+
+
+def _targets(node):
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
+def _self_attributes(cls):
+    """``{name: [assignment, ...]}`` for each ``self.<name> = ...`` in the
+    methods of ``cls``."""
+    out = {}
+    for node in ast.walk(cls):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in _targets(node):
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) \
+                        and isinstance(sub.value, ast.Name) \
+                        and sub.value.id == "self":
+                    out.setdefault(sub.attr, []).append(node)
+    return out
 
 
 def _member_name(node):
@@ -87,8 +115,8 @@ def unmentioned_names():
             continue
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        for label, what, line, node in _definitions(tree):
-            defined[f"{name}:{line}:{label}"] = (what, _mentions(node))
+        for label, what, line, own in _definitions(tree):
+            defined[f"{name}:{line}:{label}"] = (what, own)
     dead = set()
     while True:
         live = mentions.copy()
