@@ -192,7 +192,9 @@ class LlmEndpoint:
         return base.rstrip("/") + "/chat/completions"
 
     def complete(self, prompt: str) -> str:
-        import requests
+        # imported on first use: urllib.request takes 30 ms to import
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.api_key_env)
@@ -205,14 +207,11 @@ class LlmEndpoint:
         last = None
         for attempt in range(self.retries):
             try:
-                resp = requests.post(self._url(), json=payload,
-                                     headers=headers, timeout=self.timeout)
-                if resp.status_code == 429:
-                    last = f"rate limited (HTTP {resp.status_code})"
-                    time.sleep(self.backoff * (attempt + 1))
-                    continue
-                resp.raise_for_status()
-                data = resp.json()
+                request = urllib.request.Request(
+                    self._url(), json.dumps(payload).encode(), headers)
+                with urllib.request.urlopen(request,
+                                            timeout=self.timeout) as resp:
+                    data = json.load(resp)
                 text = data["choices"][0]["message"]["content"]
                 if not text:
                     raise EndpointError("empty completion")
@@ -221,6 +220,8 @@ class LlmEndpoint:
                 raise
             except Exception as exc:  # transport or schema failure
                 last = str(exc)
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()         # it holds the open response
                 time.sleep(self.backoff * (attempt + 1))
         raise EndpointError(f"transport error after {self.retries} "
                             f"attempts: {last}")

@@ -17,7 +17,8 @@ Anything undecidable is answered ``unknown``.  Once the search can no
 longer answer unsat, only a sat leaf can change its answer, so it stops at
 once when no leaf can be sat: when a real that no equality can pin divides
 a side of a comparison through ``+`` and ``-`` only, every leaf's real
-stage finds that side nonlinear.
+stage finds that side nonlinear.  ``RootSolver`` (the numeric fallback)
+keeps this cut, though a leaf's inexact root step might find a point.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from .printer import _rational_sexpr, expr_to_sexpr
 ENUM_SPAN = 1000
 DEFAULT_NODE_BUDGET = 100_000
 PROBE_WIDTH = 12
+# RootSolver's step: GRID cells over the unknown's box, whose open sides
+# double from 1 up to ROOT_BOX, and each sign change bisected to ROOT_WIDTH
+GRID = 64
+ROOT_WIDTH = Fraction(1, 10 ** 12)
+ROOT_BOX = 2 ** 14
 
 
 class ExactSolver:
@@ -68,7 +74,7 @@ class ExactSolver:
         if len(branches) > 1:
             saw_unknown = False
             for branch in branches:
-                sub = ExactSolver(
+                sub = type(self)(
                     replace(self.problem,
                             constraints=tuple(branch) or (BoolConst(True),)),
                     self.node_budget)
@@ -351,7 +357,8 @@ class ExactSolver:
             if v not in self._atom(c)[1]:
                 continue
             sub = self._substitute_model(c, model)
-            b_lo, b_hi = self._compare_bound(sub, v)
+            b = _const_bound(sub, v)
+            b_lo, b_hi = int_range(*b) if b else (None, None)
             if b_lo is not None:
                 lo = b_lo if lo is None else max(lo, b_lo)
                 sound_lo = True
@@ -367,14 +374,6 @@ class ExactSolver:
         if hi is None:
             hi = lo + ENUM_SPAN
         return lo, hi, sound_lo and sound_hi
-
-    def _compare_bound(self, c: Compare, v):
-        """Integer ``(lo, hi)`` from a linear comparison with only ``v``
-        free and a constant bound; None marks an open side."""
-        b = bound(c, v) if free_variables(c) == {v} else None
-        if b is None or not isinstance(b[1], Const):
-            return None, None
-        return int_range(b[0], b[1].value)
 
     def _monotone_bound(self, c: Compare, v, model):
         """Upper bound for a NAT/POS variable from an equality whose side
@@ -581,6 +580,39 @@ class ExactSolver:
         return "unknown", {}
 
 
+class RootSolver(ExactSolver):
+    """The exact solver plus a root step for a real stage left undecided
+    with one real unknown.  A candidate counts only when the full check
+    passes at it as an inexact value, so a pole is never taken for a root."""
+
+    def _real_stage(self, model, real_vars):
+        status, out = super()._real_stage(model, real_vars)
+        if status != "unknown" or len(real_vars) != 1:
+            return status, out
+        (v,) = real_vars
+        atoms = [self._substitute_model(c, model) for c in self.atoms]
+        bounds = [b for b in (_const_bound(a, v) for a in atoms) if b]
+        lo = max((x for rel, x in bounds if rel in (">", ">=", "=")),
+                 default=None)
+        hi = min((x for rel, x in bounds if rel in ("<", "<=", "=")),
+                 default=None)
+        tried = set()
+        widths = [1] if lo is not None and hi is not None else \
+            [2 ** k for k in range(ROOT_BOX.bit_length())]
+        for width in widths:
+            self.nodes += GRID          # a box costs about a node per cell
+            if self.nodes > self.node_budget:
+                break
+            box = (lo if lo is not None else (hi or 0) - width,
+                   hi if hi is not None else (lo or 0) + width)
+            for x in _candidates(v, atoms, *box):
+                candidate = {**model, v: Num(x, exact=False)}
+                if x not in tried and self._final_check(candidate)[0] == "sat":
+                    return "sat", candidate
+                tried.add(x)
+        return "unknown", {}
+
+
 def solve_exact(problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
     return ExactSolver(problem, node_budget).solve()
 
@@ -594,6 +626,52 @@ _DNF_CAP = 256
 
 class _NoSatLeaf(Exception):
     """Unwinds an integer search in which no leaf can answer sat."""
+
+
+def _const_bound(c, v):
+    """``(rel, value)`` when ``c`` reads ``v rel value`` for a constant
+    ``value`` with only ``v`` free, else None."""
+    b = bound(c, v) if free_variables(c) == {v} else None
+    return (b[0], b[1].value) if b and isinstance(b[1], Const) else None
+
+
+def _candidates(v, atoms, lo, hi):
+    """Values of ``v`` in ``[lo, hi]`` to try: each equality's roots from
+    its sign changes on the grid (skipping the points where it is
+    undefined), or with no equality the grid points."""
+    grid = [lo + Fraction(hi - lo) * i / GRID for i in range(GRID + 1)]
+    equalities = [a for a in atoms if isinstance(a, Compare) and a.rel == "="]
+    if not equalities:
+        yield from grid
+    for eq in equalities:
+        def f(x):
+            try:
+                return (eval_expression(eq.lhs, {v: Num(x)}).value
+                        - eval_expression(eq.rhs, {v: Num(x)}).value)
+            except MathMorphError:
+                return None
+        points = [(x, fx) for x in grid if (fx := f(x)) is not None]
+        for (a, fa), (b, fb) in zip([(None, 0)] + points, points):
+            if fb == 0:
+                yield b
+            elif fa and (fa < 0) != (fb < 0):
+                yield _bisect(f, a, fa, b)
+
+
+def _bisect(f, a, fa, b):
+    """A root of ``f`` between ``a`` and ``b``, where ``f(a) = fa`` and
+    ``f(b)`` differ in sign, within ROOT_WIDTH and with a denominator of
+    at most 10**12; a midpoint where ``f`` is zero or undefined ends it."""
+    while b - a > ROOT_WIDTH:
+        m = (a + b) / 2
+        fm = f(m)
+        if not fm:
+            return m
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return ((a + b) / 2).limit_denominator(10 ** 12)
 
 
 def _divides_by_other(expr, names) -> bool:
@@ -746,9 +824,10 @@ class _Session:
 def main(argv=None) -> int:
     session = _Session(sys.stdout)
     tokens, depth, pending = [], 0, ""
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, 1):
+        first = lineno - pending.count("\n")     # where pending began
         try:
-            line_tokens = list(tokenize(pending + line))
+            line_tokens = list(tokenize(pending + line, first))
         except ParseError:
             pending += line             # a string literal runs on
             continue

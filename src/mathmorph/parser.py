@@ -58,11 +58,12 @@ class Atom:
     col: int
 
 
-def tokenize(text: str):
-    """Atoms of ``text``: parentheses, symbols and numerals, and each
-    ``"..."`` string literal whole (``""`` inside it is a quote);
-    comments are skipped.  An unterminated literal raises ParseError."""
-    line, col = 1, 1
+def tokenize(text: str, line: int = 1):
+    """Atoms of ``text``, whose first line is numbered ``line``:
+    parentheses, symbols and numerals, and each ``"..."`` string literal
+    whole (``""`` inside it is a quote); comments are skipped.  An
+    unterminated literal raises ParseError."""
+    col = 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -133,9 +134,16 @@ def build_sexprs(tokens):
 
 
 def sexpr_to_text(s) -> str:
-    if isinstance(s, Atom):
-        return s.text
-    return "(" + " ".join(sexpr_to_text(x) for x in s) + ")"
+    """``s`` as text; iterative, so that any nesting prints."""
+    out, stack = [], [s]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            spaced = [t for x in item for t in (" ", x)][1:]
+            stack += [")", *reversed(spaced), "("]
+        else:
+            out.append(item if isinstance(item, str) else item.text)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

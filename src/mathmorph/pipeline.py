@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import MathMorphError, Problem, node_count
+from .funcs import APPROX_TOL
 from .parser import ParseError, parse
 from .printer import canonical_print
 from .solver import SolverConfig, SolverResult, solve
@@ -290,8 +291,11 @@ def verify_dataset(path: str,
                 (lineno, f"solver status {result.status}"))
             continue
         answer = _answer_str(result)
+        # an inexact answer (the numeric fallback's) holds within APPROX_TOL
+        slack = APPROX_TOL if answer is not None \
+            and not result.goal_values[0][1].exact else 0
         if row["answer"] is not None and answer is not None and \
-                Fraction(row["answer"]) != Fraction(answer):
+                abs(Fraction(row["answer"]) - Fraction(answer)) > slack:
             report.mismatches.append(
                 (lineno, f"stored answer {row['answer']} != solver "
                          f"{answer}"))

@@ -3,11 +3,12 @@
 Solves with the bundled exact solver in process, or drives the
 SMT-LIB-2-conformant solver executable that ``SolverConfig.command``, else
 the ``MATHMORPH_SOLVER`` environment variable, names over a textual
-stdin/stdout protocol.  A loss-minimizing numerical fallback answers the
-problems with a ``solve`` goal that the symbolic route answers ``unknown``
-on.  One solver process per command stays alive for the life of the
-calling process; each question to it is framed by ``(reset)`` and an
-``(echo)`` of a sentinel.
+stdin/stdout protocol.  A problem with a ``solve`` goal that the exact
+route answers ``unknown`` on goes to the numeric fallback: the bundled
+solver again, in process, with a root step for a real stage that leaves
+one real unknown (``minisolver.RootSolver``).  One solver process per
+command stays alive for the life of the calling process; each question
+to it is framed by ``(reset)`` and an ``(echo)`` of a sentinel.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import (And, BoolConst, Compare, Const, ConstraintIte, Goal,
-                  Implies, MathMorphError, Not, Or, Problem, Quantifier,
+from .ast import (Compare, Const, Goal, MathMorphError, Problem,
                   ValidationError, Var, conjuncts, contains_complex,
                   free_variables, make_and, negate, substitute_in_problem,
                   validate)
@@ -31,13 +31,6 @@ from .algebra import fold_constraint, is_integral, solve_for
 from .funcs import Num, coerce_to_domain, eval_expression
 from .parser import Atom, ParseError, read_sexprs
 from .printer import expr_to_sexpr, print_smtlib
-
-STRICT_EPS = 1e-9
-# differential evolution in the numeric fallback: a model counts when its
-# summed penalty is below FALLBACK_TOLERANCE
-FALLBACK_TOLERANCE = 1e-6
-FALLBACK_POPSIZE = 20
-FALLBACK_MAXITER = 300
 
 
 class SolverError(MathMorphError):
@@ -165,28 +158,40 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     if contains_complex(p):
         raise ValidationError("complex-domain problems are not solvable")
     start = time.monotonic()
-    status, model, raw = _exact_stage(p, cfg)
-    elapsed = time.monotonic() - start
-    # differential evolution finds a feasible point, not an optimum, so an
+    result = _result(p, *_exact_stage(p, cfg), "smt", start)
+    # the root step finds a feasible point, not an optimum, so an
     # optimization goal never falls back
-    fallback = cfg.fallback_enabled and p.goal.kind == "solve"
-    if status == "timeout":
-        if fallback:
-            return numeric_fallback_solve(p)
-        return SolverResult("timeout", elapsed=elapsed)
-    if status == "sat":
-        model = _coerce_domains(p, model)
-        if model is None:
-            status = "unknown"
-    if status == "unknown" and fallback:
-        fb = numeric_fallback_solve(p)
-        if fb.status != "unknown":
+    if result.status in ("unknown", "timeout") and cfg.fallback_enabled \
+            and p.goal.kind == "solve":
+        fb = numeric_fallback_solve(p, cfg)
+        if fb.status != "unknown" or result.status == "timeout":
             return fb
-        return SolverResult("unknown", elapsed=elapsed, raw=raw)
+    return result
+
+
+def _result(p: Problem, status: str, model: Dict[str, Num], raw: str,
+            provenance: str, start: float) -> SolverResult:
+    """A solver's answer as a result: sat only when every declared name
+    has a value within its domain (coerced to it), with the values of the
+    goal targets that evaluate."""
+    coerced = {}
+    for name, dom in p.declarations if status == "sat" else ():
+        coerced[name] = coerce_to_domain(dom, model[name]) \
+            if name in model else None
+        if coerced[name] is None:
+            status = "unknown"
+            break
+    elapsed = time.monotonic() - start
     if status != "sat":
-        return SolverResult(status, elapsed=elapsed, raw=raw)
-    return SolverResult("sat", model, _goal_values(p, model), "smt",
-                        elapsed, raw)
+        return SolverResult(status, provenance=provenance, elapsed=elapsed,
+                            raw=raw)
+    goal_values = []
+    for t in p.goal.targets:
+        try:
+            goal_values.append((expr_to_sexpr(t), eval_expression(t, coerced)))
+        except MathMorphError:
+            pass
+    return SolverResult("sat", coerced, goal_values, provenance, elapsed, raw)
 
 
 def _exact_stage(p: Problem, cfg: SolverConfig):
@@ -320,118 +325,18 @@ class _SolverProcess:
             f.close()
 
 
-def _coerce_domains(p: Problem, model: Dict[str, Num]):
-    """The model with each value coerced to its declared domain; None when
-    a value is missing or breaks its domain."""
-    out = {}
-    for name, dom in p.declarations:
-        v = coerce_to_domain(dom, model[name]) if name in model else None
-        if v is None:
-            return None
-        out[name] = v
-    return out
-
-
-def _goal_values(p: Problem, model: Dict[str, Num]) -> List[Tuple[str, Num]]:
-    out = []
-    for t in p.goal.targets:
-        try:
-            out.append((expr_to_sexpr(t), eval_expression(t, model)))
-        except MathMorphError:
-            pass
-    return out
-
-
 # ---------------------------------------------------------------------------
-# numerical fallback (loss minimization)
+# numeric fallback: the exact solver plus its one-real root step
 # ---------------------------------------------------------------------------
 
-def _penalty(c, env) -> float:
-    """Fuzzy-logic penalty: zero iff the constraint holds."""
-    if isinstance(c, BoolConst):
-        return 0.0 if c.value else 1.0
-    if isinstance(c, Compare):
-        try:
-            d = float(eval_expression(c.lhs, env).value
-                      - eval_expression(c.rhs, env).value)
-        except MathMorphError:
-            return 1e12
-        rel = c.rel
-        if rel == "=":
-            return d * d
-        if rel == "!=":
-            gap = STRICT_EPS - abs(d)
-            return gap * gap if gap > 0 else 0.0
-        if rel == "<=":
-            return max(0.0, d) ** 2
-        if rel == "<":
-            return max(0.0, d + STRICT_EPS) ** 2
-        if rel == ">=":
-            return max(0.0, -d) ** 2
-        return max(0.0, -d + STRICT_EPS) ** 2
-    if isinstance(c, And):
-        return sum(_penalty(i, env) for i in c.items)
-    if isinstance(c, Or):
-        return min(_penalty(i, env) for i in c.items)
-    if isinstance(c, Not):
-        return _penalty(negate(c.child), env)
-    if isinstance(c, Implies):
-        return min(_penalty(negate(c.antecedent), env),
-                   _penalty(c.consequent, env))
-    if isinstance(c, ConstraintIte):
-        return min(_penalty(c.cond, env) + _penalty(c.then, env),
-                   _penalty(negate(c.cond), env) + _penalty(c.els, env))
-    if isinstance(c, Quantifier):
-        raise ValidationError("quantified constraint in numeric fallback")
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def numeric_fallback_solve(p: Problem) -> SolverResult:
-    from scipy.optimize import differential_evolution
+def numeric_fallback_solve(p: Problem, cfg: SolverConfig) -> SolverResult:
+    """``RootSolver``'s answer to a problem the exact route left
+    undecided; a sat model holds inexact values."""
+    from .minisolver import RootSolver
 
     start = time.monotonic()
-    names = [n for n, _ in p.declarations]
-    if not names:
-        env: Dict[str, Num] = {}
-        ok = all(_penalty(c, env) < FALLBACK_TOLERANCE
-                 for c in p.constraints)
-        return SolverResult("sat" if ok else "unknown", {}, [],
-                            "numeric-fallback", time.monotonic() - start)
-    doms = dict(p.declarations)
-    bounds = []
-    for n in names:
-        lb = doms[n].lower_bound
-        bounds.append((float(lb) if lb is not None else -1e4, 1e4))
-
-    def loss(x) -> float:
-        vals = []
-        for n, xi in zip(names, x):
-            if doms[n].is_integer:
-                xi = round(xi)
-            vals.append(Fraction(float(xi)).limit_denominator(10 ** 12))
-        env = {n: Num(v, exact=False) for n, v in zip(names, vals)}
-        try:
-            return sum(_penalty(c, env) for c in p.constraints)
-        except MathMorphError:
-            return 1e12
-
-    res = differential_evolution(loss, bounds, seed=0, tol=1e-12,
-                                 popsize=FALLBACK_POPSIZE,
-                                 maxiter=FALLBACK_MAXITER, polish=True)
-    x = res.x
-    model = {}
-    for n, xi in zip(names, x):
-        if doms[n].is_integer:
-            model[n] = Num(Fraction(round(xi)), exact=True)
-        else:
-            model[n] = Num(Fraction(float(xi)).limit_denominator(10 ** 12),
-                           exact=False)
-    residual = sum(_penalty(c, model) for c in p.constraints)
-    elapsed = time.monotonic() - start
-    if residual < FALLBACK_TOLERANCE:
-        return SolverResult("sat", model, _goal_values(p, model),
-                            "numeric-fallback", elapsed)
-    return SolverResult("unknown", {}, [], "numeric-fallback", elapsed)
+    status, model = RootSolver(p, cfg.node_budget).solve()
+    return _result(p, status, model, "", "numeric-fallback", start)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,12 @@ def test_solve_unsat_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "unsat"
 
 
-def test_an_unexpected_error_exits_two_with_one_line(tmp_path, capsys):
-    # the numeric fallback's search on exp x = 5 overflows a float
+def test_an_unexpected_error_exits_two_with_one_line(tmp_path, capsys,
+                                                    monkeypatch):
+    def overflow(problem, cfg):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli, "solve", overflow)
     script = tmp_path / "exp.smt2"
     script.write_text("(declare-fun x () Real)(assert (= (exp x) 5))"
                       "(check-sat)(get-value (x))\n")

@@ -1,7 +1,11 @@
 """Prompt assembly, endpoints, answer extraction, and consistency."""
 
+import io
 import json
 import random
+import time
+import urllib.error
+import urllib.request
 from fractions import Fraction
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from mathmorph.ast import ValidationError
 from mathmorph.informalize import (BASE_INSTRUCTION, DEFAULT_FEW_SHOT_POOL,
                                    MATH_WORD_SENTENCE, P1, P2, PATTERNS,
-                                   PromptContext, PromptPattern,
+                                   LlmEndpoint, PromptContext, PromptPattern,
                                    RecordingEndpoint, ReplayEndpoint,
                                    EndpointError, build_prompt,
                                    consistency_check, consistency_rate,
@@ -144,6 +148,61 @@ def test_replay_endpoint_rejects_unknown_prompt(tmp_path):
     with pytest.raises(EndpointError):
         informalize(load_problem("sara.smt2"), PromptPattern(),
                     ReplayEndpoint(str(path)))
+
+
+def _urlopen_answers(monkeypatch, *outcomes):
+    """Make ``urlopen`` answer its calls in turn with ``outcomes``: a
+    completion's text, or an exception to raise.  Returns the requests
+    it saw and the back-off sleeps, which take no time."""
+    seen, sleeps, queue = [], [], list(outcomes)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+
+    def urlopen(request, timeout):
+        seen.append(request)
+        out = queue.pop(0)
+        if isinstance(out, Exception):
+            raise out
+        body = {"choices": [{"message": {"content": out}}]}
+        return io.BytesIO(json.dumps(body).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return seen, sleeps
+
+
+ENDPOINT = LlmEndpoint(base_url="http://localhost:1/v1", backoff=0.5)
+
+
+def test_llm_endpoint_posts_one_json_request(monkeypatch):
+    seen, _ = _urlopen_answers(monkeypatch, "The answer is 4.")
+    assert ENDPOINT.complete("2 + 2?") == "The answer is 4."
+    (request,) = seen
+    assert request.full_url == "http://localhost:1/v1/chat/completions"
+    assert request.get_method() == "POST"
+    assert json.loads(request.data)["messages"] == [
+        {"role": "user", "content": "2 + 2?"}]
+
+
+def test_llm_endpoint_retries_after_http_429(monkeypatch):
+    limited = urllib.error.HTTPError("http://localhost:1/v1", 429,
+                                     "Too Many Requests", {}, None)
+    seen, sleeps = _urlopen_answers(monkeypatch, limited, "ok")
+    assert ENDPOINT.complete("q") == "ok"
+    assert (len(seen), sleeps) == (2, [0.5])
+
+
+def test_llm_endpoint_refuses_an_empty_completion(monkeypatch):
+    seen, sleeps = _urlopen_answers(monkeypatch, "", "late")
+    with pytest.raises(EndpointError, match="empty completion"):
+        ENDPOINT.complete("q")
+    assert (len(seen), sleeps) == (1, [])
+
+
+def test_llm_endpoint_gives_up_after_its_retries(monkeypatch):
+    seen, sleeps = _urlopen_answers(monkeypatch,
+                                    *[urllib.error.URLError("refused")] * 3)
+    with pytest.raises(EndpointError, match="after 3 attempts: .*refused"):
+        ENDPOINT.complete("q")
+    assert (len(seen), sleeps) == (3, [0.5, 1.0, 1.5])
 
 
 def test_consistency_replay_fixture_loads():

@@ -189,6 +189,23 @@ def test_deep_input_is_an_error_and_reading_goes_on():
                                 "sat", too_deep, '"b"']
 
 
+def test_a_deep_echo_prints_and_reading_goes_on():
+    deep = "(a " * 3000 + "b" + ")" * 3000
+    out = stdio(f"(echo {deep})\n" + '(echo "ok")\n')
+    assert out.splitlines() == [deep, '"ok"']
+
+
+@pytest.mark.parametrize("head, line", [
+    ("(declare-fun x () Int)\n(assert (> x 0))\n", 3),
+    ('(echo "a\n\nb")(declare-fun x () Int)\n', 4),
+], ids=["three-lines", "after-a-literal"])
+def test_an_error_position_counts_lines_from_the_start_of_input(head, line):
+    out = stdio(head + "(assert (> y x))(check-sat)\n")
+    assert out.splitlines()[-2:] == [
+        f'(error "undeclared variable: y (line {line}, column 12)")',
+        "unknown"]
+
+
 @pytest.mark.parametrize("constraint", [
     "(exists ((y Int)) (= x (* 2 y)))",
     "(not (forall ((y Int)) (distinct x (* 2 y))))",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,33 @@ def test_verify_flags_tampered_answer(corpus_dir, tmp_path):
     report = verify_dataset(str(tampered))
     assert not report.ok
     assert report.mismatches[0][0] == 1
+
+
+# the answer differential evolution stored for this row; the root step's
+# differs from it by less than 1e-12
+SQUARE_ROOT = Fraction(673957363241, 476559821778)
+
+
+@pytest.mark.parametrize("answer, ok", [
+    (SQUARE_ROOT, True),
+    (SQUARE_ROOT + Fraction(1, 10 ** 6), False),
+], ids=["stored-root", "off-by-1e-6"])
+def test_verify_compares_an_inexact_answer_within_a_tolerance(tmp_path,
+                                                              answer, ok):
+    row = {"seed_id": "square", "level": 0,
+           "formal": "(declare-fun side () Real)(assert (> side 0))"
+                     "(assert (= (* side side) 2))(check-sat)"
+                     "(get-value (side))\n",
+           "informal": "What is the side of a square of area 2?",
+           "pattern": "p2", "answer": str(answer),
+           "reasoning": "The answer is 1.41421356.", "verified": True,
+           "provenance": [], "rng_seed": 1}
+    path = tmp_path / "square.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    report = verify_dataset(str(path))
+    assert report.ok is ok
+    if not ok:
+        assert report.mismatches[0][1].startswith("stored answer")
 
 
 def test_emit_training_rows_uses_template(corpus_dir, tmp_path):

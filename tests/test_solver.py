@@ -2,6 +2,7 @@
 fallback, and projected equivalence checking."""
 
 import itertools
+import math
 import random
 import signal
 import subprocess
@@ -145,7 +146,8 @@ def test_zero_to_a_negative_power_is_unknown(command):
 
 
 def test_numeric_fallback_solves_nonlinear_real():
-    # x^3 = 8 defeats the exact stages; differential evolution finds x=2
+    # x^3 = 8 defeats the exact stages; the root step finds x = 2 on its
+    # grid
     p = parse("(declare-fun x () Real)(assert (= (^ x 3) 8))"
               "(assert (>= x 0))(assert (<= x 5))(check-sat)(get-value (x))")
     r = solve(p)
@@ -161,8 +163,9 @@ def test_numeric_fallback_solves_nonlinear_real():
     "(=> (and (> x 0) (< x 10)) (> x 1))",
 ], ids=["not-and", "implies-and"])
 def test_the_fallback_reads_a_negated_connective(negated, command):
-    # x * x = 2 leaves the problem to the fallback, whose penalty of a
-    # negated conjunction recursed without end
+    # x * x = 2 leaves the problem to the fallback, which splits the
+    # negated connective into branches and finds a root of x * x - 2 in
+    # one of them
     p = parse(f"(declare-fun x () Real)(assert (= (* x x) 2))"
               f"(assert {negated})(check-sat)(get-value (x))")
     r = solve(p, SolverConfig(command=command))
@@ -177,9 +180,47 @@ def test_the_fallback_reads_a_negated_connective(negated, command):
     "(declare-fun x () Int)(assert (>= x 3))(assert (<= x 10))(maximize x)",
 ], ids=["minimize-real", "maximize-int"])
 def test_an_optimization_goal_never_takes_the_fallback(script, command):
-    # differential evolution finds a feasible point, not the optimum
+    # the root step finds a feasible point, not the optimum
     r = solve(parse(script), SolverConfig(command=command))
     assert r.status == "unknown" and r.model == {}
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+def test_the_root_step_bisects_a_transcendental_equation(command):
+    # exp x - 5 changes sign between two grid points of the box [-2, 2]
+    p = parse("(declare-fun x () Real)(assert (= (exp x) 5))"
+              "(check-sat)(get-value (x))")
+    r = solve(p, SolverConfig(command=command))
+    assert r.status == "sat" and r.provenance == "numeric-fallback"
+    [(_, x)] = r.goal_values
+    assert not x.exact
+    assert abs(x.value - Fraction(math.log(5))) < Fraction(1, 10 ** 9)
+
+
+def test_a_pole_is_not_taken_for_a_root():
+    # 1/x changes sign at x = 0, where it is undefined, and nowhere
+    # equals 0
+    p = parse("(declare-fun x () Real)(assert (= (/ 1 x) 0))"
+              "(check-sat)(get-value (x))")
+    assert solve(p).status == "unknown"
+
+
+def test_the_root_step_runs_in_each_branch():
+    # x * x = -1 has no root; the second branch has the root x = 2
+    p = parse("(declare-fun x () Real)"
+              "(assert (or (= (* x x) -1) (= (* x x x) 8)))"
+              "(check-sat)(get-value (x))")
+    r = solve(p)
+    assert r.status == "sat" and r.model["x"].value == 2
+
+
+def test_two_real_unknowns_are_left_unknown_at_once():
+    p = parse("(declare-fun x () Real)(declare-fun y () Real)"
+              "(assert (= (* x y) 6))(check-sat)(get-value (x))")
+    start = time.monotonic()
+    assert solve(p).status == "unknown"
+    assert time.monotonic() - start < 1
 
 
 RELATIONS = ("=", "distinct", "<", "<=", ">", ">=")
