@@ -10,7 +10,7 @@ from typing import Optional
 
 from .ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow, TermIte,
                   Var, children, free_variables, rebuild)
-from .funcs import eval_expression
+from .funcs import DomainError, eval_expression, power
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +97,10 @@ def fold_constants(expr):
         expo = fold_constants(expr.exponent)
         if isinstance(base, Const) and isinstance(expo, Const) \
                 and expo.value.denominator == 1:
-            k = int(expo.value)
-            if not (base.value == 0 and k < 0):
-                return Const(base.value ** k)
+            try:
+                return Const(power(base.value, int(expo.value)))
+            except DomainError:
+                pass
         return Pow(base, expo)
     if isinstance(expr, FuncApp):
         args = tuple(fold_constants(a) for a in expr.args)
@@ -336,10 +337,11 @@ def linear_form(expr, variables) -> Optional[LinearForm]:
         if inner is not None and inner.is_constant() \
                 and isinstance(expr.exponent, Const) \
                 and expr.exponent.value.denominator == 1:
-            k = int(expr.exponent.value)
-            if inner.const == 0 and k < 0:
+            try:
+                return LinearForm(const=power(inner.const,
+                                              int(expr.exponent.value)))
+            except DomainError:
                 return None
-            return LinearForm(const=inner.const ** k)
         return None
     return None
 

@@ -234,12 +234,6 @@ class Problem:
     goal: Goal = Goal("solve", ())
     recursive_defs: tuple = ()     # raw define-fun-rec texts, forwarded verbatim
 
-    def domain_of(self, name: str) -> Domain:
-        for n, d in self.declarations:
-            if n == name:
-                return d
-        raise KeyError(name)
-
     def declared_names(self) -> tuple:
         return tuple(n for n, _ in self.declarations)
 
@@ -397,10 +391,6 @@ def substitute_all(node, env: dict):
         r = substitute_all(node.rhs, env)
         return node if l is node.lhs and r is node.rhs \
             else Compare(l, node.rel, r)
-    if t is Pow:
-        b = substitute_all(node.base, env)
-        e = substitute_all(node.exponent, env)
-        return node if b is node.base and e is node.exponent else Pow(b, e)
     if t is FuncApp:
         slots = BINDER_SLOTS.get(node.name)
         if slots and type(node.args[slots[0]]) is Var:
@@ -413,28 +403,8 @@ def substitute_all(node, env: dict):
                     for i, a in enumerate(node.args)]
             args[var_idx] = index if name == index.name else Var(name)
             args[body_idx] = body
-        else:
-            args = [substitute_all(a, env) for a in node.args]
-        return node if all(a is b for a, b in zip(args, node.args)) \
-            else FuncApp(node.name, tuple(args))
-    if t is TermIte or t is ConstraintIte:
-        c = substitute_all(node.cond, env)
-        a = substitute_all(node.then, env)
-        b = substitute_all(node.els, env)
-        return node if (c is node.cond and a is node.then and b is node.els) \
-            else t(c, a, b)
-    if t is And or t is Or:
-        items = tuple(substitute_all(i, env) for i in node.items)
-        return node if all(a is b for a, b in zip(items, node.items)) \
-            else t(items)
-    if t is Not:
-        child = substitute_all(node.child, env)
-        return node if child is node.child else Not(child)
-    if t is Implies:
-        a = substitute_all(node.antecedent, env)
-        b = substitute_all(node.consequent, env)
-        return node if a is node.antecedent and b is node.consequent \
-            else Implies(a, b)
+            return node if all(a is b for a, b in zip(args, node.args)) \
+                else FuncApp(node.name, tuple(args))
     if t is Quantifier:
         names = tuple(n for n, _ in node.bindings)
         renamed, body = _substitute_under(names, node.body, env)
@@ -443,7 +413,11 @@ def substitute_all(node, env: dict):
         return Quantifier(node.kind,
                           tuple((n, d) for n, (_, d)
                                 in zip(renamed, node.bindings)), body)
-    raise TypeError(f"not an AST node: {node!r}")
+    kids = list(children(node))
+    new_kids = [substitute_all(k, env) for k in kids]
+    if all(a is b for a, b in zip(new_kids, kids)):
+        return node
+    return rebuild(node, new_kids)
 
 
 def _substitute_under(names: tuple, body, env: dict):

@@ -27,6 +27,10 @@ mpmath.mp.dps = 30
 #: absolute slack used when comparing inexact (transcendental) values
 APPROX_TOL = Fraction(1, 10 ** 9)
 
+#: most digits the numerator or denominator of an exact number may have;
+#: under Python's 4,300-digit limit for printing an int
+MAX_DIGITS = 4_000
+
 
 class DomainError(MathMorphError):
     """Argument outside a function's domain of definition."""
@@ -66,8 +70,13 @@ def coerce_to_domain(dom: Domain, val: Num):
 
 
 def _approx(x) -> Num:
-    """High-precision mpmath value converted to a rational approximation."""
-    return Num(Fraction(Decimal(mpmath.nstr(x, 25))), exact=False)
+    """High-precision mpmath value converted to a rational approximation;
+    raises ``DomainError`` when that rational would have more than
+    ``MAX_DIGITS`` digits."""
+    d = Decimal(mpmath.nstr(x, 25))
+    if not d.is_finite() or abs(d.adjusted()) >= MAX_DIGITS:
+        raise DomainError(f"value exceeds {MAX_DIGITS} digits")
+    return Num(Fraction(d), exact=False)
 
 
 def _require_int(v: Num, fn: str) -> int:
@@ -168,10 +177,7 @@ def eval_expression(expr, assignment) -> Num:
         base = eval_expression(expr.base, assignment)
         expo = eval_expression(expr.exponent, assignment)
         if expo.exact and expo.value.denominator == 1:
-            k = int(expo.value)
-            if base.value == 0 and k < 0:
-                raise DomainError("zero to a negative power")
-            return Num(base.value ** k, base.exact)
+            return Num(power(base.value, int(expo.value)), base.exact)
         if base.value < 0:
             raise DomainError("negative base with non-integer exponent")
         return _approx(mpmath.power(mpmath.mpf(base.value.numerator) /
@@ -189,6 +195,17 @@ def eval_expression(expr, assignment) -> Num:
             return eval_expression(expr.then, assignment)
         return eval_expression(expr.els, assignment)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def power(q: Fraction, k: int) -> Fraction:
+    """``q ** k``; raises ``DomainError`` for zero to a negative power and,
+    before computing, for a result of more than ``MAX_DIGITS`` digits."""
+    if q == 0 and k < 0:
+        raise DomainError("zero to a negative power")
+    largest = max(abs(q.numerator), q.denominator)
+    if largest > 1 and abs(k) >= MAX_DIGITS / math.log10(largest):
+        raise DomainError(f"power exceeds {MAX_DIGITS} digits")
+    return q ** k
 
 
 def eval_constraint(c, assignment) -> bool:
@@ -453,6 +470,11 @@ def _ev_binomial(app, assignment):
             for v in _ev_args(app, assignment))
     if n < 0 or k < 0:
         raise DomainError("binomial expects nonnegative arguments")
+    digits = 0.0
+    for i in range(min(k, n - k)):      # log10 C(n, i + 1), increasing
+        digits += math.log10(n - i) - math.log10(i + 1)
+        if digits >= MAX_DIGITS:
+            raise DomainError(f"binomial exceeds {MAX_DIGITS} digits")
     return Num(Fraction(math.comb(n, k)))
 
 
@@ -461,6 +483,9 @@ def _ev_factorial(app, assignment):
     n = _require_int(v, "factorial")
     if n < 0:
         raise DomainError("factorial of a negative value")
+    # MAX_DIGITS! has far more than MAX_DIGITS digits
+    if math.lgamma(min(n, MAX_DIGITS) + 1) / math.log(10) >= MAX_DIGITS:
+        raise DomainError(f"factorial exceeds {MAX_DIGITS} digits")
     return Num(Fraction(math.factorial(n)))
 
 

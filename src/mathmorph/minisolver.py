@@ -747,12 +747,6 @@ def _monotone_positive(expr) -> bool:
 # stdio protocol
 # ---------------------------------------------------------------------------
 
-def _format_value(num: Num) -> str:
-    if num.exact:
-        return _rational_sexpr(num.value)
-    return repr(float(num.value))
-
-
 class _Session:
     """Elaborates each command as it arrives; the first one that fails is
     the answer to every ``check-sat`` until ``reset``."""
@@ -812,9 +806,12 @@ class _Session:
             print('(error "no model available")', file=self.out)
             return
         try:
-            parts = [f"({expr_to_sexpr(t)} "
-                     f"{_format_value(eval_expression(t, self.model))})"
-                     for t in self.builder.value_targets(sexpr)]
+            # an inexact value too prints as the exact rational it holds,
+            # so no digit is lost on the way to the caller
+            parts = []
+            for t in self.builder.value_targets(sexpr):
+                value = eval_expression(t, self.model).value
+                parts.append(f"({expr_to_sexpr(t)} {_rational_sexpr(value)})")
         except MathMorphError as exc:
             print(f'(error "{exc}")', file=self.out)
             return

@@ -16,7 +16,7 @@ from .ast import (BINDER_SLOTS, And, BinOp, BoolConst, Compare, Const,
                   NamedConst, Not, Or, Implies, Pow, Problem, Quantifier,
                   TermIte, ValidationError, Var, children, make_and,
                   substitute_all, validate)
-from .funcs import FUNCTIONS
+from .funcs import FUNCTIONS, MAX_DIGITS
 
 # the most levels a constraint or goal term may have: the walkers that
 # print, rewrite and solve a problem recurse up to twice per level and
@@ -150,13 +150,22 @@ def sexpr_to_text(s) -> str:
 # Numerals
 # ---------------------------------------------------------------------------
 
-def _parse_numeral(text: str):
-    if text.lstrip("-").isdigit():
+def _parse_numeral(text: str, line, col):
+    """The value of a numeral or decimal, else None (the token is a name);
+    raises ``ParseError`` for one of more than ``MAX_DIGITS`` digits."""
+    if text.isdecimal() and len(text) <= MAX_DIGITS:    # the common case
         return Fraction(int(text))
     try:
-        return Fraction(Decimal(text))
+        d = Decimal(text)
     except InvalidOperation:
         return None
+    if not d.is_finite():               # inf, nan: names
+        return None
+    _, digits, exponent = d.as_tuple()
+    if len(digits) + abs(exponent) > MAX_DIGITS:
+        raise ParseError(f"numeral longer than {MAX_DIGITS} digits", line,
+                         col)
+    return Fraction(d)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +313,7 @@ class ProblemBuilder:
 
     def elab_term(self, s, bound):
         if isinstance(s, Atom):
-            v = _parse_numeral(s.text)
+            v = _parse_numeral(s.text, s.line, s.col)
             if v is not None:
                 lex = s.text if "." in s.text else None
                 return Const(v, lexeme=lex)

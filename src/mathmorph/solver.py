@@ -23,11 +23,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import (Compare, Const, Goal, MathMorphError, Problem,
-                  ValidationError, Var, conjuncts, contains_complex,
-                  free_variables, make_and, negate, substitute_in_problem,
-                  validate)
-from .algebra import fold_constraint, is_integral, solve_for
+from .ast import (Goal, MathMorphError, Problem, ValidationError,
+                  contains_complex, validate)
 from .funcs import Num, coerce_to_domain, eval_expression
 from .parser import Atom, ParseError, read_sexprs
 from .printer import expr_to_sexpr, print_smtlib
@@ -64,7 +61,6 @@ class SolverResult:
     goal_values: List[Tuple[str, Num]] = field(default_factory=list)
     provenance: str = "smt"
     elapsed: float = 0.0
-    raw: str = ""
 
     @property
     def is_sat(self) -> bool:
@@ -169,7 +165,7 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     return result
 
 
-def _result(p: Problem, status: str, model: Dict[str, Num], raw: str,
+def _result(p: Problem, status: str, model: Dict[str, Num],
             provenance: str, start: float) -> SolverResult:
     """A solver's answer as a result: sat only when every declared name
     has a value within its domain (coerced to it), with the values of the
@@ -183,36 +179,33 @@ def _result(p: Problem, status: str, model: Dict[str, Num], raw: str,
             break
     elapsed = time.monotonic() - start
     if status != "sat":
-        return SolverResult(status, provenance=provenance, elapsed=elapsed,
-                            raw=raw)
+        return SolverResult(status, provenance=provenance, elapsed=elapsed)
     goal_values = []
     for t in p.goal.targets:
         try:
             goal_values.append((expr_to_sexpr(t), eval_expression(t, coerced)))
         except MathMorphError:
             pass
-    return SolverResult("sat", coerced, goal_values, provenance, elapsed, raw)
+    return SolverResult("sat", coerced, goal_values, provenance, elapsed)
 
 
 def _exact_stage(p: Problem, cfg: SolverConfig):
-    """``(status, model, raw reply)`` of the exact solver: the executable
-    that ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio,
-    where a timeout gives the status ``"timeout"``; else the bundled
-    solver in process."""
+    """``(status, model)`` of the exact solver: the executable that
+    ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio, where a
+    timeout gives the status ``"timeout"``; else the bundled solver in
+    process."""
     command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
                                                         ""))
     if not command:
         # imported on first use so that importing the package does not
         # load it
         from .minisolver import solve_exact
-        status, model = solve_exact(p, cfg.node_budget)
-        return status, model, ""
+        return solve_exact(p, cfg.node_budget)
     raw = _ask_solver(list(command), build_script(p),
                       cfg.timeout_ms / 1000.0)
     if raw is None:
-        return "timeout", {}, ""
-    status, model = parse_reply(raw)
-    return status, model, raw
+        return "timeout", {}
+    return parse_reply(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -336,102 +329,4 @@ def numeric_fallback_solve(p: Problem, cfg: SolverConfig) -> SolverResult:
 
     start = time.monotonic()
     status, model = RootSolver(p, cfg.node_budget).solve()
-    return _result(p, status, model, "", "numeric-fallback", start)
-
-
-# ---------------------------------------------------------------------------
-# projected equivalence checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EquivalenceVerdict:
-    verdict: str                                  # equivalent/counterexample/unknown
-    counterexample: Dict[str, Num] = field(default_factory=dict)
-    detail: str = ""
-
-
-def project_onto(p: Problem, shared) -> Optional[Problem]:
-    """Eliminate private variables that are defined by equalities; None
-    when some private variable resists elimination.  An integer variable
-    is eliminated only by an integral definition (see ``is_integral``),
-    so the projection keeps integrality."""
-    current = p
-    pending = [n for n, _ in current.declarations if n not in shared]
-    changed = True
-    while pending and changed:
-        changed = False
-        int_vars = {n for n, d in current.declarations if d.is_integer}
-        for v in list(pending):
-            for c in _atoms(current):
-                if not (isinstance(c, Compare) and c.rel == "="):
-                    continue
-                if v not in free_variables(c):
-                    continue
-                sol = solve_for(c.lhs, c.rhs, v)
-                if sol is None:
-                    continue
-                if v in int_vars and not is_integral(sol, int_vars):
-                    continue
-                current = _eliminate(current, v, sol, c)
-                pending.remove(v)
-                changed = True
-                break
-            if changed:
-                break
-    return None if pending else current
-
-
-def _atoms(p: Problem) -> list:
-    return [a for c in p.constraints for a in conjuncts(c)]
-
-
-def _eliminate(p: Problem, v: str, sol, defining) -> Problem:
-    """Drop the defining equality, substitute ``sol`` for ``v`` and keep
-    ``v``'s domain bound as a constraint on ``sol``."""
-    atoms = _atoms(p)
-    atoms.remove(defining)
-    out = substitute_in_problem(replace(p, constraints=tuple(atoms)),
-                                {v: sol})
-    constraints = [fold_constraint(c) for c in out.constraints]
-    lb = p.domain_of(v).lower_bound
-    if lb is not None:
-        constraints.append(fold_constraint(
-            Compare(sol, ">=", Const(Fraction(lb)))))
-    return replace(out, constraints=tuple(constraints))
-
-
-def verify_equivalence(p1: Problem, p2: Problem, shared,
-                       cfg: Optional[SolverConfig] = None) -> EquivalenceVerdict:
-    """Check that p1 and p2 have the same solution set projected onto
-    ``shared``, by asking the solver for a witness of one side that the
-    other side rejects."""
-    cfg = cfg or SolverConfig()
-    shared = set(shared)
-    for p in (p1, p2):
-        declared = {n for n, _ in p.declarations}
-        if not shared <= declared:
-            raise ValidationError("shared variables must be declared in both")
-    for a, b, tag in ((p1, p2, "p1-not-p2"), (p2, p1, "p2-not-p1")):
-        proj_b = project_onto(b, shared)
-        if proj_b is None:
-            return EquivalenceVerdict("unknown",
-                                      detail=f"{tag}: projection failed")
-        neg = negate(make_and(list(_all_atoms(proj_b))))
-        combined = replace(a, constraints=a.constraints
-                           + (fold_constraint(neg),), goal=Goal("solve", ()))
-        result = solve(combined, cfg)
-        if result.status == "sat":
-            witness = {k: v for k, v in result.model.items() if k in shared}
-            return EquivalenceVerdict("counterexample", witness, tag)
-        if result.status not in ("unsat",):
-            return EquivalenceVerdict("unknown", detail=f"{tag}: {result.status}")
-    return EquivalenceVerdict("equivalent")
-
-
-def _all_atoms(p: Problem):
-    for c in p.constraints:
-        yield c
-    for name, dom in p.declarations:
-        lb = dom.lower_bound
-        if lb is not None:
-            yield Compare(Var(name), ">=", Const(Fraction(lb)))
+    return _result(p, status, model, "numeric-fallback", start)

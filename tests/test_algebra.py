@@ -24,6 +24,12 @@ def test_fold_constants_keeps_free_variables():
     assert folded.right == Const(Fraction(6))
 
 
+def test_a_power_past_the_digit_cap_stays_unfolded():
+    e = _expr("(^ 10 100000000)")
+    assert fold_constants(e) == e
+    assert linear_form(e, {"x"}) is None
+
+
 def test_fold_constraint_folds_both_sides():
     p = parse("(declare-fun x () Real)"
               "(assert (> (+ 1 2) (* x 1)))(check-sat)")

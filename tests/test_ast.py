@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from mathmorph.ast import (And, BinOp, BoolConst, Compare, Const,
-                           ConstraintIte, Domain, Exists, Forall, Goal,
-                           Implies, Not, Or, Problem, ValidationError,
-                           Var, children, conjuncts, free_variables,
-                           make_and, negate, node_count, rebuild, rename_var,
-                           substitute, substitute_all, validate)
+                           ConstraintIte, Domain, Exists, Forall, FuncApp,
+                           Goal, Implies, Not, Or, Pow, Problem, TermIte,
+                           ValidationError, Var, children, conjuncts,
+                           free_variables, make_and, negate, node_count,
+                           rebuild, rename_var, substitute, substitute_all,
+                           validate)
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
 from conftest import read_fixture
@@ -61,6 +62,30 @@ def test_substitute_all_is_simultaneous_and_keeps_unchanged_subtrees():
                         BinOp("*", Const(Fraction(10)), Const(Fraction(1))))
     c = Compare(Var("z"), "=", e)
     assert substitute_all(c, {"w": Var("y")}) is c
+
+
+def _node_types(v):
+    """One node of each type without a binder, over the variable ``v``."""
+    x, one = Var(v), Const(Fraction(1))
+    lt = Compare(x, "<", one)
+    return {"Pow": Pow(x, one), "FuncApp": FuncApp("gcd", (x, one)),
+            "TermIte": TermIte(lt, x, one),
+            "ConstraintIte": ConstraintIte(lt, BoolConst(True), lt),
+            "And": And((lt, BoolConst(True))),
+            "Or": Or((BoolConst(False), lt)),
+            "Not": Not(lt), "Implies": Implies(lt, lt)}
+
+
+@pytest.mark.parametrize("kind", list(_node_types("x")))
+def test_substitute_all_rebuilds_every_node_type(kind):
+    node = _node_types("x")[kind]
+    assert substitute_all(node, {"x": Var("y")}) == _node_types("y")[kind]
+    assert substitute_all(node, {"z": Var("y")}) is node
+
+
+def test_substitute_all_rejects_a_non_ast_node():
+    with pytest.raises(TypeError):
+        substitute_all("x", {"x": Var("y")})
 
 
 def test_substitute_renames_binders_that_would_capture():

@@ -2,6 +2,9 @@
 
 import json
 import os
+import shlex
+import sys
+import time
 
 import pytest
 
@@ -9,6 +12,9 @@ from mathmorph import cli
 from mathmorph.informalize import RecordingEndpoint
 from mathmorph.pipeline import GenerationPlan, generate_dataset
 from conftest import FIXTURES, FixtureEndpoint, deep_script, read_fixture
+
+
+GATEWAY = shlex.join([sys.executable, "-m", "mathmorph.minisolver"])
 
 
 def fixture_path(name):
@@ -69,6 +75,33 @@ def test_parse_of_a_too_deep_tree_exits_one(tmp_path, capsys, shape):
     script.write_text(deep_script(shape, 3000))
     assert cli.main(["parse", str(script)]) == 1
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+HUGE_NUMBERS = {
+    "power": "(declare-fun x () Real)(assert (= x (^ 10 100000000)))",
+    "transcendental": "(declare-fun x () Real)(assert (= x (exp 100000000)))",
+    "factorial": "(declare-fun x () Int)(assert (= x (factorial 100000)))",
+    "binomial": "(declare-fun x () Int)"
+                "(assert (= x (binomial 200000 100000)))",
+    "numeral": "(declare-fun x () Int)(assert (= x " + "9" * 5000 + "))",
+}
+
+
+@pytest.mark.parametrize("solver", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("case", list(HUGE_NUMBERS))
+def test_a_huge_number_is_refused_quickly(tmp_path, capsys, case, solver):
+    script = tmp_path / f"{case}.smt2"
+    script.write_text(HUGE_NUMBERS[case] + "(check-sat)(get-value (x))\n")
+    argv = ["solve", str(script)] + (["--solver", solver] if solver else [])
+    start = time.monotonic()
+    assert cli.main(argv) == 1
+    assert time.monotonic() - start < 2
+    captured = capsys.readouterr()
+    if case == "numeral":
+        assert captured.err.startswith("parse error: numeral longer than")
+    else:
+        assert captured.out == "unknown\n"
 
 
 def test_complicate_prints_mutated_script(capsys):

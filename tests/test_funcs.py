@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.funcs import (APPROX_TOL, DomainError, Num,
+from mathmorph.funcs import (APPROX_TOL, MAX_DIGITS, DomainError, Num,
                              UnknownFunctionError, eval_constraint,
-                             eval_expression, lookup, reduce_app)
+                             eval_expression, lookup, power, reduce_app)
 from mathmorph.parser import parse
 from mathmorph.printer import expr_to_sexpr, print_smtlib
 
@@ -30,6 +30,15 @@ def test_gcd_lcm_exact():
 def test_binomial_and_factorial():
     assert ev("(binomial 5 2)").value == 10
     assert ev("(factorial 6)").value == 720
+
+
+def test_power_refuses_zero_to_a_negative_power_and_a_huge_result():
+    assert power(Fraction(2, 3), -2) == Fraction(9, 4)
+    assert power(Fraction(-1), 10 ** 400) == 1
+    for q, k in ((Fraction(0), -1), (Fraction(10), MAX_DIGITS),
+                 (Fraction(1, 10), -MAX_DIGITS)):
+        with pytest.raises(DomainError):
+            power(q, k)
 
 
 def test_summation_over_bound_index():
@@ -114,6 +123,8 @@ INTERPRETED = [
     ("(abs (- 3))", "3", 3, True),
     ("(cos (* 2 pi))", "1", 1, True),
     ("(sin (* pi (/ 1 2)))", "1", 1, True),
+    ("(ite (> x 1) (* k 2) k)", None, 10, True),
+    ("(ite (< x 1) (* k 2) k)", None, 5, True),
 ]
 
 

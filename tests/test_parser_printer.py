@@ -35,6 +35,13 @@ def test_floats_parse_to_exact_rationals():
     assert c.rhs.value == Fraction(1, 10)
 
 
+def test_a_token_that_is_no_numeral_is_a_name():
+    p = parse("(declare-fun inf () Real)(declare-fun nan () Real)"
+              "(declare-fun --1 () Real)(assert (= inf (+ nan --1)))"
+              "(check-sat)")
+    assert free_variables(p.constraints[0]) == {"inf", "nan", "--1"}
+
+
 def test_positive_guard_absorbed_into_domain():
     p = parse("(declare-fun n () Int)(assert (>= n 1))"
               "(assert (= n 3))(check-sat)")

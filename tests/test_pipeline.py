@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,11 @@ from mathmorph.pipeline import (GenerationPlan, PipelineError,
                                 _parse_level_counts, parse_config,
                                 plan_from_config, sample_rng_seed,
                                 verify_dataset)
+from mathmorph.parser import parse
+from mathmorph.solver import SolverConfig, solve
 from conftest import FixtureEndpoint
 
+GATEWAY = [sys.executable, "-m", "mathmorph.minisolver"]
 ROW_FIELDS = ["seed_id", "level", "formal", "informal", "pattern", "answer",
               "reasoning", "verified", "provenance", "rng_seed"]
 
@@ -126,6 +130,63 @@ def test_verify_compares_an_inexact_answer_within_a_tolerance(tmp_path,
     assert report.ok is ok
     if not ok:
         assert report.mismatches[0][1].startswith("stored answer")
+
+
+def _row(formal, answer, reasoning):
+    return {"seed_id": "s", "level": 0, "formal": formal,
+            "informal": "Find x.", "pattern": "p2", "answer": answer,
+            "reasoning": reasoning, "verified": True, "provenance": [],
+            "rng_seed": 1}
+
+
+def test_gateway_and_in_process_verify_agree_on_an_inexact_answer(tmp_path):
+    # the gateway prints every value as an exact rational, so no digit of
+    # the 25-digit log 2 is lost on the way
+    formal = ("(declare-fun x () Real)(assert (= x (log 2)))(check-sat)"
+              "(get-value (x))\n")
+    fast = solve(parse(formal))
+    slow = solve(parse(formal), SolverConfig(command=GATEWAY))
+    assert [v.value for _, v in fast.goal_values] \
+        == [v.value for _, v in slow.goal_values]
+    path = tmp_path / "log.jsonl"
+    row = _row(formal, str(fast.goal_values[0][1].value),
+               "The answer is 0.693147.")
+    path.write_text(json.dumps(row) + "\n")
+    assert verify_dataset(str(path)).ok
+    report = verify_dataset(str(path), SolverConfig(command=GATEWAY))
+    assert report.ok, report.mismatches
+
+
+X_IS_3 = "(declare-fun x () Int)(assert (= x 3))(check-sat)(get-value (x))\n"
+CLEAN = _row(X_IS_3, "3", "The answer is 3.")
+
+
+@pytest.mark.parametrize("line, reason", [
+    (json.dumps(CLEAN), None),
+    ("{not json", "invalid JSON: "),
+    (json.dumps({k: v for k, v in CLEAN.items() if k != "answer"}),
+     "schema violation: missing ['answer'], unexpected []"),
+    (json.dumps({**CLEAN, "extra": 1}),
+     "schema violation: missing [], unexpected ['extra']"),
+    (json.dumps({**CLEAN, "verified": False}), "unverified row in dataset"),
+    (json.dumps({**CLEAN, "formal": "(assert (= x 3))(check-sat)"}),
+     "formal does not parse: "),
+    (json.dumps({**CLEAN, "formal": "(declare-fun x () Int)(assert (= x 3))"
+                                    "(assert (= x 4))(check-sat)"}),
+     "solver status unsat"),
+], ids=["clean", "json", "missing", "extra", "unverified", "parse",
+        "unsat"])
+def test_verify_reports_each_rejection_with_its_line(tmp_path, line, reason):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n" + line + "\n")
+    report = verify_dataset(str(path))
+    assert report.rows == 1
+    if reason is None:
+        assert report.ok and report.passed == 1
+    else:
+        assert report.passed == 0
+        [(lineno, text)] = report.mismatches
+        assert lineno == 2 and text.startswith(reason)
 
 
 def test_emit_training_rows_uses_template(corpus_dir, tmp_path):

@@ -1,5 +1,5 @@
-"""Solver gateway: script construction, subprocess protocol, numeric
-fallback, and projected equivalence checking."""
+"""Solver gateway: script construction, subprocess protocol and numeric
+fallback."""
 
 import itertools
 import math
@@ -13,11 +13,10 @@ from fractions import Fraction
 import pytest
 
 from mathmorph import solver
-from mathmorph.ast import ValidationError
 from mathmorph.funcs import eval_constraint
 from mathmorph.parser import parse
 from mathmorph.solver import (SolverConfig, SolverError, build_script,
-                              parse_reply, solve, verify_equivalence)
+                              parse_reply, solve)
 from conftest import load_problem, read_fixture
 
 
@@ -276,45 +275,6 @@ def test_fallback_disabled_reports_unknown():
               "(assert (>= x 0))(assert (<= x 5))(check-sat)(get-value (x))")
     r = solve(p, SolverConfig(fallback_enabled=False))
     assert r.status == "unknown"
-
-
-def test_verify_equivalence_accepts_renamed_private_variable():
-    a = parse("(declare-fun x () Real)(declare-fun t () Real)"
-              "(assert (= t 3))(assert (= x (* 2 t)))"
-              "(check-sat)(get-value (x))")
-    b = parse("(declare-fun x () Real)(declare-fun u () Real)"
-              "(assert (= u 6))(assert (= x u))(check-sat)(get-value (x))")
-    assert verify_equivalence(a, b, {"x"}).verdict == "equivalent"
-
-
-def test_verify_equivalence_flags_different_solutions():
-    a = parse("(declare-fun x () Real)(assert (= x 6))(check-sat)")
-    b = parse("(declare-fun x () Real)(assert (= x 7))(check-sat)")
-    v = verify_equivalence(a, b, {"x"})
-    assert v.verdict == "counterexample"
-    assert v.counterexample["x"].value in (6, 7)
-
-
-def test_verify_equivalence_keeps_integrality_of_private_variables():
-    # x = 2t and x = 2u + 1 over Int share no x; eliminating u by
-    # u = (x - 1)/2 would forget that u is an integer
-    a = parse("(declare-fun x () Int)(declare-fun t () Int)"
-              "(assert (= x (* 2 t)))(check-sat)")
-    b = parse("(declare-fun x () Int)(declare-fun u () Int)"
-              "(assert (= x (+ (* 2 u) 1)))(check-sat)")
-    assert verify_equivalence(a, b, {"x"}).verdict == "unknown"
-    assert verify_equivalence(b, a, {"x"}).verdict == "unknown"
-    # an integral definition still projects
-    c = parse("(declare-fun x () Int)(declare-fun t () Int)"
-              "(assert (= t 2))(assert (= x (+ t 1)))(check-sat)")
-    d = parse("(declare-fun x () Int)(assert (= x 3))(check-sat)")
-    assert verify_equivalence(c, d, {"x"}).verdict == "equivalent"
-
-
-def test_verify_equivalence_requires_shared_declared():
-    a = parse("(declare-fun x () Real)(assert (= x 1))(check-sat)")
-    with pytest.raises(ValidationError):
-        verify_equivalence(a, a, {"ghost"})
 
 
 def test_solver_config_rejects_bad_bounds():
