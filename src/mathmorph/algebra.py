@@ -201,7 +201,7 @@ def solve_for(lhs, rhs, var: str):
     return fold_constants(sol)
 
 
-_FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=", "!=": "!="}
+FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "=", "!=": "!="}
 
 
 def bound(c: Compare, v: str):
@@ -217,7 +217,7 @@ def bound(c: Compare, v: str):
     if a == 0:
         return None
     rest = fold_constants(div_e(sub_e(r[1], l[1]), Const(a)))
-    return (_FLIPPED[c.rel] if a < 0 else c.rel), rest
+    return (FLIPPED[c.rel] if a < 0 else c.rel), rest
 
 
 def int_range(rel: str, value: Fraction):

@@ -19,10 +19,20 @@ once when no leaf can be sat: when a real that no equality can pin divides
 a side of a comparison through ``+`` and ``-`` only, every leaf's real
 stage finds that side nonlinear.  ``RootSolver`` (the numeric fallback)
 keeps this cut, though a leaf's inexact root step might find a point.
+
+The integer search compiles, on first use, each atom of ``Var``,
+``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
+gives ``lhs - rhs = a·v + b`` at the current assignment.  It prunes ground
+atoms, pins an equality's one unknown, reads constant bounds and probes
+monotone bounds with it, without substituting and folding the atom at every
+node.  A shape ``lin`` would refuse, a zero divisor, a variable that folding
+drops and ``a = 0`` take the symbolic step instead, so the answers, models
+and node counts are those of the symbolic search.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -31,8 +41,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
                   conjuncts, contains_complex, free_variables, negate,
                   substitute_all)
-from .algebra import (LinearForm, bound, eliminate, fold_constraint,
-                      int_range, linear_form, solve_for)
+from .algebra import (FLIPPED, LinearForm, bound, eliminate,
+                      fold_constraint, int_range, linear_form, solve_for)
 from .funcs import (DomainError, Num, UnboundVariableError,
                     coerce_to_domain, eval_constraint, eval_expression)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
@@ -58,6 +68,9 @@ class ExactSolver:
         self.stopped_by = None
         self.domains = dict(problem.declarations)
         self._atom_cache = {}
+        # _affine's closures by (id of atom or side, variable), from the
+        # start of the integer search on
+        self._closures = None
         self.atoms = []
         for c in problem.constraints:
             self.atoms.extend(conjuncts(c))
@@ -181,30 +194,36 @@ class ExactSolver:
             for c in self.atoms:
                 if not (isinstance(c, Compare) and c.rel == "="):
                     continue
-                if len(self._atom(c)[1] - model.keys()) != 1:
+                unknown = self._atom(c)[1] - model.keys()
+                if len(unknown) != 1:
                     continue
-                sub = self._substitute_model(c, model)
-                fv = free_variables(sub)
-                if len(fv) != 1:
+                (v,) = unknown
+                val = self._pin(c, v, model)
+                if val is None:
                     continue
-                (v,) = fv
-                sol = solve_for(sub.lhs, sub.rhs, v)
-                if sol is None or free_variables(sol):
-                    val = self._invert_equality(sub, v)
-                    if val is None:
-                        continue
-                else:
-                    try:
-                        val = eval_expression(sol, {})
-                    except (DomainError, UnboundVariableError,
-                            MathMorphError):
-                        continue
                 ok = coerce_to_domain(self.domains[v], val)
                 if ok is None:
                     return "unsat"
                 model[v] = ok
                 progress = True
         return "open"
+
+    def _pin(self, c, v, model):
+        """The value of ``v``, the one unknown of the equality ``c``, or
+        None when neither solving for it nor inverting ``c`` finds one."""
+        ab = self._compiled(c, v, model)
+        if ab and ab[0]:
+            return Num(Fraction(-ab[1], ab[0]))
+        sub = self._substitute_model(c, model)
+        if free_variables(sub) != {v}:
+            return None
+        sol = solve_for(sub.lhs, sub.rhs, v)
+        if sol is None or free_variables(sol):
+            return self._invert_equality(sub, v)
+        try:
+            return eval_expression(sol, {})
+        except (DomainError, UnboundVariableError, MathMorphError):
+            return None
 
     def _invert_equality(self, c, v):
         """Solve an equation with one unknown by structurally inverting
@@ -284,6 +303,27 @@ class ExactSolver:
         env = {v: Const(model[v].value) for v in hit}
         return fold_constraint(substitute_all(c, env))
 
+    def _compiled(self, node, v, model):
+        """``(a, b)`` with ``node = a·v + b`` at ``model`` (an atom reads
+        as ``lhs - rhs``), from ``node``'s ``_affine`` closure, compiled on
+        first use; None where the symbolic step must decide: outside the
+        integer search, for a shape ``_affine`` refuses, and for a missing
+        variable or a zero divisor."""
+        if self._closures is None:
+            return None
+        key = (id(node), v)
+        f = self._closures.get(key, False)
+        if f is False:
+            term = BinOp("-", node.lhs, node.rhs) \
+                if isinstance(node, Compare) else node
+            f = self._closures[key] = _affine(term, v)
+        if f is None:
+            return None
+        try:
+            return f(model)
+        except (KeyError, ZeroDivisionError):
+            return None
+
     # -- final check --------------------------------------------------------
 
     def _final_check(self, model):
@@ -300,6 +340,7 @@ class ExactSolver:
 
     def _int_search(self, model, int_vars, real_vars):
         self.undecided = False          # set once unsat cannot be claimed
+        self._closures = {}
         try:
             result = self._dfs(dict(model), list(int_vars), real_vars)
         except _NoSatLeaf:
@@ -354,10 +395,19 @@ class ExactSolver:
         sound_lo = lo is not None
         sound_hi = False
         for c in self.atoms:
-            if v not in self._atom(c)[1]:
+            fvs = self._atom(c)[1]
+            if v not in fvs:
                 continue
-            sub = self._substitute_model(c, model)
-            b = _const_bound(sub, v)
+            # an atom with v its only unknown reads v rel -b/a
+            ab = self._compiled(c, v, model) \
+                if len(fvs - model.keys()) == 1 else None
+            sub = None
+            if ab and ab[0]:
+                b = (FLIPPED[c.rel] if ab[0] < 0 else c.rel,
+                     Fraction(-ab[1], ab[0]))
+            else:
+                sub = self._substitute_model(c, model)
+                b = _const_bound(sub, v)
             b_lo, b_hi = int_range(*b) if b else (None, None)
             if b_lo is not None:
                 lo = b_lo if lo is None else max(lo, b_lo)
@@ -365,7 +415,10 @@ class ExactSolver:
             if b_hi is not None:
                 hi = b_hi if hi is None else min(hi, b_hi)
                 sound_hi = True
-            m = self._monotone_bound(sub, v, model)
+            if c.rel != "=":
+                continue
+            m = self._monotone_bound(
+                sub or self._substitute_model(c, model), v, model, c)
             if m is not None:
                 hi = m if hi is None else min(hi, m)
                 sound_hi = True
@@ -375,12 +428,13 @@ class ExactSolver:
             hi = lo + ENUM_SPAN
         return lo, hi, sound_lo and sound_hi
 
-    def _monotone_bound(self, c: Compare, v, model):
+    def _monotone_bound(self, c: Compare, v, model, atom):
         """Upper bound for a NAT/POS variable from an equality whose side
-        is monotone increasing in the unassigned nonnegative variables."""
-        if c.rel != "=":
-            return None
-        for expr, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+        is monotone increasing in the unassigned nonnegative variables.
+        ``c`` is the equality ``atom`` at ``model``; the probe evaluates
+        ``atom``'s own side there."""
+        for expr, other, side in ((c.lhs, c.rhs, atom.lhs),
+                                  (c.rhs, c.lhs, atom.rhs)):
             if not isinstance(other, Const):
                 continue
             fv = free_variables(expr)
@@ -395,11 +449,12 @@ class ExactSolver:
             floor_env = {u: Num(Fraction(self.domains[u].lower_bound))
                          for u in fv if u != v}
             target = other.value
+            env = {**model, **floor_env}
 
             def g(x):
-                env = dict(floor_env)
                 env[v] = Num(Fraction(x))
-                return eval_expression(expr, env).value
+                ab = self._compiled(side, None, env)
+                return ab[1] if ab else eval_expression(expr, env).value
             if g(self.domains[v].lower_bound or 0) > target:
                 return (self.domains[v].lower_bound or 0)
             hi = 1
@@ -459,6 +514,11 @@ class ExactSolver:
     def _prune(self, model):
         for c in self.atoms:
             if self._atom(c)[1] - model.keys():
+                continue
+            ab = self._compiled(c, None, model)
+            if ab:
+                if not _HOLDS[c.rel](ab[1], 0):
+                    return "unsat"
                 continue
             sub = self._substitute_model(c, model)
             try:
@@ -633,6 +693,81 @@ def _const_bound(c, v):
     ``value`` with only ``v`` free, else None."""
     b = bound(c, v) if free_variables(c) == {v} else None
     return (b[0], b[1].value) if b and isinstance(b[1], Const) else None
+
+
+# the closures keep integral values as ints, Python's fast arithmetic
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": lambda x, y: _int_if_integral(Fraction(x, y))}
+_HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+          "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_UNIT = (1, 0)
+
+
+def _affine(term, v):
+    """A closure ``model -> (a, b)`` with ``term = a·v + b`` at the model's
+    values of the other variables; with ``v`` None, ``b`` is the term's
+    value.  It mirrors what ``lin`` accepts on the folded, substituted
+    term: Var, Const, ``+``, ``-``, a product with a factor free of ``v``
+    and a division by a divisor free of ``v``; any other term gives None.
+    ``a`` and ``b`` are exact: ints where integral, else Fractions.
+    The closure raises KeyError for a variable the model lacks (folding may
+    have dropped it, as in ``(* 0 c)``) and ZeroDivisionError for a zero
+    divisor."""
+    compiled = _compile(term, v)
+    if compiled is None:
+        return None
+    f, has_v = compiled
+    return f if has_v else (lambda m: (0, f(m)))
+
+
+def _compile(t, v):
+    """``(closure, has_v)`` for ``_affine``: the closure gives ``(a, b)``
+    when ``t`` contains ``v`` and ``t``'s value otherwise."""
+    if type(t) is Const:
+        k = _int_if_integral(t.value)
+        return (lambda m: k), False
+    if type(t) is Var:
+        if t.name == v:
+            return (lambda m: _UNIT), True
+        name = t.name
+        return (lambda m: _int_if_integral(m[name].value)), False
+    if type(t) is not BinOp:
+        return None
+    left, right = _compile(t.left, v), _compile(t.right, v)
+    if left is None or right is None:
+        return None
+    (f, f_v), (g, g_v), op = left, right, _OPS[t.op]
+    if not (f_v or g_v):
+        return (lambda m: op(f(m), g(m))), False
+    if t.op in ("*", "/"):
+        if g_v and (f_v or t.op == "/"):
+            return None             # v in both factors, or in the divisor
+        if f_v:
+            def scaled(m):
+                (a, b), k = f(m), g(m)
+                return op(a, k), op(b, k)
+        else:
+            def scaled(m):
+                k, (a, b) = f(m), g(m)
+                return k * a, k * b
+        return scaled, True
+    if not g_v:
+        def shifted(m):
+            a, b = f(m)
+            return a, op(b, g(m))
+    elif not f_v:
+        def shifted(m):
+            k, (a, b) = f(m), g(m)
+            return op(0, a), op(k, b)
+    else:
+        def shifted(m):
+            (a, b), (c, d) = f(m), g(m)
+            return op(a, c), op(b, d)
+    return shifted, True
+
+
+def _int_if_integral(q):
+    return q.numerator if q.denominator == 1 else q
 
 
 def _candidates(v, atoms, lo, hi):

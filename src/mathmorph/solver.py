@@ -59,6 +59,8 @@ class SolverResult:
     status: str                                   # sat/unsat/unknown/timeout/error
     model: Dict[str, Num] = field(default_factory=dict)
     goal_values: List[Tuple[str, Num]] = field(default_factory=list)
+    # "exact" (the bundled solver in process), "smt" (a solver over
+    # stdio) or "numeric-fallback"
     provenance: str = "smt"
     elapsed: float = 0.0
 
@@ -154,7 +156,7 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     if contains_complex(p):
         raise ValidationError("complex-domain problems are not solvable")
     start = time.monotonic()
-    result = _result(p, *_exact_stage(p, cfg), "smt", start)
+    result = _result(p, *_exact_stage(p, cfg), start)
     # the root step finds a feasible point, not an optimum, so an
     # optimization goal never falls back
     if result.status in ("unknown", "timeout") and cfg.fallback_enabled \
@@ -190,22 +192,22 @@ def _result(p: Problem, status: str, model: Dict[str, Num],
 
 
 def _exact_stage(p: Problem, cfg: SolverConfig):
-    """``(status, model)`` of the exact solver: the executable that
-    ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio, where a
-    timeout gives the status ``"timeout"``; else the bundled solver in
-    process."""
+    """``(status, model, provenance)`` of the exact solver: the executable
+    that ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio
+    (``"smt"``), where a timeout gives the status ``"timeout"``; else the
+    bundled solver in process (``"exact"``)."""
     command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
                                                         ""))
     if not command:
         # imported on first use so that importing the package does not
         # load it
         from .minisolver import solve_exact
-        return solve_exact(p, cfg.node_budget)
+        return (*solve_exact(p, cfg.node_budget), "exact")
     raw = _ask_solver(list(command), build_script(p),
                       cfg.timeout_ms / 1000.0)
     if raw is None:
-        return "timeout", {}
-    return parse_reply(raw)
+        return "timeout", {}, "smt"
+    return (*parse_reply(raw), "smt")
 
 
 # ---------------------------------------------------------------------------

@@ -299,24 +299,71 @@ def test_the_cut_spares_a_divisor_that_a_leaf_can_remove(script):
     assert all(eval_constraint(c, model) for c in p.constraints)
 
 
-def test_the_cut_moves_no_answer_of_the_mcmc_solves(monkeypatch):
-    # solve every exact query of the criterion-5 mutations of 20 chain
-    # seeds, then again with the cut switched off
+@pytest.fixture(scope="module")
+def mcmc_solves():
+    """Every exact query of the criterion-5 mutations of 20 chain seeds,
+    with its answer, node count and ``stopped_by``."""
     calls = []
 
     def recording(problem, node_budget=DEFAULT_NODE_BUDGET):
         solver = ExactSolver(problem, node_budget)
         answer = solver.solve()
-        calls.append((problem, node_budget, answer, solver.stopped_by))
+        calls.append((problem, node_budget, answer, solver.nodes,
+                      solver.stopped_by))
         return answer
 
-    monkeypatch.setattr(minisolver, "solve_exact", recording)
-    for s in range(20):
-        for level in (1, 2, 3):
-            mutate_to_level(random_seed_problem(random.Random(1000 + s)),
-                            level, random.Random(2000 + 10 * s + level))
-    assert sum(stop == "cut" for *_, stop in calls) >= 10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minisolver, "solve_exact", recording)
+        for s in range(20):
+            for level in (1, 2, 3):
+                mutate_to_level(random_seed_problem(random.Random(1000 + s)),
+                                level, random.Random(2000 + 10 * s + level))
+    return calls
+
+
+def test_the_cut_moves_no_answer_of_the_mcmc_solves(mcmc_solves,
+                                                     monkeypatch):
+    # solve every query again with the cut switched off
+    assert sum(stop == "cut" for *_, stop in mcmc_solves) >= 10
     monkeypatch.setattr(ExactSolver, "_no_leaf_can_be_sat",
                         lambda self, model: False)
-    for problem, node_budget, answer, _ in calls:
+    for problem, node_budget, answer, *_ in mcmc_solves:
         assert ExactSolver(problem, node_budget).solve() == answer
+
+
+def solved_without_closures(problem, monkeypatch, node_budget):
+    """``(answer, nodes, stopped_by)`` with every atom left to the
+    symbolic steps."""
+    with monkeypatch.context() as mp:
+        mp.setattr(minisolver, "_affine", lambda term, v: None)
+        solver = ExactSolver(problem, node_budget)
+        return solver.solve(), solver.nodes, solver.stopped_by
+
+
+def test_the_compiled_search_moves_no_answer_of_the_mcmc_solves(
+        mcmc_solves, monkeypatch):
+    assert sum(nodes > 0 for _, _, _, nodes, _ in mcmc_solves) >= 100
+    for problem, node_budget, answer, nodes, stop in mcmc_solves:
+        assert solved_without_closures(problem, monkeypatch, node_budget) \
+            == (answer, nodes, stop)
+
+
+@pytest.mark.parametrize("atom", [
+    "(= (+ a (^ b 1)) 5)",                  # lin refuses a power
+    "(= (+ a (- b b)) 2)",                  # b cancels
+    "(= (* b (/ 6 (- a 2))) 6)",            # a zero divisor at a = 2
+    "(= (+ b (* 0 (/ 1 (- a a)))) 4)",      # a zero divisor folded away
+    "(< (+ b pi) 7)",                       # a named constant
+    "(= (+ (* 0 c) (* 2 a) (* 3 b)) 26)",   # c dropped by folding
+])
+def test_the_compiled_search_agrees_on_shapes_it_leaves_to_the_symbolic_step(
+        atom, monkeypatch):
+    p = parse("(declare-fun a () Int)(declare-fun b () Int)"
+              "(declare-fun c () Int)(assert (>= a 0))(assert (<= a 4))"
+              "(assert (>= b 0))(assert (>= c 0))(assert (<= c 2))"
+              f"(assert {atom})(assert (> (+ a b c) 6))(check-sat)")
+    solver = ExactSolver(p, 5_000)
+    answer = solver.solve()
+    assert solver.nodes > 0
+    assert (answer, solver.nodes, solver.stopped_by) \
+        == solved_without_closures(p, monkeypatch, 5_000)

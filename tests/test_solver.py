@@ -59,9 +59,10 @@ def test_in_process_solve_matches_subprocess_solve(source, fallback, status,
     assert [v.value for _, v in fast.goal_values] == goals
 
 
-@pytest.mark.parametrize("command", [None, GATEWAY],
+@pytest.mark.parametrize("command,provenance",
+                         [(None, "exact"), (GATEWAY, "smt")],
                          ids=["in-process", "gateway"])
-def test_summation_index_shadows_model_value(command):
+def test_summation_index_shadows_model_value(command, provenance):
     # the index i of the summation is bound: i = 10 outside must not
     # reach the body, so n = 10 + (1 + 2 + 3)
     p = parse("(declare-fun i () Int)(declare-fun n () Int)"
@@ -69,7 +70,7 @@ def test_summation_index_shadows_model_value(command):
               "(check-sat)(get-value (n))")
     r = solve(p, SolverConfig(command=command, fallback_enabled=False))
     assert r.status == "sat"
-    assert r.provenance == "smt"
+    assert r.provenance == provenance
     assert r.goal_values[0][1].value == 16
 
 
