@@ -13,12 +13,13 @@ exact and deterministic:
 
 Unsat is only reported when the search was exhaustive with sound bounds
 and every leaf was refuted; a leaf that answers ``unknown`` blocks it too.
-Anything undecidable is answered ``unknown``.  Once the search can no
-longer answer unsat, only a sat leaf can change its answer, so it stops at
-once when no leaf can be sat: when a real that no equality can pin divides
-a side of a comparison through ``+`` and ``-`` only, every leaf's real
-stage finds that side nonlinear.  ``RootSolver`` (the numeric fallback)
-keeps this cut, though a leaf's inexact root step might find a point.
+Anything undecidable is answered ``unknown``.  The DNF's branches share
+one node budget and one deadline.  Once the search can no longer answer
+unsat, only a sat leaf can change its answer, so it stops at once when no
+leaf can be sat: when a real that no equality can pin divides a side of a
+comparison through ``+`` and ``-`` only, every leaf's real stage finds
+that side nonlinear.  ``RootSolver`` keeps this cut, though a leaf's
+inexact root step might find a point.
 
 The integer search compiles, on first use, each atom of ``Var``,
 ``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import replace
+import time
 from fractions import Fraction
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
@@ -60,11 +61,14 @@ ROOT_BOX = 2 ** 14
 
 
 class ExactSolver:
-    def __init__(self, problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
+    def __init__(self, problem: Problem, node_budget=DEFAULT_NODE_BUDGET,
+                 timeout_s=None):
         self.problem = problem
         self.node_budget = node_budget
+        self.deadline = None if timeout_s is None \
+            else time.monotonic() + timeout_s
         self.nodes = 0
-        # why the integer search stopped early: "budget", "cut" or None
+        # why the search stopped early: "budget", "cut", "deadline" or None
         self.stopped_by = None
         self.domains = dict(problem.declarations)
         self._atom_cache = {}
@@ -78,31 +82,32 @@ class ExactSolver:
     # -- public -------------------------------------------------------------
 
     def solve(self):
-        """Returns (status, model) with model mapping names to Num."""
+        """Returns (status, model) with model mapping names to Num; the
+        first DNF branch that answers sat decides."""
         if contains_complex(self.problem):
             return "unknown", {}
         branches = _dnf_branches(self.atoms)
         if branches is None:
             return "unknown", {}
-        if len(branches) > 1:
-            saw_unknown = False
+        saw_unknown = False
+        try:
             for branch in branches:
-                sub = type(self)(
-                    replace(self.problem,
-                            constraints=tuple(branch) or (BoolConst(True),)),
-                    self.node_budget)
-                status, model = sub.solve()
+                self.atoms = branch
+                status, model = self._solve_branch()
                 if status == "sat":
                     return status, model
-                if status == "unknown":
-                    saw_unknown = True
-            return ("unknown" if saw_unknown else "unsat"), {}
-        self.atoms = branches[0]
+                saw_unknown = saw_unknown or status == "unknown"
+        except TimeoutError:
+            self.stopped_by = "deadline"
+            return "timeout", {}
+        return ("unknown" if saw_unknown else "unsat"), {}
+
+    def _solve_branch(self):
+        """(status, model) of the conjunction ``self.atoms``."""
         if any(isinstance(a, BoolConst) and not a.value for a in self.atoms):
             return "unsat", {}
         model = {}
-        status = self._propagate(model)
-        if status == "unsat":
+        if self._propagate(model) == "unsat":
             return "unsat", {}
         unassigned = [n for n, _ in self.problem.declarations if n not in model]
         if not unassigned:
@@ -245,53 +250,16 @@ class ExactSolver:
             return num.value if num.exact else None
 
         t = ground(target)
-        if t is None:
-            return None
-        while True:
-            if isinstance(expr, Var):
-                return Num(t, exact=True) if expr.name == v else None
-            if not isinstance(expr, BinOp):
-                return None
+        while t is not None and isinstance(expr, BinOp):
             in_left = v in free_variables(expr.left)
-            in_right = v in free_variables(expr.right)
-            if in_left == in_right:
+            if in_left == (v in free_variables(expr.right)):
                 return None
             k = ground(expr.right if in_left else expr.left)
-            if k is None:
-                return None
-            op = expr.op
-            if in_left:
-                if op == "+":
-                    t = t - k
-                elif op == "-":
-                    t = t + k
-                elif op == "*":
-                    if k == 0:
-                        return None
-                    t = t / k
-                elif op == "/":
-                    if k == 0:
-                        return None
-                    t = t * k
-                else:
-                    return None
-                expr = expr.left
-            else:
-                if op == "+":
-                    t = t - k
-                elif op == "-":                  # k - x = t
-                    t = k - t
-                elif op == "*":
-                    if k == 0:
-                        return None
-                    t = t / k
-                elif op == "/":                  # k / x = t
-                    if t == 0:
-                        return None
-                    t = k / t
-                else:
-                    return None
-                expr = expr.right
+            t = None if k is None else _INVERT[expr.op, in_left](t, k)
+            expr = expr.left if in_left else expr.right
+        if t is None or not (isinstance(expr, Var) and expr.name == v):
+            return None
+        return Num(t, exact=True)
 
     def _substitute_model(self, c, model):
         # the same atoms are re-substituted at every search node, so skip
@@ -329,7 +297,7 @@ class ExactSolver:
     def _final_check(self, model):
         env = dict(model)
         try:
-            for c in self.problem.constraints:
+            for c in self.atoms:
                 if not eval_constraint(c, env):
                     return "unsat", {}
         except (DomainError, UnboundVariableError, MathMorphError):
@@ -501,8 +469,7 @@ class ExactSolver:
         if not sound:
             self._undecided(model)
         for val in range(lo, hi + 1):
-            self.nodes += 1
-            if self.nodes > self.node_budget:
+            if not self._spend(1):
                 return None
             child = dict(model)
             child[v] = Num(Fraction(val))
@@ -510,6 +477,14 @@ class ExactSolver:
             if found is not None:
                 return found
         return None
+
+    def _spend(self, nodes):
+        """Count ``nodes`` search nodes: False past the node budget, and
+        TimeoutError past the deadline."""
+        self.nodes += nodes
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutError
+        return self.nodes <= self.node_budget
 
     def _prune(self, model):
         for c in self.atoms:
@@ -641,9 +616,12 @@ class ExactSolver:
 
 
 class RootSolver(ExactSolver):
-    """The exact solver plus a root step for a real stage left undecided
-    with one real unknown.  A candidate counts only when the full check
-    passes at it as an inexact value, so a pole is never taken for a root."""
+    """The exact solver with a root step at each leaf whose real stage is
+    left undecided with one real unknown; ``rooted`` once the step answers.
+    A candidate counts only when the full check passes at it as an inexact
+    value, so a pole is never taken for a root."""
+
+    rooted = False
 
     def _real_stage(self, model, real_vars):
         status, out = super()._real_stage(model, real_vars)
@@ -660,21 +638,22 @@ class RootSolver(ExactSolver):
         widths = [1] if lo is not None and hi is not None else \
             [2 ** k for k in range(ROOT_BOX.bit_length())]
         for width in widths:
-            self.nodes += GRID          # a box costs about a node per cell
-            if self.nodes > self.node_budget:
+            if not self._spend(GRID):   # a box costs about a node per cell
                 break
             box = (lo if lo is not None else (hi or 0) - width,
                    hi if hi is not None else (lo or 0) + width)
             for x in _candidates(v, atoms, *box):
                 candidate = {**model, v: Num(x, exact=False)}
                 if x not in tried and self._final_check(candidate)[0] == "sat":
+                    self.rooted = True
                     return "sat", candidate
                 tried.add(x)
         return "unknown", {}
 
 
-def solve_exact(problem: Problem, node_budget=DEFAULT_NODE_BUDGET):
-    return ExactSolver(problem, node_budget).solve()
+def solve_exact(problem: Problem, node_budget=DEFAULT_NODE_BUDGET,
+                timeout_s=None):
+    return ExactSolver(problem, node_budget, timeout_s).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +680,15 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNIT = (1, 0)
+# _invert_equality's step by (op, whether v is on the left): the value of
+# the side that holds v, from the value t of ``left op right`` and the
+# value k of the other side; None where no value, or every value, would do
+_INVERT = {("+", True): lambda t, k: t - k, ("+", False): lambda t, k: t - k,
+           ("-", True): lambda t, k: t + k, ("-", False): lambda t, k: k - t,
+           ("*", True): lambda t, k: t / k if k else None,
+           ("*", False): lambda t, k: t / k if k else None,
+           ("/", True): lambda t, k: t * k if k else None,
+           ("/", False): lambda t, k: k / t if t else None}
 
 
 def _affine(term, v):

@@ -3,11 +3,12 @@
 Solves with the bundled exact solver in process, or drives the
 SMT-LIB-2-conformant solver executable that ``SolverConfig.command``, else
 the ``MATHMORPH_SOLVER`` environment variable, names over a textual
-stdin/stdout protocol.  A problem with a ``solve`` goal that the exact
-route answers ``unknown`` on goes to the numeric fallback: the bundled
-solver again, in process, with a root step for a real stage that leaves
-one real unknown (``minisolver.RootSolver``).  One solver process per
-command stays alive for the life of the calling process; each question
+stdin/stdout protocol.  In process, the bundled solver runs once per
+solve, against one node budget and one deadline.  With the fallback on and
+a ``solve`` goal, that pass takes a root step where a real stage leaves one
+real unknown (``minisolver.RootSolver``); it is also the fallback for what
+a solver over stdio leaves ``unknown`` or times out on.  One solver process
+per command stays alive for the life of the calling process; each question
 to it is framed by ``(reset)`` and an ``(echo)`` of a sentinel.
 """
 
@@ -62,7 +63,6 @@ class SolverResult:
     # "exact" (the bundled solver in process), "smt" (a solver over
     # stdio) or "numeric-fallback"
     provenance: str = "smt"
-    elapsed: float = 0.0
 
     @property
     def is_sat(self) -> bool:
@@ -155,12 +155,24 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     validate(p)
     if contains_complex(p):
         raise ValidationError("complex-domain problems are not solvable")
-    start = time.monotonic()
-    result = _result(p, *_exact_stage(p, cfg), start)
     # the root step finds a feasible point, not an optimum, so an
     # optimization goal never falls back
-    if result.status in ("unknown", "timeout") and cfg.fallback_enabled \
-            and p.goal.kind == "solve":
+    fallback = cfg.fallback_enabled and p.goal.kind == "solve"
+    command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
+                                                        ""))
+    timeout_s = cfg.timeout_ms / 1000.0
+    if not command and fallback:
+        return numeric_fallback_solve(p, cfg)
+    if not command:
+        # imported on first use so that importing the package does not
+        # load it
+        from .minisolver import solve_exact
+        return _result(p, *solve_exact(p, cfg.node_budget, timeout_s),
+                       "exact")
+    raw = _ask_solver(list(command), build_script(p), timeout_s)
+    result = SolverResult("timeout") if raw is None \
+        else _result(p, *parse_reply(raw), "smt")
+    if fallback and result.status in ("unknown", "timeout"):
         fb = numeric_fallback_solve(p, cfg)
         if fb.status != "unknown" or result.status == "timeout":
             return fb
@@ -168,7 +180,7 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
 
 
 def _result(p: Problem, status: str, model: Dict[str, Num],
-            provenance: str, start: float) -> SolverResult:
+            provenance: str) -> SolverResult:
     """A solver's answer as a result: sat only when every declared name
     has a value within its domain (coerced to it), with the values of the
     goal targets that evaluate."""
@@ -179,35 +191,15 @@ def _result(p: Problem, status: str, model: Dict[str, Num],
         if coerced[name] is None:
             status = "unknown"
             break
-    elapsed = time.monotonic() - start
     if status != "sat":
-        return SolverResult(status, provenance=provenance, elapsed=elapsed)
+        return SolverResult(status, provenance=provenance)
     goal_values = []
     for t in p.goal.targets:
         try:
             goal_values.append((expr_to_sexpr(t), eval_expression(t, coerced)))
         except MathMorphError:
             pass
-    return SolverResult("sat", coerced, goal_values, provenance, elapsed)
-
-
-def _exact_stage(p: Problem, cfg: SolverConfig):
-    """``(status, model, provenance)`` of the exact solver: the executable
-    that ``cfg.command``, else ``MATHMORPH_SOLVER``, names, over stdio
-    (``"smt"``), where a timeout gives the status ``"timeout"``; else the
-    bundled solver in process (``"exact"``)."""
-    command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
-                                                        ""))
-    if not command:
-        # imported on first use so that importing the package does not
-        # load it
-        from .minisolver import solve_exact
-        return (*solve_exact(p, cfg.node_budget), "exact")
-    raw = _ask_solver(list(command), build_script(p),
-                      cfg.timeout_ms / 1000.0)
-    if raw is None:
-        return "timeout", {}, "smt"
-    return (*parse_reply(raw), "smt")
+    return SolverResult("sat", coerced, goal_values, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +317,12 @@ class _SolverProcess:
 # ---------------------------------------------------------------------------
 
 def numeric_fallback_solve(p: Problem, cfg: SolverConfig) -> SolverResult:
-    """``RootSolver``'s answer to a problem the exact route left
-    undecided; a sat model holds inexact values."""
+    """The bundled solver's answer with its root step on: ``provenance``
+    is ``"numeric-fallback"`` when the root step answered (with an inexact
+    value), else ``"exact"``."""
     from .minisolver import RootSolver
 
-    start = time.monotonic()
-    status, model = RootSolver(p, cfg.node_budget).solve()
-    return _result(p, status, model, "numeric-fallback", start)
+    solver = RootSolver(p, cfg.node_budget, cfg.timeout_ms / 1000.0)
+    status, model = solver.solve()
+    return _result(p, status, model,
+                   "numeric-fallback" if solver.rooted else "exact")

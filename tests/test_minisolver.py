@@ -299,14 +299,28 @@ def test_the_cut_spares_a_divisor_that_a_leaf_can_remove(script):
     assert all(eval_constraint(c, model) for c in p.constraints)
 
 
+@pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
+def test_the_branches_of_a_disjunction_share_one_node_budget(cls):
+    # no leaf of either branch can decide z * z = -k - x, so each branch
+    # alone would spend the whole budget
+    p = parse("(declare-fun x () Int)(declare-fun z () Real)"
+              "(assert (>= x 0))(assert (<= x 999))"
+              "(assert (or (= (* z z) (- 0 1 x)) (= (* z z) (- 0 2 x))))"
+              "(check-sat)")
+    solver = cls(p, node_budget=300)
+    assert solver.solve() == ("unknown", {})
+    assert 0 < solver.nodes <= 300 + minisolver.GRID
+    assert solver.stopped_by == "budget"
+
+
 @pytest.fixture(scope="module")
 def mcmc_solves():
     """Every exact query of the criterion-5 mutations of 20 chain seeds,
     with its answer, node count and ``stopped_by``."""
     calls = []
 
-    def recording(problem, node_budget=DEFAULT_NODE_BUDGET):
-        solver = ExactSolver(problem, node_budget)
+    def recording(problem, node_budget=DEFAULT_NODE_BUDGET, timeout_s=None):
+        solver = ExactSolver(problem, node_budget, timeout_s)
         answer = solver.solve()
         calls.append((problem, node_budget, answer, solver.nodes,
                       solver.stopped_by))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph import solver
+from mathmorph import minisolver, solver
 from mathmorph.funcs import eval_constraint
 from mathmorph.parser import parse
 from mathmorph.solver import (SolverConfig, SolverError, build_script,
@@ -145,15 +145,46 @@ def test_zero_to_a_negative_power_is_unknown(command):
         assert solve(p, cfg).status == "unknown"
 
 
-def test_numeric_fallback_solves_nonlinear_real():
+def test_numeric_fallback_solves_nonlinear_real(monkeypatch):
     # x^3 = 8 defeats the exact stages; the root step finds x = 2 on its
-    # grid
-    p = parse("(declare-fun x () Real)(assert (= (^ x 3) 8))"
-              "(assert (>= x 0))(assert (<= x 5))(check-sat)(get-value (x))")
-    r = solve(p)
+    # grid, inside the one pass of the bundled solver
+    built = []
+    init = minisolver.ExactSolver.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(minisolver.ExactSolver, "__init__", counting)
+    r = solve(parse(CUBE))
     assert r.status == "sat"
     assert r.provenance == "numeric-fallback"
     assert abs(float(r.goal_values[0][1].value) - 2.0) < 1e-3
+    assert built == ["RootSolver"]
+
+
+# z * z = -1 - x has no real root at any of the 1,000 leaves: the root
+# step's search runs until the node budget stops it, about two seconds.
+# The exact stages alone take a quarter of that, and with a second integer
+# they too run until the node budget stops them.
+NO_REAL_ROOT = ("(declare-fun x () Int)(declare-fun z () Real)"
+                "(assert (>= x 0))(assert (<= x 999))"
+                "(assert (= (* z z) (- 0 1 x)))(check-sat)(get-value (x))")
+NO_REAL_ROOT_2 = ("(declare-fun x () Int)(declare-fun y () Int)"
+                  "(declare-fun z () Real)(assert (>= x 0))"
+                  "(assert (<= x 999))(assert (>= y 0))(assert (<= y 999))"
+                  "(assert (= (* z z) (- 0 1 x y)))(check-sat)")
+
+
+@pytest.mark.parametrize("script, fallback",
+                         [(NO_REAL_ROOT, True), (NO_REAL_ROOT_2, False)],
+                         ids=["fallback", "no-fallback"])
+def test_in_process_solve_keeps_to_its_timeout(script, fallback):
+    start = time.monotonic()
+    r = solve(parse(script),
+              SolverConfig(timeout_ms=100, fallback_enabled=fallback))
+    assert r.status == "timeout" and r.model == {}
+    assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("command", [None, GATEWAY],
