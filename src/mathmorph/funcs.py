@@ -19,8 +19,8 @@ import mpmath
 
 from .ast import (BinOp, BoolConst, Compare, Const, ConstraintIte, Domain,
                   FuncApp, MathMorphError, NamedConst, Not, And, Or, Implies,
-                  Pow, Quantifier, TermIte, Var, free_variables, node_count,
-                  substitute)
+                  Pow, Quantifier, TermIte, Var, free_variables, negate,
+                  node_count, substitute)
 
 mpmath.mp.dps = 30
 
@@ -212,7 +212,9 @@ def eval_constraint(c, assignment) -> bool:
     """Evaluate a constraint to a truth value under a total assignment.
 
     Comparisons between inexact values allow an absolute slack of
-    ``APPROX_TOL``; quantifiers cannot be evaluated and raise.
+    ``APPROX_TOL``, under a negation too: ``Not`` and the antecedent of
+    ``Implies`` are negated down to the comparisons.  Quantifiers cannot
+    be evaluated and raise.
     """
     if isinstance(c, BoolConst):
         return c.value
@@ -237,9 +239,9 @@ def eval_constraint(c, assignment) -> bool:
     if isinstance(c, Or):
         return any(eval_constraint(i, assignment) for i in c.items)
     if isinstance(c, Not):
-        return not eval_constraint(c.child, assignment)
+        return eval_constraint(negate(c.child), assignment)
     if isinstance(c, Implies):
-        return (not eval_constraint(c.antecedent, assignment)
+        return (eval_constraint(negate(c.antecedent), assignment)
                 or eval_constraint(c.consequent, assignment))
     if isinstance(c, ConstraintIte):
         if eval_constraint(c.cond, assignment):

@@ -23,12 +23,14 @@ inexact root step might find a point.
 
 The integer search compiles, on first use, each atom of ``Var``,
 ``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
-gives ``lhs - rhs = a·v + b`` at the current assignment.  It prunes ground
-atoms, pins an equality's one unknown, reads constant bounds and probes
-monotone bounds with it, without substituting and folding the atom at every
-node.  A shape ``lin`` would refuse, a zero divisor, a variable that folding
-drops and ``a = 0`` take the symbolic step instead, so the answers, models
-and node counts are those of the symbolic search.
+gives ``lhs - rhs = a·v + b`` at the current assignment.  It pins an
+equality's one unknown, reads constant bounds and probes monotone bounds
+with it, without substituting and folding the atom at every node; a shape
+``lin`` would refuse, a zero divisor, a variable that folding drops and
+``a = 0`` take the symbolic step instead, but an atom that ``a = 0`` makes
+false empties ``v``'s range (``x > x`` is unsat).  One check, ``_check``,
+decides each atom a model makes ground: by its closure when every value
+is exact, else by ``eval_constraint``.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   substitute_all)
 from .algebra import (FLIPPED, LinearForm, bound, eliminate,
                       fold_constraint, int_range, linear_form, solve_for)
-from .funcs import (DomainError, Num, UnboundVariableError,
-                    coerce_to_domain, eval_constraint, eval_expression)
+from .funcs import Num, coerce_to_domain, eval_constraint, eval_expression
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
                      sexpr_to_text, tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
@@ -111,7 +112,7 @@ class ExactSolver:
             return "unsat", {}
         unassigned = [n for n, _ in self.problem.declarations if n not in model]
         if not unassigned:
-            return self._final_check(model)
+            return self._check(model), model
         # an optimization goal is only answerable when propagation pins
         # down the whole model; otherwise defer to a real optimizer
         if self.problem.goal.kind in ("minimize", "maximize"):
@@ -126,12 +127,12 @@ class ExactSolver:
         unassigned = [n for n, _ in self.problem.declarations
                       if n not in model]
         if not unassigned:
-            return self._final_check(model)
+            return self._check(model), model
         int_vars = [v for v in unassigned if self.domains[v].is_integer]
-        real_vars = [v for v in unassigned if self.domains[v] is Domain.REAL]
         if int_vars:
-            return self._int_search(model, int_vars, real_vars)
-        return self._real_stage(model, real_vars)
+            return self._int_search(model, int_vars)
+        return self._real_stage(
+            model, [v for v in unassigned if self.domains[v] is Domain.REAL])
 
     # -- linear pinning -------------------------------------------------------
 
@@ -149,7 +150,7 @@ class ExactSolver:
             lf_l = linear_form(sub.lhs, var_set)
             lf_r = linear_form(sub.rhs, var_set)
             if lf_l is None or lf_r is None:
-                continue                    # nonlinear: final check covers it
+                continue                    # nonlinear: the check covers it
             eqs.append(lf_l - lf_r)        # constraint: f = 0
         chain, residual, free = eliminate(eqs, unassigned)
         if any(e.is_constant() and e.const != 0 for e in residual):
@@ -177,8 +178,8 @@ class ExactSolver:
             return None, {}
         # the equalities admit exactly this one solution, so a failed full
         # check refutes the whole conjunction
-        status, out = self._final_check(pinned)
-        return (None, {}) if status == "unknown" else (status, out)
+        status = self._check(pinned)
+        return (None, {}) if status == "unknown" else (status, pinned)
 
     # -- propagation --------------------------------------------------------
 
@@ -227,7 +228,7 @@ class ExactSolver:
             return self._invert_equality(sub, v)
         try:
             return eval_expression(sol, {})
-        except (DomainError, UnboundVariableError, MathMorphError):
+        except MathMorphError:
             return None
 
     def _invert_equality(self, c, v):
@@ -245,7 +246,7 @@ class ExactSolver:
         def ground(e):
             try:
                 num = eval_expression(e, {})
-            except (DomainError, UnboundVariableError, MathMorphError):
+            except MathMorphError:
                 return None
             return num.value if num.exact else None
 
@@ -292,25 +293,35 @@ class ExactSolver:
         except (KeyError, ZeroDivisionError):
             return None
 
-    # -- final check --------------------------------------------------------
+    # -- the check at a model ------------------------------------------------
 
-    def _final_check(self, model):
-        env = dict(model)
-        try:
-            for c in self.atoms:
-                if not eval_constraint(c, env):
-                    return "unsat", {}
-        except (DomainError, UnboundVariableError, MathMorphError):
-            return "unknown", {}
-        return "sat", model
+    def _check(self, model):
+        """The verdict on the atoms ``model`` makes ground: ``"unsat"`` at
+        the first false one, ``"unknown"`` at the first that raises, else
+        ``"sat"``.  In the integer search with every value exact, an atom's
+        closure decides it; ``eval_constraint`` decides the rest, a shape or
+        value the closure refuses and an inexact value, which keeps slack."""
+        exact = all(x.exact for x in model.values())
+        for c in self.atoms:
+            if self._atom(c)[1] - model.keys():
+                continue
+            ab = self._compiled(c, None, model) if exact else None
+            try:
+                holds = _HOLDS[c.rel](ab[1], 0) if ab \
+                    else eval_constraint(c, model)
+            except MathMorphError:
+                return "unknown"
+            if not holds:
+                return "unsat"
+        return "sat"
 
     # -- integer search -----------------------------------------------------
 
-    def _int_search(self, model, int_vars, real_vars):
+    def _int_search(self, model, int_vars):
         self.undecided = False          # set once unsat cannot be claimed
         self._closures = {}
         try:
-            result = self._dfs(dict(model), list(int_vars), real_vars)
+            result = self._dfs(dict(model), list(int_vars))
         except _NoSatLeaf:
             self.stopped_by = "cut"
             return "unknown", {}
@@ -370,6 +381,9 @@ class ExactSolver:
             ab = self._compiled(c, v, model) \
                 if len(fvs - model.keys()) == 1 else None
             sub = None
+            if ab and not ab[0] and all(x.exact for x in model.values()) \
+                    and not _HOLDS[c.rel](ab[1], 0):
+                return 0, -1, True      # false whatever value v takes
             if ab and ab[0]:
                 b = (FLIPPED[c.rel] if ab[0] < 0 else c.rel,
                      Fraction(-ab[1], ab[0]))
@@ -438,9 +452,9 @@ class ExactSolver:
             return lo
         return None
 
-    def _dfs(self, model, todo, real_vars):
+    def _dfs(self, model, todo):
         # propagate after each assignment; prune on ground falsities
-        if self._prune(model) == "unsat":
+        if self._check(model) == "unsat":
             return None
         status = self._propagate(model)
         if status == "unsat":
@@ -452,7 +466,7 @@ class ExactSolver:
             if remaining:
                 status, out = self._real_stage(model, remaining)
             else:
-                status, out = self._final_check(model)
+                status, out = self._check(model), model
             if status == "unknown":
                 self._undecided(model)
             return out if status == "sat" else None
@@ -473,7 +487,7 @@ class ExactSolver:
                 return None
             child = dict(model)
             child[v] = Num(Fraction(val))
-            found = self._dfs(child, todo[1:], real_vars)
+            found = self._dfs(child, todo[1:])
             if found is not None:
                 return found
         return None
@@ -485,23 +499,6 @@ class ExactSolver:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutError
         return self.nodes <= self.node_budget
-
-    def _prune(self, model):
-        for c in self.atoms:
-            if self._atom(c)[1] - model.keys():
-                continue
-            ab = self._compiled(c, None, model)
-            if ab:
-                if not _HOLDS[c.rel](ab[1], 0):
-                    return "unsat"
-                continue
-            sub = self._substitute_model(c, model)
-            try:
-                if not eval_constraint(sub, {}):
-                    return "unsat"
-            except (DomainError, MathMorphError):
-                return None
-        return None
 
     # -- linear real stage --------------------------------------------------
 
@@ -599,9 +596,8 @@ class ExactSolver:
         candidate = dict(model)
         for v, x in values.items():
             candidate[v] = Num(x)
-        status, out = self._final_check(candidate)
-        if status == "sat":
-            return status, out
+        if self._check(candidate) == "sat":
+            return "sat", candidate
         # disequalities may have landed exactly on the chosen point
         if diseqs:
             for delta in (Fraction(1, 7), Fraction(-1, 7), Fraction(1),
@@ -609,9 +605,8 @@ class ExactSolver:
                 for v in values:
                     bumped = dict(candidate)
                     bumped[v] = Num(candidate[v].value + delta)
-                    status, out = self._final_check(bumped)
-                    if status == "sat":
-                        return status, out
+                    if self._check(bumped) == "sat":
+                        return "sat", bumped
         return "unknown", {}
 
 
@@ -644,7 +639,7 @@ class RootSolver(ExactSolver):
                    hi if hi is not None else (lo or 0) + width)
             for x in _candidates(v, atoms, *box):
                 candidate = {**model, v: Num(x, exact=False)}
-                if x not in tried and self._final_check(candidate)[0] == "sat":
+                if x not in tried and self._check(candidate) == "sat":
                     self.rooted = True
                     return "sat", candidate
                 tried.add(x)
@@ -941,7 +936,7 @@ class _Session:
         print(f"({' '.join(parts)})", file=self.out)
 
 
-def main(argv=None) -> int:
+def main() -> int:
     session = _Session(sys.stdout)
     tokens, depth, pending = [], 0, ""
     for lineno, line in enumerate(sys.stdin, 1):

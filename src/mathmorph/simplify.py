@@ -361,7 +361,7 @@ def _qe_exists(q: Quantifier, int_vars):
         kept = [k for k in kept if not _trivially_true(k)]
         return make_and(kept) if kept else BoolConst(True)
     if dom.is_integer:
-        return _qe_int_enum(name, dom, atoms)
+        return _qe_int_enum(name, atoms)
     return _qe_fm(name, atoms)
 
 
@@ -392,7 +392,7 @@ def _qe_fm(name, atoms):
     return make_and(out) if out else BoolConst(True)
 
 
-def _qe_int_enum(name, dom, atoms):
+def _qe_int_enum(name, atoms):
     """Existential integer variable via bounded enumeration."""
     lo = hi = None
     for a in atoms:

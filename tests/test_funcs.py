@@ -86,6 +86,14 @@ def test_eval_constraint_ground():
     assert eval_constraint(p.constraints[0], {}) is True
 
 
+@pytest.mark.parametrize("negated", ["(not (< x 3))", "(=> (< x 3) (> x 5))"])
+def test_a_negation_keeps_the_slack_of_an_inexact_value(negated):
+    p = parse(f"(declare-fun x () Real)(assert {negated})(assert (>= x 3))"
+              "(check-sat)")
+    x = {"x": Num(3 - Fraction(1, 10 ** 12), exact=False)}
+    assert [eval_constraint(c, x) for c in p.constraints] == [True, True]
+
+
 def test_reduce_app_extracts_gcd_content():
     e = _expr("(gcd (* 2 x) (* 6 y))")
     reduced = reduce_app(e)

@@ -40,6 +40,13 @@ def test_unsat_contradiction():
     assert run(p)[0] == "unsat"
 
 
+def test_an_atom_false_whatever_its_unknown_is_unsat():
+    # x - x compiles to 0*x + 0, so x > x empties x's range, which no
+    # bound could make finite
+    p = parse("(declare-fun x () Int)(assert (> x x))(check-sat)")
+    assert solve_exact(p) == ("unsat", {})
+
+
 def test_strict_bounds_get_midpoint_witness():
     p = parse("(declare-fun x () Real)(assert (> x 0))"
               "(assert (<= x 1))(check-sat)(get-value (x))")
@@ -381,3 +388,13 @@ def test_the_compiled_search_agrees_on_shapes_it_leaves_to_the_symbolic_step(
     assert solver.nodes > 0
     assert (answer, solver.nodes, solver.stopped_by) \
         == solved_without_closures(p, monkeypatch, 5_000)
+
+
+def test_an_inexact_root_at_an_integer_leaf_is_judged_with_slack():
+    # at each leaf k is exact and the root step's z is an inexact root of
+    # z * z = k + 1, which holds only within the slack of an inexact value
+    p = parse("(declare-fun k () Int)(declare-fun z () Real)"
+              "(assert (>= k 1))(assert (<= k 2))"
+              "(assert (= (* z z) (+ k 1)))(check-sat)")
+    r = solve(p)
+    assert r.status == "sat" and r.provenance == "numeric-fallback"

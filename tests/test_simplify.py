@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import (BinOp, BoolConst, Compare, Const, Domain, Var,
-                           node_count)
+from mathmorph.ast import (BinOp, BoolConst, Compare, Const, Var, node_count)
 from mathmorph.funcs import Num, eval_constraint
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
@@ -176,7 +175,7 @@ def test_qe_enumerates_an_integer_between_strict_bounds():
 
 def test_qe_int_enum_refutes_a_non_integral_equality():
     two_k_is_3 = Compare(BinOp("*", Const(2), Var("k")), "=", Const(3))
-    assert _qe_int_enum("k", Domain.INT, [two_k_is_3]) == BoolConst(False)
+    assert _qe_int_enum("k", [two_k_is_3]) == BoolConst(False)
 
 
 def test_qe_flags_an_integer_range_wider_than_the_enumeration_cap():

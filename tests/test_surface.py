@@ -5,7 +5,9 @@ attribute of a top-level class, must be mentioned somewhere in ``src/`` or
 assignments that set it).
 A mention is an identifier in code: a name, an attribute, an imported name
 or a keyword argument.  Words in docstrings, comments and strings do not
-count."""
+count.  Dead parameters too: every parameter of a ``def`` in
+``src/mathmorph`` must be read by its function, other than to be passed
+back to that function."""
 
 import ast
 import importlib.util
@@ -94,11 +96,22 @@ def _member_name(node):
     """The name a method, property or annotated field defines; None for
     anything else, and for a dunder method, which Python calls itself."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        dunder = node.name.startswith("__") and node.name.endswith("__")
-        return None if dunder else node.name
+        return None if _dunder(node.name) else node.name
     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
         return node.target.id
     return None
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _package_trees():
+    """``(file name, parsed module)`` of each module of the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
 
 
 def unmentioned_names():
@@ -111,11 +124,7 @@ def unmentioned_names():
             with open(path, encoding="utf-8") as fh:
                 mentions.update(_mentions(ast.parse(fh.read())))
     defined = {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for label, what, line, own in _definitions(tree):
             defined[f"{name}:{line}:{label}"] = (what, own)
     dead = set()
@@ -130,8 +139,48 @@ def unmentioned_names():
         dead |= more
 
 
+def _parameters(fn):
+    a = fn.args
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+            + [p for p in (a.vararg, a.kwarg) if p]]
+
+
+def unread_parameters():
+    """Parameters that their function never reads, or reads only as an
+    argument of a call back to itself, as ``file:line:function:name``.
+    Exempt are dunder methods, whose signatures Python fixes, and a
+    method's ``self``, which Python binds."""
+    unread = []
+    for name, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or _dunder(fn.name):
+                continue
+            passed_back = set()
+            for call in ast.walk(fn):
+                callee = getattr(call, "func", None)
+                if isinstance(call, ast.Call) and fn.name in (
+                        getattr(callee, "id", None),
+                        getattr(callee, "attr", None)):
+                    passed_back.update(
+                        id(arg) for arg in call.args
+                        + [k.value for k in call.keywords])
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in passed_back}
+            unread += [f"{name}:{fn.lineno}:{fn.name}:{p}"
+                       for p in _parameters(fn)
+                       if p not in read and p != "self"]
+    return unread
+
+
 def test_every_top_level_name_is_mentioned_outside_its_definition():
     assert unmentioned_names() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
 
 
 def test_every_name_the_benchmark_tracer_hooks_resolves():
