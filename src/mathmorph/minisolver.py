@@ -6,10 +6,16 @@ gateway can drive it exactly like an external SMT solver.  Solving is
 exact and deterministic:
 
 1. propagate defining equalities (chains of ``v = expr``),
-2. bounded depth-first search over undetermined integer variables with
-   constraint-derived bounds,
-3. Gaussian elimination plus Fourier-Motzkin projection for the
+2. linear pinning: Gaussian elimination over the linear equalities writes
+   each variable they force into the model, and propagation runs again,
+3. bounded depth-first search over undetermined integer variables with
+   constraint-derived bounds, propagating after each assignment,
+4. Gaussian elimination plus Fourier-Motzkin projection for the
    remaining linear real part, with witness extraction.
+
+Propagation and pinning only infer values.  One step, ``_finish``, ends
+every DNF branch and every leaf of the search: the real stage when reals
+remain, else ``_check``.
 
 Unsat is only reported when the search was exhaustive with sound bounds
 and every leaf was refuted; a leaf that answers ``unknown`` blocks it too.
@@ -110,43 +116,44 @@ class ExactSolver:
         model = {}
         if self._propagate(model) == "unsat":
             return "unsat", {}
-        unassigned = [n for n, _ in self.problem.declarations if n not in model]
-        if not unassigned:
-            return self._check(model), model
-        # an optimization goal is only answerable when propagation pins
-        # down the whole model; otherwise defer to a real optimizer
-        if self.problem.goal.kind in ("minimize", "maximize"):
-            return "unknown", {}
-        status, out = self._linear_pin(model, unassigned)
-        if status is not None:
-            return status, out
-        # _linear_pin may have pinned part of the model; re-run defining
-        # equality propagation over the smaller remainder
-        if self._propagate(model) == "unsat":
-            return "unsat", {}
-        unassigned = [n for n, _ in self.problem.declarations
-                      if n not in model]
-        if not unassigned:
-            return self._check(model), model
-        int_vars = [v for v in unassigned if self.domains[v].is_integer]
-        if int_vars:
-            return self._int_search(model, int_vars)
-        return self._real_stage(
-            model, [v for v in unassigned if self.domains[v] is Domain.REAL])
+        if len(model) < len(self.domains):
+            # an optimization goal is only answerable when propagation
+            # pins down the whole model; otherwise defer to a real optimizer
+            if self.problem.goal.kind in ("minimize", "maximize"):
+                return "unknown", {}
+            # _linear_pin may pin part of the model; re-run defining
+            # equality propagation over the smaller remainder
+            if self._linear_pin(model) == "unsat" \
+                    or self._propagate(model) == "unsat":
+                return "unsat", {}
+            int_vars = [n for n, d in self.problem.declarations
+                        if n not in model and d.is_integer]
+            if int_vars:
+                return self._int_search(model, int_vars)
+        return self._finish(model)
+
+    def _finish(self, model):
+        """(status, model) at a model that leaves no integer unassigned:
+        the real stage decides when reals remain, else ``_check``."""
+        reals = [n for n, _ in self.problem.declarations if n not in model]
+        if reals:
+            return self._real_stage(model, reals)
+        return self._check(model), model
 
     # -- linear pinning -------------------------------------------------------
 
-    def _linear_pin(self, model, unassigned):
-        """Solve the linear equalities by Gaussian elimination.  Fully
-        determined problems are answered outright; otherwise variables the
-        linear system forces are written into ``model`` and (None, {})
-        defers the rest to the search stages."""
+    def _linear_pin(self, model):
+        """Write into ``model`` the variables that the linear equalities
+        force by Gaussian elimination; "unsat" when they are inconsistent
+        or force a value off a variable's domain."""
+        unassigned = [n for n, _ in self.problem.declarations
+                      if n not in model]
         var_set = set(unassigned)
         eqs = []
         for c in self.atoms:
-            sub = self._substitute_model(c, model)
-            if not (isinstance(sub, Compare) and sub.rel == "="):
+            if not (isinstance(c, Compare) and c.rel == "="):
                 continue
+            sub = self._substitute_model(c, model)
             lf_l = linear_form(sub.lhs, var_set)
             lf_r = linear_form(sub.rhs, var_set)
             if lf_l is None or lf_r is None:
@@ -154,7 +161,7 @@ class ExactSolver:
             eqs.append(lf_l - lf_r)        # constraint: f = 0
         chain, residual, free = eliminate(eqs, unassigned)
         if any(e.is_constant() and e.const != 0 for e in residual):
-            return "unsat", {}
+            return "unsat"
         # back-substitute; values stay linear forms over the free variables
         forms = {v: LinearForm({v: Fraction(1)}, Fraction(0)) for v in free}
         for v, g in reversed(chain):
@@ -164,22 +171,15 @@ class ExactSolver:
             forms[v] = acc
         # pin whatever the system forces regardless of the free part;
         # with no free variable that is every variable of the chain
-        pinned = dict(model)
         for v, _ in chain:
             f = forms[v]
             if f.is_constant():
                 ok = coerce_to_domain(self.domains[v],
                                       Num(f.const, exact=True))
                 if ok is None:
-                    return "unsat", {}
-                pinned[v] = ok
-        if free:
-            model.update(pinned)
-            return None, {}
-        # the equalities admit exactly this one solution, so a failed full
-        # check refutes the whole conjunction
-        status = self._check(pinned)
-        return (None, {}) if status == "unknown" else (status, pinned)
+                    return "unsat"
+                model[v] = ok
+        return None
 
     # -- propagation --------------------------------------------------------
 
@@ -461,12 +461,7 @@ class ExactSolver:
             return None
         todo = [v for v in todo if v not in model]
         if not todo:
-            remaining = [v for v, _ in self.problem.declarations
-                         if v not in model]
-            if remaining:
-                status, out = self._real_stage(model, remaining)
-            else:
-                status, out = self._check(model), model
+            status, out = self._finish(model)
             if status == "unknown":
                 self._undecided(model)
             return out if status == "sat" else None
@@ -508,9 +503,7 @@ class ExactSolver:
         for c in self.atoms:
             sub = self._substitute_model(c, model)
             if isinstance(sub, BoolConst):
-                if not sub.value:
-                    return "unsat", {}
-                continue
+                continue                # true: _solve_branch refutes false
             lf_l = linear_form(sub.lhs, var_set)
             lf_r = linear_form(sub.rhs, var_set)
             if lf_l is None or lf_r is None:
@@ -557,12 +550,10 @@ class ExactSolver:
                 for up_f, us in uppers:
                     ineqs.append((lo_f - up_f, ls or us))
             record.append((v, lowers, uppers))
+        # every real is eliminated, so what is left is constant
         for f, strict in ineqs:
-            if f.is_constant():
-                if f.const > 0 or (strict and f.const == 0):
-                    return "unsat", {}
-            else:
-                return "unknown", {}
+            if f.const > 0 or (strict and f.const == 0):
+                return "unsat", {}
 
         # witness extraction, innermost first
         values = {}

@@ -334,38 +334,21 @@ class ProblemBuilder:
         head = s[0]
         op = head.text
         args = s[1:]
-        if op in ("+", "*"):
-            if len(args) < 2:
+        if op in ("+", "-", "*", "/"):
+            if len(args) < 2 and not (op == "-" and args):
                 raise ParseError(f"'{op}' expects at least two arguments",
                                  head.line, head.col)
             acc = self.elab_term(args[0], bound)
-            for a in args[1:]:
-                acc = BinOp(op, acc, self.elab_term(a, bound))
-            return acc
-        if op == "-":
-            if len(args) == 1:
-                inner = self.elab_term(args[0], bound)
-                if isinstance(inner, Const):
-                    return Const(-inner.value)
-                return BinOp("-", Const(Fraction(0)), inner)
-            if len(args) < 2:
-                raise ParseError("'-' expects arguments", head.line, head.col)
-            acc = self.elab_term(args[0], bound)
-            for a in args[1:]:
-                acc = BinOp("-", acc, self.elab_term(a, bound))
-            return acc
-        if op == "/":
-            if len(args) < 2:
-                raise ParseError("'/' expects at least two arguments",
-                                 head.line, head.col)
-            acc = self.elab_term(args[0], bound)
+            if len(args) == 1:                  # unary minus
+                return Const(-acc.value) if isinstance(acc, Const) \
+                    else BinOp("-", Const(Fraction(0)), acc)
             for a in args[1:]:
                 rhs = self.elab_term(a, bound)
-                if isinstance(acc, Const) and isinstance(rhs, Const) \
-                        and rhs.value != 0:
+                if op == "/" and isinstance(acc, Const) \
+                        and isinstance(rhs, Const) and rhs.value != 0:
                     acc = Const(acc.value / rhs.value)
                 else:
-                    acc = BinOp("/", acc, rhs)
+                    acc = BinOp(op, acc, rhs)
             return acc
         if op in ("^", "pow"):
             if len(args) != 2:

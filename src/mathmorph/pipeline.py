@@ -135,9 +135,9 @@ def _pick_pattern(rng, ratio: float, has_original: bool) -> str:
 
 
 def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
-                  original: Optional[str], level: int, index: int,
-                  few_shot_pool) -> Tuple[Optional[dict], Optional[dict],
-                                          Optional[int]]:
+                  original: Optional[str], level: int,
+                  index: int) -> Tuple[Optional[dict], Optional[dict],
+                                       Optional[int]]:
     """(row, reject, nodes) for one sample: exactly one of row and reject
     is set; ``nodes`` counts the mutated constraints' AST nodes, None
     when mutation failed."""
@@ -159,7 +159,7 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
         return None, dict(base, reason=f"solver status {result.status}"), nodes
     base["answer"] = _answer_str(result)
     context = PromptContext(original_text=original,
-                            few_shot_pool=few_shot_pool, rng=rng)
+                            few_shot_pool=DEFAULT_FEW_SHOT_POOL, rng=rng)
     try:
         informal = informalize(mutated, PATTERNS[name], plan.endpoint,
                                context)
@@ -205,8 +205,7 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
             for index in range(plan.level_counts[level]):
                 report.attempted += 1
                 row, reject, nodes = _generate_row(
-                    plan, seed_id, seed, original, level, index,
-                    DEFAULT_FEW_SHOT_POOL)
+                    plan, seed_id, seed, original, level, index)
                 if "answer" in (row or reject):
                     report.solved += 1
                 if row is not None:

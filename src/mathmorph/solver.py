@@ -87,10 +87,11 @@ def build_script(p: Problem) -> str:
 
 def _parse_value(node) -> Num:
     if isinstance(node, Atom):
-        t = node.text
-        if "." in t or "e" in t.lower():
-            return Num(Fraction(t), exact="e" not in t.lower())
-        return Num(Fraction(int(t)))
+        try:
+            return Num(Fraction(node.text),
+                       exact="e" not in node.text.lower())
+        except ValueError:
+            pass                        # not a numeral: refused below
     if isinstance(node, list) and node and isinstance(node[0], Atom):
         head = node[0].text
         if head == "-" and len(node) == 2:
@@ -98,7 +99,8 @@ def _parse_value(node) -> Num:
             return Num(-inner.value, inner.exact)
         if head == "/" and len(node) == 3:
             a, b = _parse_value(node[1]), _parse_value(node[2])
-            return Num(a.value / b.value, a.exact and b.exact)
+            if b.value:
+                return Num(a.value / b.value, a.exact and b.exact)
         if head == "to_real" and len(node) == 2:
             return _parse_value(node[1])
         if head == "root-obj":

@@ -111,6 +111,38 @@ def test_min_goal_without_pinned_model_is_not_sat_claimed():
     assert run(p)[0] in ("sat", "unknown")
 
 
+REALS = "(declare-fun x () Real)(declare-fun y () Real)"
+
+
+@pytest.mark.parametrize("script", [
+    "(assert false)",
+    REALS + "(assert (> x 1))(assert (< x 0))",
+    REALS + "(assert (>= x 1))(assert (< x 1))",
+    # elimination turns x + y into 2, so the disequality reads 2 != 2
+    REALS + "(assert (= (+ x y) 2))(assert (distinct (+ x y) 2))",
+    # propagation pins x, and y is left to the real stage
+    REALS + "(assert (= x 1))(assert (distinct x 1))",
+], ids=["false", "x>1,x<0", "x>=1,x<1", "eliminated", "constant-diseq"])
+def test_the_real_stage_refutes(script):
+    assert run(parse(script + "(check-sat)")) == ("unsat", {})
+
+
+@pytest.mark.parametrize("script, x", [
+    ("(assert (>= x 2))(assert (<= x 2))", 2),
+    ("(assert (<= x 5))", 5),
+])
+def test_the_real_stage_takes_a_closed_bound(script, x):
+    p = parse("(declare-fun x () Real)" + script + "(check-sat)")
+    assert run(p) == ("sat", {"x": x})
+
+
+def test_a_dnf_past_its_cap_is_unknown():
+    # nine two-way disjunctions make 512 branches, past the cap of 256
+    ors = "".join(f"(assert (or (= x {i}) (= x {-i})))" for i in range(1, 10))
+    assert run(parse("(declare-fun x () Int)" + ors + "(check-sat)")) \
+        == ("unknown", {})
+
+
 def test_random_chain_problems_all_solved():
     rng = random.Random(20240823)
     for _ in range(25):

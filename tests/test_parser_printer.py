@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import Domain, free_variables
+from mathmorph.ast import BinOp, Const, Domain, Var, free_variables
 from mathmorph.parser import (MAX_DEPTH, ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse, tokenize)
@@ -59,6 +59,26 @@ def test_nat_guard_absorbed_into_domain():
 def test_rational_literal_prints_as_division():
     p = parse("(declare-fun x () Real)(assert (= x (/ 1 2)))(check-sat)")
     assert "(/ 1 2)" in print_smtlib(p)
+
+
+@pytest.mark.parametrize("term, tree", [
+    ("(- x y 1)", BinOp("-", BinOp("-", Var("x"), Var("y")), Const(1))),
+    ("(* x y 2)", BinOp("*", BinOp("*", Var("x"), Var("y")), Const(2))),
+    ("(- x)", BinOp("-", Const(0), Var("x"))),
+    ("(- 3)", Const(-3)),
+    ("(/ 6 3 x)", BinOp("/", Const(2), Var("x"))),
+    ("(/ 1 0)", BinOp("/", Const(1), Const(0))),
+])
+def test_arithmetic_folds_left(term, tree):
+    p = parse("(declare-fun x () Real)(declare-fun y () Real)"
+              f"(assert (= x {term}))(check-sat)")
+    assert p.constraints[0].rhs == tree
+
+
+@pytest.mark.parametrize("term", ["(+ x)", "(/ x)", "(-)"])
+def test_arithmetic_with_too_few_arguments_raises(term):
+    with pytest.raises(ParseError):
+        parse(f"(declare-fun x () Real)(assert (= x {term}))(check-sat)")
 
 
 def test_undeclared_variable_raises():

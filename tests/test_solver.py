@@ -35,6 +35,39 @@ def test_parse_reply_reads_model():
     assert model["y"].value == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("value, want, exact", [
+    ("(- 3)", -3, True),
+    ("(/ 1 3)", Fraction(1, 3), True),
+    ("2.5", Fraction(5, 2), True),
+    ("(/ 1.0 3.0)", Fraction(1, 3), True),
+    ("(to_real 2)", 2, True),
+    ("1.5e3", 1500, False),
+])
+def test_parse_reply_reads_the_value_forms_of_smt_solvers(value, want, exact):
+    _, model = parse_reply(f"sat\n((x {value}))\n")
+    assert (model["x"].value, model["x"].exact) == (want, exact)
+
+
+def test_parse_reply_leaves_a_root_object_out_of_the_model():
+    reply = "sat\n((x (root-obj (+ (^ x 2) (- 2)) 1)) (y 1))\n"
+    assert parse_reply(reply)[1].keys() == {"y"}
+
+
+@pytest.mark.parametrize("reply", [
+    "sat\n((x (sqrt 2)))\n", "sat\n((x foo))\n", "sat\n((x (/ 1 0)))\n",
+    "((x 1))\n", "sat\n((x 1)\n",
+], ids=["unknown-head", "symbol", "zero-divisor", "no-status", "malformed"])
+def test_parse_reply_refuses_what_it_cannot_read(reply):
+    with pytest.raises(SolverError):
+        parse_reply(reply)
+
+
+def test_a_fraction_for_an_integer_makes_the_result_unknown():
+    p = parse("(declare-fun x () Int)(check-sat)")
+    r = solver._result(p, *parse_reply("sat\n((x (/ 5 2)))\n"), "smt")
+    assert (r.status, r.model) == ("unknown", {})
+
+
 GATEWAY = [sys.executable, "-m", "mathmorph.minisolver"]
 
 CUBE = ("(declare-fun x () Real)(assert (= (^ x 3) 8))"
