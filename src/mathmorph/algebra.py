@@ -10,7 +10,7 @@ from typing import Optional
 
 from .ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow, TermIte,
                   Var, children, free_variables, rebuild)
-from .funcs import DomainError, eval_expression, power
+from .funcs import DomainError, exact_value, power
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +105,8 @@ def fold_constants(expr):
     if isinstance(expr, FuncApp):
         args = tuple(fold_constants(a) for a in expr.args)
         app = FuncApp(expr.name, args)
-        if not free_variables(app):
-            try:
-                v = eval_expression(app, {})
-                if v.exact:
-                    return Const(v.value)
-            except Exception:
-                pass
-        return app
+        v = None if free_variables(app) else exact_value(app)
+        return app if v is None else Const(v)
     if isinstance(expr, TermIte):
         return TermIte(fold_constraint(expr.cond), fold_constants(expr.then),
                        fold_constants(expr.els))

@@ -53,6 +53,13 @@ class Domain(Enum):
             return 1
         return None
 
+    def guard(self, name: str) -> Optional["Compare"]:
+        """The side constraint ``(>= name lb)`` of a NAT / POS variable
+        ``name``; None for a domain without a lower bound."""
+        lb = self.lower_bound
+        return None if lb is None else \
+            Compare(Var(name), ">=", Const(Fraction(lb)))
+
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -477,6 +484,17 @@ def negate(c: Constraint) -> Constraint:
         dual = "exists" if c.kind == "forall" else "forall"
         return Quantifier(dual, c.bindings, negate(c.body))
     raise TypeError(f"not a constraint: {c!r}")
+
+
+def constant_binding(c) -> Optional[tuple]:
+    """``(name, value)`` when ``c`` is ``(= v k)`` or ``(= k v)`` for a
+    variable ``v`` and a constant ``k``, else None."""
+    if type(c) is Compare and c.rel == "=":
+        if type(c.lhs) is Var and type(c.rhs) is Const:
+            return c.lhs.name, c.rhs.value
+        if type(c.rhs) is Var and type(c.lhs) is Const:
+            return c.rhs.name, c.lhs.value
+    return None
 
 
 def conjuncts(c: Constraint) -> list:

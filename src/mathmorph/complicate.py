@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import (BinOp, Compare, Const, Domain, FuncApp, MathMorphError,
-                  Problem, Var, _FreshNames, substitute_in_problem)
+                  Problem, Var, _FreshNames, constant_binding,
+                  substitute_in_problem)
 from .algebra import LinearForm, add_e, eliminate, scale_e, sub_e
 from .simplify import MutationRecord, TacticError, simplify_level0
 from .solver import SolverConfig, solve
@@ -269,19 +270,10 @@ def replay_expression_record(p: Problem,
 # ---------------------------------------------------------------------------
 
 def _constant_equalities(p: Problem) -> List[Tuple[int, str, Fraction]]:
-    declared = {n for n, _ in p.declarations}
-    out = []
-    for i, c in enumerate(p.constraints):
-        if not (isinstance(c, Compare) and c.rel == "="):
-            continue
-        pair = None
-        if isinstance(c.lhs, Var) and isinstance(c.rhs, Const):
-            pair = (c.lhs.name, c.rhs.value)
-        elif isinstance(c.rhs, Var) and isinstance(c.lhs, Const):
-            pair = (c.rhs.name, c.lhs.value)
-        if pair and pair[0] in declared:
-            out.append((i, pair[0], pair[1]))
-    return out
+    """``(index, name, value)`` of each constraint that is a constant
+    binding."""
+    return [(i, *b) for i, b in enumerate(map(constant_binding,
+                                              p.constraints)) if b]
 
 
 def _row_expr(row: Sequence[int], names: Sequence[str]):

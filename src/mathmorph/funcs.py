@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -72,8 +72,11 @@ def coerce_to_domain(dom: Domain, val: Num):
 def _approx(x) -> Num:
     """High-precision mpmath value converted to a rational approximation;
     raises ``DomainError`` when that rational would have more than
-    ``MAX_DIGITS`` digits."""
-    d = Decimal(mpmath.nstr(x, 25))
+    ``MAX_DIGITS`` digits, or an exponent past ``Decimal``'s range."""
+    try:
+        d = Decimal(mpmath.nstr(x, 25))
+    except InvalidOperation:
+        raise DomainError(f"value exceeds {MAX_DIGITS} digits") from None
     if not d.is_finite() or abs(d.adjusted()) >= MAX_DIGITS:
         raise DomainError(f"value exceeds {MAX_DIGITS} digits")
     return Num(Fraction(d), exact=False)
@@ -195,6 +198,16 @@ def eval_expression(expr, assignment) -> Num:
             return eval_expression(expr.then, assignment)
         return eval_expression(expr.els, assignment)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def exact_value(expr) -> Optional[Fraction]:
+    """The exact value of the ground term ``expr``; None when its value is
+    inexact or evaluating it raises a ``MathMorphError``."""
+    try:
+        num = eval_expression(expr, {})
+    except MathMorphError:
+        return None
+    return num.value if num.exact else None
 
 
 def power(q: Fraction, k: int) -> Fraction:
@@ -537,12 +550,10 @@ def _red_identity(app):
 
 
 def _red_gcd(app):
+    folded = _fold_exact(app)
+    if folded is not app:
+        return folded
     a, b = app.args
-    try:
-        v = _ev_gcd(app, {})
-        return Const(v.value)
-    except (UnboundVariableError, DomainError):
-        pass
     ca, ra = _content(a)
     cb, rb = _content(b)
     g = _frac_gcd(ca, cb)
@@ -553,16 +564,10 @@ def _red_gcd(app):
     return reduced if node_count(reduced) <= node_count(app) else app
 
 
-def _numeric_fold(evaluator):
-    def red(app):
-        try:
-            v = evaluator(app, {})
-        except (UnboundVariableError, DomainError):
-            return app
-        if v.exact:
-            return Const(v.value)
-        return app
-    return red
+def _fold_exact(app):
+    """``app`` as the constant of its exact value, else unchanged."""
+    v = exact_value(app)
+    return app if v is None else Const(v)
 
 
 def _red_derivative(app):
@@ -592,7 +597,7 @@ _UNROLL_CAP = 50
 
 
 def _red_summation(app):
-    folded = _numeric_fold(_ev_summation)(app)
+    folded = _fold_exact(app)
     if folded is not app:
         return folded
     idx, lo, hi, body = app.args
@@ -627,19 +632,17 @@ _ev_cos = _ev_trig(mpmath.cos, _cos_exact)
 
 FUNCTIONS = {
     "identity": FunctionDescriptor(1, _ev_identity, _red_identity),
-    "log": FunctionDescriptor(1, _ev_log, _numeric_fold(_ev_log)),
-    "exp": FunctionDescriptor(1, _ev_exp, _numeric_fold(_ev_exp)),
-    "sin": FunctionDescriptor(1, _ev_sin, _numeric_fold(_ev_sin)),
-    "cos": FunctionDescriptor(1, _ev_cos, _numeric_fold(_ev_cos)),
-    "arcsin": FunctionDescriptor(1, _ev_arcsin, _numeric_fold(_ev_arcsin)),
-    "sqrt": FunctionDescriptor(1, _ev_sqrt, _numeric_fold(_ev_sqrt)),
-    "abs": FunctionDescriptor(1, _ev_abs, _numeric_fold(_ev_abs)),
+    "log": FunctionDescriptor(1, _ev_log, _fold_exact),
+    "exp": FunctionDescriptor(1, _ev_exp, _fold_exact),
+    "sin": FunctionDescriptor(1, _ev_sin, _fold_exact),
+    "cos": FunctionDescriptor(1, _ev_cos, _fold_exact),
+    "arcsin": FunctionDescriptor(1, _ev_arcsin, _fold_exact),
+    "sqrt": FunctionDescriptor(1, _ev_sqrt, _fold_exact),
+    "abs": FunctionDescriptor(1, _ev_abs, _fold_exact),
     "gcd": FunctionDescriptor(2, _ev_gcd, _red_gcd),
-    "lcm": FunctionDescriptor(2, _ev_lcm, _numeric_fold(_ev_lcm)),
-    "binomial": FunctionDescriptor(2, _ev_binomial,
-                                   _numeric_fold(_ev_binomial)),
-    "factorial": FunctionDescriptor(1, _ev_factorial,
-                                    _numeric_fold(_ev_factorial)),
+    "lcm": FunctionDescriptor(2, _ev_lcm, _fold_exact),
+    "binomial": FunctionDescriptor(2, _ev_binomial, _fold_exact),
+    "factorial": FunctionDescriptor(1, _ev_factorial, _fold_exact),
     "summation": FunctionDescriptor(4, _ev_summation, _red_summation),
     "derivative": FunctionDescriptor(2, _ev_derivative, _red_derivative),
     "integral": FunctionDescriptor(4, _ev_integral, _red_integral),

@@ -327,12 +327,10 @@ DEFAULT_REL_TOL = Fraction(1, 10_000)
 
 def consistency_check(llm_text: str,
                       solver: SolverResult) -> ConsistencyVerdict:
-    """Compare the extracted LLM answer against the solver's first goal
-    value; integers are compared exactly, other values with a relative
-    tolerance of 1e-4."""
-    solver_answer = None
-    if solver.status == "sat" and solver.goal_values:
-        solver_answer = solver.goal_values[0][1].value
+    """Compare the extracted LLM answer against the solver's answer;
+    integers are compared exactly, other values with a relative tolerance
+    of 1e-4."""
+    solver_answer = None if solver.answer is None else solver.answer.value
     llm_answer = extract_answer(llm_text)
     if solver_answer is None or llm_answer is None:
         return ConsistencyVerdict(llm_answer, solver_answer, False)

@@ -52,7 +52,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   substitute_all)
 from .algebra import (FLIPPED, LinearForm, bound, eliminate,
                       fold_constraint, int_range, linear_form, solve_for)
-from .funcs import Num, coerce_to_domain, eval_constraint, eval_expression
+from .funcs import (Num, coerce_to_domain, eval_constraint, eval_expression,
+                    exact_value)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
                      sexpr_to_text, tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
@@ -149,7 +150,11 @@ class ExactSolver:
         unassigned = [n for n, _ in self.problem.declarations
                       if n not in model]
         var_set = set(unassigned)
-        eqs = []
+        inexact = {u for u, x in model.items() if not x.exact}
+        # an equality that reads an inexact value gets a mark of its own, a
+        # symbol no pivot takes; a value whose form keeps a mark depends on
+        # that equality, so it is inexact
+        eqs, marks = [], set()
         for c in self.atoms:
             if not (isinstance(c, Compare) and c.rel == "="):
                 continue
@@ -158,12 +163,19 @@ class ExactSolver:
             lf_r = linear_form(sub.rhs, var_set)
             if lf_l is None or lf_r is None:
                 continue                    # nonlinear: the check covers it
-            eqs.append(lf_l - lf_r)        # constraint: f = 0
+            f = lf_l - lf_r                 # constraint: f = 0
+            if inexact and not inexact.isdisjoint(self._atom(c)[1]):
+                mark = ("inexact", len(eqs))
+                marks.add(mark)
+                f = f + LinearForm({mark: Fraction(1)})
+            eqs.append(f)
         chain, residual, free = eliminate(eqs, unassigned)
-        if any(e.is_constant() and e.const != 0 for e in residual):
+        # a residual has no variable left, only marks
+        if any(e.const != 0 for e in residual):
             return "unsat"
         # back-substitute; values stay linear forms over the free variables
-        forms = {v: LinearForm({v: Fraction(1)}, Fraction(0)) for v in free}
+        forms = {v: LinearForm({v: Fraction(1)}, Fraction(0))
+                 for v in [*free, *marks]}
         for v, g in reversed(chain):
             acc = LinearForm({}, g.const)
             for u, k in g.coeffs.items():
@@ -173,9 +185,9 @@ class ExactSolver:
         # with no free variable that is every variable of the chain
         for v, _ in chain:
             f = forms[v]
-            if f.is_constant():
+            if f.coeffs.keys() <= marks:
                 ok = coerce_to_domain(self.domains[v],
-                                      Num(f.const, exact=True))
+                                      Num(f.const, f.is_constant()))
                 if ok is None:
                     return "unsat"
                 model[v] = ok
@@ -193,24 +205,31 @@ class ExactSolver:
         return cached
 
     def _propagate(self, model):
-        """Assign variables forced by equalities with a single unknown."""
+        """Assign variables forced by equalities with a single unknown; a
+        value computed from an inexact one is inexact."""
+        inexact = {u for u, x in model.items() if not x.exact}
         progress = True
         while progress:
             progress = False
             for c in self.atoms:
                 if not (isinstance(c, Compare) and c.rel == "="):
                     continue
-                unknown = self._atom(c)[1] - model.keys()
+                fvs = self._atom(c)[1]
+                unknown = fvs - model.keys()
                 if len(unknown) != 1:
                     continue
                 (v,) = unknown
                 val = self._pin(c, v, model)
                 if val is None:
                     continue
+                if inexact and not inexact.isdisjoint(fvs):
+                    val = Num(val.value, exact=False)
                 ok = coerce_to_domain(self.domains[v], val)
                 if ok is None:
                     return "unsat"
                 model[v] = ok
+                if not ok.exact:
+                    inexact.add(v)
                 progress = True
         return "open"
 
@@ -242,20 +261,12 @@ class ExactSolver:
             expr, target = c.rhs, c.lhs
         else:
             return None
-
-        def ground(e):
-            try:
-                num = eval_expression(e, {})
-            except MathMorphError:
-                return None
-            return num.value if num.exact else None
-
-        t = ground(target)
+        t = exact_value(target)
         while t is not None and isinstance(expr, BinOp):
             in_left = v in free_variables(expr.left)
             if in_left == (v in free_variables(expr.right)):
                 return None
-            k = ground(expr.right if in_left else expr.left)
+            k = exact_value(expr.right if in_left else expr.left)
             t = None if k is None else _INVERT[expr.op, in_left](t, k)
             expr = expr.left if in_left else expr.right
         if t is None or not (isinstance(expr, Var) and expr.name == v):

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .ast import (BINDER_SLOTS, And, BinOp, BoolConst, Compare, Const,
                   ConstraintIte, Domain, FuncApp, Goal, MathMorphError,
                   NamedConst, Not, Or, Implies, Pow, Problem, Quantifier,
-                  TermIte, ValidationError, Var, children, make_and,
-                  substitute_all, validate)
+                  TermIte, ValidationError, Var, _FreshNames, children,
+                  make_and, substitute_all, validate)
 from .funcs import FUNCTIONS, MAX_DIGITS
 
 # the most levels a constraint or goal term may have: the walkers that
@@ -187,7 +187,6 @@ class ProblemBuilder:
         self.rec_names = set()
         self.goal_kind = None
         self.goal_targets = []
-        self._rename_counter = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -466,34 +465,24 @@ class ProblemBuilder:
     def _elab_quantifier(self, kind, args, bound, head):
         if len(args) != 2 or isinstance(args[0], Atom):
             raise ParseError(f"malformed {kind}", head.line, head.col)
-        bindings = []
-        renames = {}
-        inner = dict(bound)
+        pairs = []
         for b in args[0]:
             if isinstance(b, Atom) or len(b) != 2 \
                     or not isinstance(b[0], Atom) or not isinstance(b[1], Atom):
                 raise ParseError(f"malformed {kind} binding",
                                  head.line, head.col)
-            name, sort = b[0].text, b[1].text
-            if sort not in _SORTS:
-                raise ParseError(f"unsupported sort: {sort}",
+            if b[1].text not in _SORTS:
+                raise ParseError(f"unsupported sort: {b[1].text}",
                                  b[1].line, b[1].col)
-            if self.declared(name):
-                # bound names must not shadow problem declarations
-                self._rename_counter += 1
-                fresh = f"{name}_{self._rename_counter}"
-                while self.declared(fresh) or fresh in inner:
-                    self._rename_counter += 1
-                    fresh = f"{name}_{self._rename_counter}"
-                renames[name] = fresh
-                name = fresh
-            bindings.append((name, _SORTS[sort]))
-            inner[name] = True
-        body_s = args[1]
-        if renames:
-            body_s = _rename_sexpr(body_s, renames)
-        body = self.elab_bool(body_s, inner)
-        return Quantifier(kind, tuple(bindings), body)
+            pairs.append((b[0].text, _SORTS[b[1].text]))
+        # a bound name must not shadow a problem declaration
+        fresh = _FreshNames([n for n, _ in self.declarations] + list(bound)
+                            + [n for n, _ in pairs])
+        renames = {n: fresh.fresh(n) for n, _ in pairs if self.declared(n)}
+        bindings = tuple((renames.get(n, n), d) for n, d in pairs)
+        body_s = _rename_sexpr(args[1], renames) if renames else args[1]
+        body = self.elab_bool(body_s, {**bound, **dict(bindings)})
+        return Quantifier(kind, bindings, body)
 
 
 def _rename_sexpr(s, renames):
@@ -509,22 +498,22 @@ def _rename_sexpr(s, renames):
 # ---------------------------------------------------------------------------
 
 def _absorb_side_constraints(declarations, constraints):
-    """Fold ``(>= v 0)`` / ``(>= v 1)`` asserts on Int variables into the
-    NAT / POS domains, so printing and re-parsing are stable."""
+    """Fold into NAT or POS each Int variable's first assert that is its
+    ``Domain.guard`` there, so printing and re-parsing are stable."""
     decls = list(declarations)
-    remaining = list(constraints)
-    for i, (name, dom) in enumerate(decls):
-        if dom is not Domain.INT:
-            continue
-        for j, c in enumerate(remaining):
-            if (isinstance(c, Compare) and c.rel == ">="
-                    and isinstance(c.lhs, Var) and c.lhs.name == name
-                    and isinstance(c.rhs, Const)
-                    and c.rhs.value in (0, 1)):
-                decls[i] = (name, Domain.POS if c.rhs.value == 1
-                            else Domain.NAT)
-                del remaining[j]
-                break
+    unguarded = {n: i for i, (n, d) in enumerate(decls) if d is Domain.INT}
+    remaining = []
+    for c in constraints:
+        # a guard is a ">=" with its variable itself on the left
+        name = c.lhs.name if type(c) is Compare and c.rel == ">=" \
+            and type(c.lhs) is Var else None
+        dom = next((d for d in (Domain.NAT, Domain.POS)
+                    if c == d.guard(name)), None) \
+            if name in unguarded else None
+        if dom is None:
+            remaining.append(c)
+        else:
+            decls[unguarded.pop(name)] = (name, dom)
     return tuple(decls), tuple(remaining)
 
 

@@ -122,9 +122,7 @@ def _records_json(records: Sequence[MutationRecord]) -> list:
 
 
 def _answer_str(result: SolverResult) -> Optional[str]:
-    if result.status == "sat" and result.goal_values:
-        return str(result.goal_values[0][1].value)
-    return None
+    return None if result.answer is None else str(result.answer.value)
 
 
 def _pick_pattern(rng, ratio: float, has_original: bool) -> str:
@@ -220,16 +218,14 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
     report.rejects = len(rejects)
     report.mean_node_count = {lvl: sum(v) / len(v)
                               for lvl, v in sorted(node_totals.items())}
-    _write_jsonl(out_path, [_ordered_row(r) for r in rows])
+    _write_jsonl(out_path, rows)
     _write_jsonl(rejects_path, rejects)
     return report
 
 
-def _ordered_row(row: dict) -> dict:
-    return {k: row[k] for k in ROW_FIELDS}
-
-
 def _write_jsonl(path: str, rows: Sequence[dict]) -> None:
+    """One JSON object per line, keys sorted, so a row's bytes do not
+    depend on the order its fields were set in."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
@@ -289,15 +285,14 @@ def verify_dataset(path: str,
             report.mismatches.append(
                 (lineno, f"solver status {result.status}"))
             continue
-        answer = _answer_str(result)
-        # an inexact answer (the numeric fallback's) holds within APPROX_TOL
-        slack = APPROX_TOL if answer is not None \
-            and not result.goal_values[0][1].exact else 0
+        answer = result.answer
+        # an inexact answer holds within APPROX_TOL
+        slack = 0 if answer is None or answer.exact else APPROX_TOL
         if row["answer"] is not None and answer is not None and \
-                abs(Fraction(row["answer"]) - Fraction(answer)) > slack:
+                abs(Fraction(row["answer"]) - answer.value) > slack:
             report.mismatches.append(
                 (lineno, f"stored answer {row['answer']} != solver "
-                         f"{answer}"))
+                         f"{answer.value}"))
             continue
         verdict = consistency_check(row["reasoning"], result)
         if not verdict.consistent:

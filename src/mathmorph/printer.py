@@ -66,13 +66,9 @@ def constraint_to_sexpr(c) -> str:
                 f"{constraint_to_sexpr(c.then)} {constraint_to_sexpr(c.els)})")
     if isinstance(c, Quantifier):
         body = c.body
-        guards = []
-        binds = []
-        for name, dom in c.bindings:
-            binds.append(f"({name} {dom.smt_sort})")
-            lb = dom.lower_bound
-            if lb is not None:
-                guards.append(Compare(Var(name), ">=", Const(Fraction(lb))))
+        binds = [f"({name} {dom.smt_sort})" for name, dom in c.bindings]
+        guards = [g for g in (dom.guard(name) for name, dom in c.bindings)
+                  if g is not None]
         if guards:
             guard = make_and(guards)
             body = (Implies(guard, body) if c.kind == "forall"
@@ -157,9 +153,9 @@ def print_smtlib(p: Problem, with_comments: bool = False) -> str:
         lines.append(raw)
     for name, dom in p.declarations:
         lines.append(f"(declare-fun {name} () {dom.smt_sort})")
-        lb = dom.lower_bound
-        if lb is not None:
-            lines.append(f"(assert (>= {name} {lb}))")
+        guard = dom.guard(name)
+        if guard is not None:
+            lines.append(f"(assert {constraint_to_sexpr(guard)})")
     for c in p.constraints:
         if with_comments and _wants_comment(c):
             lines.append(f"; {render_infix(c)}")

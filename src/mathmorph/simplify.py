@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Tuple
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, FuncApp, Goal, Implies, MathMorphError, NamedConst,
                   Not, Or, Pow, Problem, Quantifier, TermIte, Var,
-                  _FreshNames, children, conjuncts, free_variables, make_and,
-                  negate, rebuild, substitute, substitute_all,
-                  substitute_in_problem)
+                  _FreshNames, children, conjuncts, constant_binding,
+                  free_variables, make_and, negate, rebuild, substitute,
+                  substitute_all, substitute_in_problem)
 from .algebra import (add_e, bound, fold_constants, fold_constraint,
                       int_range, is_integral, solve_for, sub_e)
 from .funcs import poly_expr, polynomial, reduce_app
@@ -151,15 +151,13 @@ class _SimplifyPass:
 
 
 def _constant_bindings(p: Problem) -> Dict[str, Const]:
-    """var -> Const from defining equalities (= x c) anywhere in p."""
+    """var -> Const from the constant bindings among the conjuncts of p's
+    constraints; the first binding of a variable wins."""
     out = {}
     for c in p.constraints:
-        for atom in conjuncts(c):
-            if not (isinstance(atom, Compare) and atom.rel == "="):
-                continue
-            for a, b in ((atom.lhs, atom.rhs), (atom.rhs, atom.lhs)):
-                if isinstance(a, Var) and isinstance(b, Const):
-                    out.setdefault(a.name, Const(b.value))
+        for binding in map(constant_binding, conjuncts(c)):
+            if binding is not None:
+                out.setdefault(binding[0], Const(binding[1]))
     return out
 
 
@@ -335,11 +333,8 @@ def _qe_exists(q: Quantifier, int_vars):
         if inner is None:
             return None
         body = inner
-    guards = []
-    lb = dom.lower_bound
-    if lb is not None:
-        guards.append(Compare(Var(name), ">=", Const(Fraction(lb))))
-    atoms = guards + conjuncts(body)
+    guard = dom.guard(name)
+    atoms = ([] if guard is None else [guard]) + conjuncts(body)
     if any(isinstance(a, (Quantifier, Or, Not, Implies, ConstraintIte))
            for a in atoms):
         return None

@@ -68,6 +68,13 @@ class SolverResult:
     def is_sat(self) -> bool:
         return self.status == "sat"
 
+    @property
+    def answer(self) -> Optional[Num]:
+        """The problem's answer: the value of the first goal target that
+        evaluates, None unless the solve is sat with such a value."""
+        return self.goal_values[0][1] \
+            if self.is_sat and self.goal_values else None
+
 
 # ---------------------------------------------------------------------------
 # script construction and reply parsing

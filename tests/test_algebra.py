@@ -5,7 +5,8 @@ from fractions import Fraction
 from mathmorph.algebra import (LinearForm, bound, eliminate, fold_constants,
                                fold_constraint, int_range, lin, linear_form,
                                solve_for)
-from mathmorph.ast import BinOp, Const, Var, free_variables, substitute
+from mathmorph.ast import (BinOp, Compare, Const, TermIte, Var, free_variables,
+                          substitute)
 from mathmorph.parser import parse
 
 
@@ -172,3 +173,16 @@ def test_linear_form_isolate_solves_for_one_variable():
     g = LinearForm({"x": Fraction(2), "y": Fraction(-4)}, Fraction(6)) \
         .isolate("x")
     assert (g.coeffs, g.const) == ({"y": Fraction(2)}, Fraction(-3))
+
+
+def test_fold_constants_folds_each_part_of_a_term_ite():
+    folded = fold_constants(_expr("(ite (> y (+ 1 2)) (* 2 3) y)"))
+    assert folded == TermIte(Compare(Var("y"), ">", Const(Fraction(3))),
+                             Const(Fraction(6)), Var("y"))
+
+
+def test_fold_constants_keeps_a_term_past_the_decimal_range():
+    # exp of a huge integer has an exponent Decimal cannot hold: the term
+    # has no exact value, so it stays as it is
+    term = _expr("(exp 99999999999999999999999999999)")
+    assert fold_constants(term) == term

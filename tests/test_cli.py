@@ -188,3 +188,27 @@ def test_parse_error_exits_one(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_solve_of_a_define_fun_rec_script_exits_one(tmp_path, capsys):
+    path = tmp_path / "rec.smt2"
+    path.write_text("(define-fun-rec f ((n Int)) Int "
+                    "(ite (= n 0) 0 (+ n (f (- n 1)))))\n"
+                    "(declare-fun x () Int)(assert (= x (f 3)))\n"
+                    "(check-sat)(get-value (x))\n")
+    assert cli.main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "unknown\n" and captured.err == ""
+
+
+def test_a_value_past_the_decimal_range_is_unknown_not_an_error(tmp_path,
+                                                                capsys):
+    path = tmp_path / "huge.smt2"
+    path.write_text("(declare-fun x () Real)"
+                    "(assert (= x (exp 99999999999999999999999999999)))"
+                    "(check-sat)(get-value (x))\n")
+    assert cli.main(["simplify", str(path)]) == 0
+    assert cli.main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "unknown"
+    assert captured.err == ""

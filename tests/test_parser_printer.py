@@ -10,6 +10,7 @@ from mathmorph.parser import (MAX_DEPTH, ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse, tokenize)
 from mathmorph.printer import canonical_print, print_smtlib, render_infix
+from mathmorph.simplify import tactic_qe
 from mathmorph.solver import SolverConfig, solve
 from conftest import deep_script, read_fixture
 
@@ -206,3 +207,59 @@ def test_tokenize_reads_a_string_literal_as_one_atom():
     assert [(a.line, a.col) for a in tokenize(text)][-2:] == [(2, 5), (2, 7)]
     with pytest.raises(ParseError, match="unterminated"):
         list(tokenize('(echo "a)'))
+
+
+ITE_SCRIPT = ("(declare-fun x () Int)\n"
+              "(declare-fun y () Int)\n"
+              "(assert (= x 5))\n"
+              "(assert (= y (ite (> x (+ 1 2)) (* 2 3) x)))\n"
+              "(check-sat)\n"
+              "(get-value (y))\n")
+
+
+def test_a_term_ite_prints_with_its_infix_comment_and_round_trips():
+    p = parse(ITE_SCRIPT)
+    lines = print_smtlib(p, with_comments=True).splitlines()
+    assert lines[3:5] == ["; (y = ite((x > (1 + 2)), (2 * 3), x))",
+                          "(assert (= y (ite (> x (+ 1 2)) (* 2 3) x)))"]
+    assert print_smtlib(p) == ITE_SCRIPT
+    assert solve(p).answer.value == 6
+
+
+REC_SCRIPT = ("(define-fun-rec f ((n Int)) Int "
+              "(ite (= n 0) 0 (+ n (f (- n 1)))))\n"
+              "(declare-fun x () Int)\n"
+              "(assert (= x (f 3)))\n"
+              "(check-sat)\n"
+              "(get-value (x))\n")
+
+
+def test_define_fun_rec_is_kept_verbatim_and_answers_unknown():
+    # kept for a solver command that can unfold it; the bundled solver
+    # cannot evaluate the recursive function
+    p = parse(REC_SCRIPT)
+    assert p.recursive_defs == (REC_SCRIPT.splitlines()[0],)
+    assert print_smtlib(p) == REC_SCRIPT
+    for fallback in (True, False):
+        r = solve(p, SolverConfig(fallback_enabled=fallback))
+        assert r.status == "unknown" and r.answer is None
+
+
+def test_binders_that_shadow_declarations_get_distinct_fresh_names():
+    p = parse("(declare-fun x () Int)(declare-fun y () Int)"
+              "(assert (= x 2))"
+              "(assert (exists ((x Real) (y Real))"
+              " (and (= x (+ y 1)) (= y (* 2 x)))))"
+              "(assert (= y (+ x 1)))(check-sat)(get-value (y))")
+    names = [n for n, _ in p.constraints[1].bindings]
+    assert len(set(names)) == 2 and not set(names) & {"x", "y"}
+    assert free_variables(p.constraints[1]) == set()
+    assert solve(p).status == "unknown"
+    out, record = tactic_qe(p)
+    assert record.parameters == {"eliminated": [1]}
+    assert solve(out).answer.value == 3
+    # a fresh name avoids the enclosing binders too
+    nested = parse("(declare-fun x () Real)(assert (exists ((x_1 Real))"
+                   " (exists ((x Real)) (= x x_1))))").constraints[0]
+    assert nested.body.bindings[0][0] not in ("x", "x_1")
+    assert free_variables(nested.body) == {"x_1"}

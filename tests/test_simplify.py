@@ -239,3 +239,13 @@ def test_level0_early_stop_when_nothing_applies():
     out, recs = simplify_level0(p, random.Random(3))
     assert len(recs) <= 2
     assert asserts(out) == ["(assert (> x 0))"]
+
+
+def test_simplify_folds_inside_a_term_ite():
+    p = parse("(declare-fun x () Int)(declare-fun y () Int)(assert (= x 5))"
+              "(assert (= y (ite (> x (+ 1 2)) (* 2 3) x)))"
+              "(check-sat)(get-value (y))")
+    out, record = tactic_simplify(p)
+    assert asserts(out)[1] == "(assert (= y (ite (> x 3) 6 x)))"
+    assert record.parameters == {"passes": 1}
+    assert solve(out).answer == solve(p).answer == Num(Fraction(6))

@@ -345,3 +345,44 @@ def test_fallback_disabled_reports_unknown():
 def test_solver_config_rejects_bad_bounds():
     with pytest.raises(ValueError):
         SolverConfig(timeout_ms=0)
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("asserts", [
+    "(assert (= n (* y y)))",
+    "(declare-fun w () Int)(assert (= (+ n w) (* y y)))"
+    "(assert (= (- n w) 2))",
+], ids=["propagated", "linear-pinned"])
+def test_an_integer_forced_from_an_inexact_value_rounds(asserts, command):
+    # y * y is 2 only within the precision of sqrt 2, so the integer n it
+    # forces is inexact and rounds to 2 within APPROX_TOL instead of being
+    # refuted as a fraction
+    p = parse("(declare-fun y () Real)(declare-fun n () Int)"
+              f"(assert (= y (sqrt 2))){asserts}(check-sat)(get-value (n))")
+    r = solve(p, SolverConfig(command=command, fallback_enabled=False))
+    assert r.status == "sat" and r.answer.value == 2
+    # over stdio every value comes back as the exact rational printed
+    assert r.answer.exact == (command is not None)
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("asserts", [
+    "(assert (= (+ a b) y))(assert (= (- a b) 0))"
+    "(assert (= (+ n m) (/ 1000000000001 1000000000000)))"
+    "(assert (= (- n m) 1))",
+    "(assert (= (+ m a) y))"
+    "(assert (= (+ n m) (/ 1000000000001 1000000000000)))"
+    "(assert (= (- n m) 1))",
+], ids=["apart", "linked"])
+def test_a_value_that_reads_no_inexact_value_stays_exact(asserts, command):
+    # only a (and b) depend on y, which is inexact; n = 1 + 5e-13 depends
+    # on exact constants alone, even where an equality links m to a, so it
+    # is refuted, not rounded to 1
+    p = parse("(declare-fun y () Real)(declare-fun a () Real)"
+              "(declare-fun b () Real)(declare-fun n () Int)"
+              f"(declare-fun m () Int)(assert (= y (sqrt 2))){asserts}"
+              "(check-sat)(get-value (n))")
+    r = solve(p, SolverConfig(command=command, fallback_enabled=False))
+    assert r.status == "unsat"

@@ -190,8 +190,10 @@ def test_every_name_the_benchmark_tracer_hooks_resolves():
         "tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    # also the per-row step that workloads.py times from outside
+    targets = [t for _, t, _ in tracing.HOOKS] + ["pipeline:_generate_row"]
     unresolved = []
-    for _, target, _ in tracing.HOOKS:
+    for target in targets:
         modname, path = target.split(":")
         owner = importlib.import_module("mathmorph." + modname)
         for part in path.split("."):
@@ -199,3 +201,6 @@ def test_every_name_the_benchmark_tracer_hooks_resolves():
         if owner is None:
             unresolved.append(target)
     assert len(tracing.HOOKS) > 20 and unresolved == []
+    # the MCMC hook reads the proposal cap off a default config
+    complicate = importlib.import_module("mathmorph.complicate")
+    assert isinstance(complicate.McmcConfig().max_iters, int)
