@@ -1,0 +1,143 @@
+"""Record every exact solve of one pass over the benchmark's run lists, and
+compare two recordings.
+
+    python3 scripts/replay_solves.py --out solves.json [--workload NAME ...]
+    python3 scripts/replay_solves.py --compare before.json after.json
+
+Recording runs each item of a workload's fixed run list once, in list
+order, with the checkout's ``src`` on the path, and records each
+``ExactSolver.solve`` (``RootSolver`` passes included) as it returns: a
+digest of the problem, the node budget, the status, the model (each value
+with its exactness), the DFS nodes, ``stopped_by`` and ``rooted``.  The
+default workloads are the three that solve in process; ``verify-gateway``
+solves the rows of ``verify-rows`` in child processes, out of reach.  The
+run lists are read from ``perfbench/``, and nothing is written there.
+
+Comparing pairs the solves of each workload by position.  The answer of a
+solve is its problem, status, model and ``rooted``; a change in any of them
+is listed, and makes the exit status 1.  Nodes and ``stopped_by`` may move
+without that: they are summed and tallied.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from inputs import use_source_tree                       # noqa: E402
+
+DEFAULT_WORKLOADS = ("mutate-chain", "generate-fixtures", "verify-rows")
+ANSWER_FIELDS = ("problem", "budget", "status", "model", "rooted")
+
+
+def record(workloads) -> dict:
+    """``{workload: [solve, ...]}`` over one pass of each run list."""
+    use_source_tree()
+    from mathmorph.minisolver import ExactSolver
+    from mathmorph.printer import print_smtlib
+    from workloads import WORKLOADS
+
+    solves = []
+    inner = ExactSolver.solve
+
+    def recording(self):
+        status, model = inner(self)
+        text = print_smtlib(self.problem)
+        solves.append({
+            "problem": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "budget": self.node_budget, "status": status,
+            "model": {n: [str(x.value), x.exact]
+                      for n, x in sorted(model.items())},
+            "nodes": self.nodes, "stopped_by": self.stopped_by,
+            "rooted": getattr(self, "rooted", None)})
+        return status, model
+
+    out = {}
+    ExactSolver.solve = recording
+    try:
+        for name in workloads:
+            with tempfile.TemporaryDirectory() as tmp:
+                w = WORKLOADS[name](tmp)
+                try:
+                    for item in w.pool:
+                        try:
+                            w.run_item(item)
+                        except Exception as exc:    # the run list's fails
+                            solves.append({"raised": type(exc).__name__})
+                finally:
+                    w.close()
+            out[name] = list(solves)
+            solves.clear()
+    finally:
+        ExactSolver.solve = inner
+    return out
+
+
+def summary(solves) -> dict:
+    done = [s for s in solves if "raised" not in s]
+    return {"solves": len(done), "raised": len(solves) - len(done),
+            "nodes": sum(s["nodes"] for s in done),
+            "stopped_by": dict(Counter(s["stopped_by"] for s in done
+                                       if s["stopped_by"]))}
+
+
+def compare(a: dict, b: dict) -> int:
+    """Print the differences of two recordings; 1 when an answer moved."""
+    moved = 0
+    for name in sorted(a.keys() | b.keys()):
+        xs, ys = a.get(name, []), b.get(name, [])
+        print(f"{name}: {summary(xs)} -> {summary(ys)}")
+        if len(xs) != len(ys):
+            print(f"  solve count differs: {len(xs)} != {len(ys)}")
+            moved += 1
+        stops = Counter()
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            fields = [f for f in ANSWER_FIELDS if x.get(f) != y.get(f)]
+            if "raised" in x or "raised" in y:
+                fields = [] if x == y else ["raised"]
+            if fields:
+                moved += 1
+                print(f"  solve {i}: answer moved in {', '.join(fields)}:"
+                      f" {[x.get(f) for f in fields]} ->"
+                      f" {[y.get(f) for f in fields]}")
+            elif x.get("stopped_by") != y.get("stopped_by"):
+                stops[x["stopped_by"], y["stopped_by"]] += 1
+        for (p, q), n in sorted(stops.items(), key=str):
+            print(f"  stopped_by {p} -> {q}: {n} solves")
+    print(f"{moved} answer changes")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", action="append",
+                    choices=DEFAULT_WORKLOADS)
+    ap.add_argument("--out")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args(argv)
+    if args.compare:
+        docs = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+        return compare(*docs)
+    if not args.out:
+        ap.error("give --out to record or --compare to compare")
+    out = record(args.workload or DEFAULT_WORKLOADS)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=0)
+    for name, solves in out.items():
+        print(f"{name}: {summary(solves)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,10 @@ exact and deterministic:
 2. linear pinning: Gaussian elimination over the linear equalities writes
    each variable they force into the model, and propagation runs again,
 3. bounded depth-first search over undetermined integer variables with
-   constraint-derived bounds, propagating after each assignment,
+   constraint-derived bounds, propagating after each assignment; a value
+   that cannot divide the nonzero integer ``k`` of an equality
+   ``v·E = k``, with ``E`` integer-valued, is skipped without a node
+   (the divisor rule of domain reduction),
 4. Gaussian elimination plus Fourier-Motzkin projection for the
    remaining linear real part, with witness extraction.
 
@@ -30,8 +33,9 @@ inexact root step might find a point.
 The integer search compiles, on first use, each atom of ``Var``,
 ``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
 gives ``lhs - rhs = a·v + b`` at the current assignment.  It pins an
-equality's one unknown, reads constant bounds and probes monotone bounds
-with it, without substituting and folding the atom at every node; a shape
+equality's one unknown and reads constant bounds, and a side's closure
+gives the upper bound ``(target - b) // a`` of a monotone side at once,
+without substituting and folding the atom at every node; a shape
 ``lin`` would refuse, a zero divisor, a variable that folding drops and
 ``a = 0`` take the symbolic step instead, but an atom that ``a = 0`` makes
 false empties ``v``'s range (``x > x`` is unsat).  One check, ``_check``,
@@ -45,6 +49,7 @@ import operator
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
@@ -61,6 +66,8 @@ from .printer import _rational_sexpr, expr_to_sexpr
 ENUM_SPAN = 1000
 DEFAULT_NODE_BUDGET = 100_000
 PROBE_WIDTH = 12
+# the largest upper bound _monotone_bound gives
+MONOTONE_CAP = 2 ** 30
 # RootSolver's step: GRID cells over the unknown's box, whose open sides
 # double from 1 up to ROOT_BOX, and each sign change bisected to ROOT_WIDTH
 GRID = 64
@@ -170,8 +177,9 @@ class ExactSolver:
                 f = f + LinearForm({mark: Fraction(1)})
             eqs.append(f)
         chain, residual, free = eliminate(eqs, unassigned)
-        # a residual has no variable left, only marks
-        if any(e.const != 0 for e in residual):
+        # a residual has no variable left, only marks; one that holds a
+        # mark reads an inexact value, whose slack may close its gap
+        if any(e.const != 0 and not e.coeffs for e in residual):
             return "unsat"
         # back-substitute; values stay linear forms over the free variables
         forms = {v: LinearForm({v: Fraction(1)}, Fraction(0))
@@ -379,11 +387,17 @@ class ExactSolver:
                    for c in self.atoms)
 
     def _int_bounds(self, v, model):
+        """``(lo, hi, sound, k)``: ``v``'s range, whether it holds every
+        value of ``v`` in a solution, and the gcd of the ``k`` of the
+        equalities that read ``v·E = k`` (0 when there is none), which
+        every such value divides."""
         dom = self.domains[v]
         lo = dom.lower_bound
         hi = None
         sound_lo = lo is not None
         sound_hi = False
+        k = 0
+        inexact = {u for u, x in model.items() if not x.exact}
         for c in self.atoms:
             fvs = self._atom(c)[1]
             if v not in fvs:
@@ -394,7 +408,7 @@ class ExactSolver:
             sub = None
             if ab and not ab[0] and all(x.exact for x in model.values()) \
                     and not _HOLDS[c.rel](ab[1], 0):
-                return 0, -1, True      # false whatever value v takes
+                return 0, -1, True, 0   # false whatever value v takes
             if ab and ab[0]:
                 b = (FLIPPED[c.rel] if ab[0] < 0 else c.rel,
                      Fraction(-ab[1], ab[0]))
@@ -410,22 +424,27 @@ class ExactSolver:
                 sound_hi = True
             if c.rel != "=":
                 continue
-            m = self._monotone_bound(
-                sub or self._substitute_model(c, model), v, model, c)
+            sub = sub or self._substitute_model(c, model)
+            m = self._monotone_bound(sub, v, model, c)
             if m is not None:
                 hi = m if hi is None else min(hi, m)
                 sound_hi = True
+            # a Const read from an inexact value may be off by its slack
+            if inexact.isdisjoint(fvs):
+                k = gcd(k, _dividend(sub, v, self.domains) or 0)
         if lo is None:
             lo = -ENUM_SPAN // 2
         if hi is None:
             hi = lo + ENUM_SPAN
-        return lo, hi, sound_lo and sound_hi
+        return lo, hi, sound_lo and sound_hi, k
 
     def _monotone_bound(self, c: Compare, v, model, atom):
-        """Upper bound for a NAT/POS variable from an equality whose side
-        is monotone increasing in the unassigned nonnegative variables.
-        ``c`` is the equality ``atom`` at ``model``; the probe evaluates
-        ``atom``'s own side there."""
+        """Upper bound, at most MONOTONE_CAP, for a NAT/POS variable from
+        an equality whose side is monotone increasing in the unassigned
+        nonnegative variables; one below ``v``'s lower bound when the side
+        passes its target there already.  ``c`` is the equality ``atom``
+        at ``model``.  The bound is read off ``atom``'s own side there: off
+        its closure when ``v`` is affine in it, else by probing."""
         for expr, other, side in ((c.lhs, c.rhs, atom.lhs),
                                   (c.rhs, c.lhs, atom.rhs)):
             if not isinstance(other, Const):
@@ -443,15 +462,24 @@ class ExactSolver:
                          for u in fv if u != v}
             target = other.value
             env = {**model, **floor_env}
+            low = self.domains[v].lower_bound
+            ab = self._compiled(side, v, env)
+            if ab and ab[0] >= 0:
+                a, b = ab
+                if a * low + b > target:
+                    return low - 1
+                return min((target - b) // a, MONOTONE_CAP) if a \
+                    else MONOTONE_CAP
 
+            # a side the closure refuses, such as v·v: double, then bisect
             def g(x):
                 env[v] = Num(Fraction(x))
                 ab = self._compiled(side, None, env)
                 return ab[1] if ab else eval_expression(expr, env).value
-            if g(self.domains[v].lower_bound or 0) > target:
-                return (self.domains[v].lower_bound or 0)
+            if g(low) > target:
+                return low - 1
             hi = 1
-            while g(hi) <= target and hi < 10 ** 9:
+            while g(hi) <= target and hi < MONOTONE_CAP:
                 hi *= 2
             lo = hi // 2
             while lo < hi:
@@ -479,7 +507,7 @@ class ExactSolver:
         v = todo[0]
         # bounds tighten as outer variables get assigned, so derive them
         # per level from the partially substituted constraints
-        lo, hi, sound = self._int_bounds(v, model)
+        lo, hi, sound, k = self._int_bounds(v, model)
         if hi - lo > ENUM_SPAN or (not sound and hi - lo > 200):
             # the range cannot be enumerated exhaustively; probe a small
             # window anyway so underdetermined problems still get a
@@ -489,6 +517,8 @@ class ExactSolver:
         if not sound:
             self._undecided(model)
         for val in range(lo, hi + 1):
+            if k and (not val or k % val):
+                continue            # v·E = k: no other value satisfies it
             if not self._spend(1):
                 return None
             child = dict(model)
@@ -669,6 +699,40 @@ def _const_bound(c, v):
     ``value`` with only ``v`` free, else None."""
     b = bound(c, v) if free_variables(c) == {v} else None
     return (b[0], b[1].value) if b and isinstance(b[1], Const) else None
+
+
+def _dividend(c, v, domains):
+    """The nonzero integer ``k`` when the equality ``c`` reads ``v·E = k``:
+    one side a product with ``v`` as a factor and only integer-valued
+    factors (integer variables, integers, ``+``, ``-`` and ``*``), the
+    other the constant ``k``.  Every integer ``v`` that satisfies ``c``
+    divides ``k``.  None for any other equality."""
+    for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+        if type(other) is Const and other.value \
+                and other.value.denominator == 1 and _has_factor(side, v) \
+                and _integer_valued(side, domains):
+            return other.value.numerator
+    return None
+
+
+def _has_factor(e, v) -> bool:
+    """True when ``v`` is a factor of the tree of ``*`` nodes at the top
+    of ``e``."""
+    if type(e) is BinOp and e.op == "*":
+        return _has_factor(e.left, v) or _has_factor(e.right, v)
+    return type(e) is Var and e.name == v
+
+
+def _integer_valued(e, domains) -> bool:
+    """True when ``e`` takes an integer value at every integer point:
+    integer variables and integers under ``+``, ``-`` and ``*``."""
+    if type(e) is Var:
+        return domains[e.name].is_integer
+    if type(e) is Const:
+        return e.value.denominator == 1
+    return type(e) is BinOp and e.op in ("+", "-", "*") \
+        and _integer_valued(e.left, domains) \
+        and _integer_valued(e.right, domains)
 
 
 # the closures keep integral values as ints, Python's fast arithmetic

@@ -1,6 +1,7 @@
 """Bundled exact solver: propagation, integer search, real arithmetic,
 and the stdio protocol."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -277,7 +278,100 @@ def test_an_equality_left_with_one_unknown_bounds_it_from_both_sides():
               "(assert (>= c 0))"
               "(assert (= (+ (* 0 c) (* 2 a) (* 3 b)) 26))(check-sat)")
     solver = ExactSolver(p)
-    assert solver._int_bounds("b", {"a": Num(Fraction(1))}) == (8, 8, True)
+    assert solver._int_bounds("b", {"a": Num(Fraction(1))}) \
+        == (8, 8, True, 0)
+
+
+def test_a_side_over_its_target_at_the_lower_bound_empties_the_range():
+    # v·w + 7 is already 8 > 3 at v = w = 1, so no value of v fits
+    p = parse("(declare-fun v () Int)(declare-fun w () Int)"
+              "(assert (>= v 1))(assert (>= w 1))"
+              "(assert (= (+ (* v w) 7) 3))(check-sat)")
+    solver = ExactSolver(p)
+    assert solver.solve() == ("unsat", {})
+    assert solver.nodes == 0
+
+
+def _divisor_problem(rng):
+    """``v·E = k`` over small Int and NAT boxes, with ``E`` integer-valued
+    or not, ``k`` of either sign or 0, and a second atom that moves the
+    first solution; returns the problem and its box per variable."""
+    boxes, text = {}, ""
+    for n in ("v", "w", "u"):
+        lo = 0 if rng.random() < 0.4 else rng.randint(-8, 2)
+        boxes[n] = range(lo, lo + rng.randint(2, 10) + 1)
+        text += (f"(declare-fun {n} () Int)(assert (>= {n} {lo}))"
+                 f"(assert (<= {n} {boxes[n][-1]}))")
+    e = rng.choice(("w", "(+ w u)", "(- w 3)", "(* 2 w)", "(- u w)",
+                    "(+ (* w u) 1)", "(/ w 2)"))
+    product = rng.choice((f"(* v {e})", f"(* {e} v)", f"(* v {e} 2)"))
+    k = rng.randint(-24, 24)
+    eq = f"(= {product} {k})" if rng.random() < 0.7 \
+        else f"(= {k} {product})"
+    other = rng.choice(("(> (+ v w u) 2)", "(distinct v w)", "(< u v)",
+                        "(>= (- v u) 1)"))
+    return parse(f"{text}(assert {eq})(assert {other})(check-sat)"), boxes
+
+
+def _solved(p, monkeypatch, divisors):
+    """``(answer, nodes)`` with the divisor filter on or off."""
+    with monkeypatch.context() as mp:
+        if not divisors:
+            mp.setattr(minisolver, "_dividend", lambda c, v, domains: None)
+        solver = ExactSolver(p)
+        return solver.solve(), solver.nodes
+
+
+def test_the_divisor_filter_never_drops_a_solution(monkeypatch):
+    filtered = 0
+    for seed in range(60):
+        p, boxes = _divisor_problem(random.Random(seed))
+        (status, model), nodes = _solved(p, monkeypatch, True)
+        off, off_nodes = _solved(p, monkeypatch, False)
+        assert (status, model) == off, seed
+        assert nodes <= off_nodes, seed
+        filtered += nodes < off_nodes
+        # brute force, in the search's order: declaration order, each
+        # variable ascending
+        names = list(boxes)
+        first = next((point for point in itertools.product(
+            *(boxes[n] for n in names))
+            if all(eval_constraint(c, dict(zip(names, map(Fraction, point))))
+                   for c in p.constraints)), None)
+        if first is None:
+            assert status == "unsat", seed
+        else:
+            assert status == "sat", seed
+            assert tuple(model[n].value for n in names) == first, seed
+    assert filtered >= 20
+
+
+def test_the_divisor_filter_reads_no_real_factor():
+    # v·x = 6 holds at v = 4 with x = 3/2, a value that v | 6 would skip
+    p = parse("(declare-fun v () Int)(declare-fun x () Real)"
+              "(assert (> v 3))(assert (< v 9))(assert (= (* v x) 6))"
+              "(check-sat)")
+    status, model = solve_exact(p)
+    assert status == "sat"
+    assert (model["v"].value, model["x"].value) == (4, Fraction(3, 2))
+
+
+def test_the_divisor_filter_reads_no_inexact_constant(monkeypatch):
+    # 3n is 6 in both problems, but n = y·y is only 2 within the
+    # precision of sqrt 2, so only the exact 6 may skip v = 4 and v = 5
+    def problem(n_is):
+        return parse("(declare-fun y () Real)(declare-fun n () Int)"
+                     "(declare-fun v () Int)(declare-fun w () Int)"
+                     "(assert (>= v 1))(assert (>= w 1))"
+                     f"(assert (= n {n_is}))(assert (= y (sqrt 2)))"
+                     "(assert (= (* v w) (* 3 n)))(assert (> v 3))"
+                     "(check-sat)")
+    for n_is, exact in (("(* y y)", False), ("2", True)):
+        (status, model), nodes = _solved(problem(n_is), monkeypatch, True)
+        off, off_nodes = _solved(problem(n_is), monkeypatch, False)
+        assert (status, model) == off
+        assert (model["v"].value, model["w"].value) == (6, 1)
+        assert (nodes < off_nodes) == exact
 
 
 @pytest.mark.parametrize("nonlinear", ["(> (* z z) 1)", "(> (/ x z) 1)"])
@@ -399,6 +493,34 @@ def test_the_compiled_search_moves_no_answer_of_the_mcmc_solves(
     for problem, node_budget, answer, nodes, stop in mcmc_solves:
         assert solved_without_closures(problem, monkeypatch, node_budget) \
             == (answer, nodes, stop)
+
+
+def test_the_closed_form_bound_moves_no_answer_of_m1s_mcmc_solves(
+        monkeypatch):
+    # m1's products are affine in each of their factors, so with closures
+    # on the monotone bound is read off them, and with closures off it is
+    # probed; both must end every search alike
+    queries, bounds = [], []
+    inner = ExactSolver._monotone_bound
+
+    def spy(self, *args):
+        bounds.append(inner(self, *args))
+        return bounds[-1]
+
+    def recording(problem, node_budget=DEFAULT_NODE_BUDGET, timeout_s=None):
+        queries.append((problem, node_budget))
+        return ExactSolver(problem, node_budget, timeout_s).solve()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(minisolver, "solve_exact", recording)
+        mutate_to_level(load_problem("m1.smt2"), 1, random.Random(0))
+    monkeypatch.setattr(ExactSolver, "_monotone_bound", spy)
+    assert len(queries) >= 10
+    for problem, node_budget in queries:
+        solver = ExactSolver(problem, node_budget)
+        assert (solver.solve(), solver.nodes, solver.stopped_by) \
+            == solved_without_closures(problem, monkeypatch, node_budget)
+    assert sum(b is not None for b in bounds) >= 100
 
 
 @pytest.mark.parametrize("atom", [

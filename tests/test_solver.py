@@ -353,7 +353,10 @@ def test_solver_config_rejects_bad_bounds():
     "(assert (= n (* y y)))",
     "(declare-fun w () Int)(assert (= (+ n w) (* y y)))"
     "(assert (= (- n w) 2))",
-], ids=["propagated", "linear-pinned"])
+    # once y and n are pinned, n = y·y has no unknown left, and linear
+    # pinning must not refute it for the slack of y
+    "(declare-fun w () Int)(assert (>= w 1))(assert (= n (* y y)))",
+], ids=["propagated", "linear-pinned", "beside-an-unknown"])
 def test_an_integer_forced_from_an_inexact_value_rounds(asserts, command):
     # y * y is 2 only within the precision of sqrt 2, so the integer n it
     # forces is inexact and rounds to 2 within APPROX_TOL instead of being
