@@ -16,7 +16,8 @@ run lists are read from ``perfbench/``, and nothing is written there.
 Comparing pairs the solves of each workload by position.  The answer of a
 solve is its problem, status, model and ``rooted``; a change in any of them
 is listed, and makes the exit status 1.  Nodes and ``stopped_by`` may move
-without that: they are summed and tallied.
+without that: they are summed, and the first ``MOVES_LISTED`` solves whose
+nodes or ``stopped_by`` moved are listed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from inputs import use_source_tree                       # noqa: E402
 
 DEFAULT_WORKLOADS = ("mutate-chain", "generate-fixtures", "verify-rows")
 ANSWER_FIELDS = ("problem", "budget", "status", "model", "rooted")
+SEARCH_FIELDS = ("nodes", "stopped_by")
+MOVES_LISTED = 10
 
 
 def record(workloads) -> dict:
@@ -91,14 +94,13 @@ def summary(solves) -> dict:
 
 def compare(a: dict, b: dict) -> int:
     """Print the differences of two recordings; 1 when an answer moved."""
-    moved = 0
+    moved, searches = 0, []
     for name in sorted(a.keys() | b.keys()):
         xs, ys = a.get(name, []), b.get(name, [])
         print(f"{name}: {summary(xs)} -> {summary(ys)}")
         if len(xs) != len(ys):
             print(f"  solve count differs: {len(xs)} != {len(ys)}")
             moved += 1
-        stops = Counter()
         for i, (x, y) in enumerate(zip(xs, ys)):
             fields = [f for f in ANSWER_FIELDS if x.get(f) != y.get(f)]
             if "raised" in x or "raised" in y:
@@ -108,11 +110,13 @@ def compare(a: dict, b: dict) -> int:
                 print(f"  solve {i}: answer moved in {', '.join(fields)}:"
                       f" {[x.get(f) for f in fields]} ->"
                       f" {[y.get(f) for f in fields]}")
-            elif x.get("stopped_by") != y.get("stopped_by"):
-                stops[x["stopped_by"], y["stopped_by"]] += 1
-        for (p, q), n in sorted(stops.items(), key=str):
-            print(f"  stopped_by {p} -> {q}: {n} solves")
+            elif any(x.get(f) != y.get(f) for f in SEARCH_FIELDS):
+                searches.append(f"  {name} solve {i}: " + ", ".join(
+                    f"{f} {x.get(f)} -> {y.get(f)}" for f in SEARCH_FIELDS))
     print(f"{moved} answer changes")
+    print(f"{len(searches)} solves moved nodes or stopped_by")
+    for line in searches[:MOVES_LISTED]:
+        print(line)
     return 1 if moved else 0
 
 

@@ -35,12 +35,16 @@ The integer search compiles, on first use, each atom of ``Var``,
 gives ``lhs - rhs = a·v + b`` at the current assignment.  It pins an
 equality's one unknown and reads constant bounds, and a side's closure
 gives the upper bound ``(target - b) // a`` of a monotone side at once,
-without substituting and folding the atom at every node; a shape
-``lin`` would refuse, a zero divisor, a variable that folding drops and
-``a = 0`` take the symbolic step instead, but an atom that ``a = 0`` makes
-false empties ``v``'s range (``x > x`` is unsat).  One check, ``_check``,
-decides each atom a model makes ground: by its closure when every value
-is exact, else by ``eval_constraint``.
+without substituting and folding the atom at every node; an equality
+whose one unknown sits in a divisor is pinned by a closure (``_inverse``)
+that inverts the path down to it.  A shape ``lin`` would refuse, a zero
+divisor, a variable that folding drops and ``a = 0`` take the symbolic
+step instead, but an atom that ``a = 0`` makes false empties ``v``'s range
+(``x > x`` is unsat).  One pass, ``_decide``, decides each atom a model
+makes ground: by its closure when every value is exact, else by
+``eval_constraint``.  Each node decides only the atoms its assignments
+made ground, since an atom that holds holds in the whole subtree, and
+propagates over the equalities still open.
 """
 
 from __future__ import annotations
@@ -87,9 +91,10 @@ class ExactSolver:
         self.stopped_by = None
         self.domains = dict(problem.declarations)
         self._atom_cache = {}
-        # _affine's closures by (id of atom or side, variable), from the
+        # closures by (id of atom or side, variable, builder), from the
         # start of the integer search on
         self._closures = None
+        self._watch = {}        # each variable's atoms, per branch searched
         self.atoms = []
         for c in problem.constraints:
             self.atoms.extend(conjuncts(c))
@@ -138,15 +143,15 @@ class ExactSolver:
                         if n not in model and d.is_integer]
             if int_vars:
                 return self._int_search(model, int_vars)
-        return self._finish(model)
+        return self._finish(model, self.atoms)
 
-    def _finish(self, model):
-        """(status, model) at a model that leaves no integer unassigned:
-        the real stage decides when reals remain, else ``_check``."""
+    def _finish(self, model, atoms):
+        """(status, model) at a model that leaves no integer unassigned: by
+        the real stage when reals remain, else by ``_decide`` on ``atoms``."""
         reals = [n for n, _ in self.problem.declarations if n not in model]
         if reals:
             return self._real_stage(model, reals)
-        return self._check(model), model
+        return self._decide(model, atoms)[0], model
 
     # -- linear pinning -------------------------------------------------------
 
@@ -212,14 +217,14 @@ class ExactSolver:
             self._atom_cache[id(c)] = cached
         return cached
 
-    def _propagate(self, model):
-        """Assign variables forced by equalities with a single unknown; a
-        value computed from an inexact one is inexact."""
+    def _propagate(self, model, atoms=None):
+        """Assign each variable that an equality of ``atoms`` (default all)
+        forces as its one unknown; a value from an inexact one is inexact."""
         inexact = {u for u, x in model.items() if not x.exact}
         progress = True
         while progress:
             progress = False
-            for c in self.atoms:
+            for c in self.atoms if atoms is None else atoms:
                 if not (isinstance(c, Compare) and c.rel == "="):
                     continue
                 fvs = self._atom(c)[1]
@@ -243,10 +248,19 @@ class ExactSolver:
 
     def _pin(self, c, v, model):
         """The value of ``v``, the one unknown of the equality ``c``, or
-        None when neither solving for it nor inverting ``c`` finds one."""
+        None when neither solving for it nor inverting ``c`` finds one.  In
+        the search ``c``'s affine closure pins ``v``, or where its shape is
+        refused, such as ``v`` in a divisor, its ``_inverse`` closure."""
         ab = self._compiled(c, v, model)
         if ab and ab[0]:
             return Num(Fraction(-ab[1], ab[0]))
+        inverse = None if self._closure(c, v) \
+            else self._closure(c, v, _inverse)
+        try:
+            if inverse:
+                return inverse(model)
+        except (KeyError, ZeroDivisionError):
+            pass                        # the symbolic step decides
         sub = self._substitute_model(c, model)
         if free_variables(sub) != {v}:
             return None
@@ -259,27 +273,17 @@ class ExactSolver:
             return None
 
     def _invert_equality(self, c, v):
-        """Solve an equation with one unknown by structurally inverting
-        +, -, *, / along the unique path to the variable; None when the
-        shape is not invertible."""
-        lf, rf = free_variables(c.lhs), free_variables(c.rhs)
-        if v in lf and not rf:
-            expr, target = c.lhs, c.rhs
-        elif v in rf and not lf:
-            expr, target = c.rhs, c.lhs
-        else:
+        """Solve an equation with one unknown by inverting +, -, *, / along
+        the unique path to it (``_inversion_path``); None where none is."""
+        path = _inversion_path(c, v)
+        if path is None:
             return None
+        target, steps = path
         t = exact_value(target)
-        while t is not None and isinstance(expr, BinOp):
-            in_left = v in free_variables(expr.left)
-            if in_left == (v in free_variables(expr.right)):
-                return None
-            k = exact_value(expr.right if in_left else expr.left)
-            t = None if k is None else _INVERT[expr.op, in_left](t, k)
-            expr = expr.left if in_left else expr.right
-        if t is None or not (isinstance(expr, Var) and expr.name == v):
-            return None
-        return Num(t, exact=True)
+        for invert, off in steps:
+            k = None if t is None else exact_value(off)
+            t = None if k is None else invert(t, k)
+        return None if t is None else Num(t, exact=True)
 
     def _substitute_model(self, c, model):
         # the same atoms are re-substituted at every search node, so skip
@@ -291,20 +295,22 @@ class ExactSolver:
         env = {v: Const(model[v].value) for v in hit}
         return fold_constraint(substitute_all(c, env))
 
-    def _compiled(self, node, v, model):
-        """``(a, b)`` with ``node = a·v + b`` at ``model`` (an atom reads
-        as ``lhs - rhs``), from ``node``'s ``_affine`` closure, compiled on
-        first use; None where the symbolic step must decide: outside the
-        integer search, for a shape ``_affine`` refuses, and for a missing
-        variable or a zero divisor."""
+    def _closure(self, node, v, build=None):
+        """``build(node, v)``, by default ``_affine(node, v)``, compiled on
+        first use; None outside the integer search and where it refuses."""
         if self._closures is None:
             return None
-        key = (id(node), v)
+        key = (id(node), v, build)
         f = self._closures.get(key, False)
         if f is False:
-            term = BinOp("-", node.lhs, node.rhs) \
-                if isinstance(node, Compare) else node
-            f = self._closures[key] = _affine(term, v)
+            f = self._closures[key] = (build or _affine)(node, v)
+        return f
+
+    def _compiled(self, node, v, model):
+        """``(a, b)`` with ``node = a·v + b`` at ``model`` by ``_affine``;
+        None where the symbolic step must decide: outside the search, for a
+        shape it refuses, a missing variable or a zero divisor."""
+        f = self._closure(node, v)
         if f is None:
             return None
         try:
@@ -315,32 +321,42 @@ class ExactSolver:
     # -- the check at a model ------------------------------------------------
 
     def _check(self, model):
-        """The verdict on the atoms ``model`` makes ground: ``"unsat"`` at
-        the first false one, ``"unknown"`` at the first that raises, else
-        ``"sat"``.  In the integer search with every value exact, an atom's
-        closure decides it; ``eval_constraint`` decides the rest, a shape or
-        value the closure refuses and an inexact value, which keeps slack."""
+        """The verdict of ``_decide`` on every atom."""
+        return self._decide(model, self.atoms)[0]
+
+    def _decide(self, model, atoms):
+        """``(verdict, open)`` on the atoms of ``atoms`` that ``model``
+        makes ground: ``"unsat"`` at the first false one, ``"unknown"`` at
+        the first that raises, else ``"sat"``; ``open`` keeps, in order,
+        the atoms not known to hold.  In the integer search with every value
+        exact, an atom's closure decides it; ``eval_constraint`` decides the
+        rest, a shape or value the closure refuses and an inexact value,
+        which keeps slack."""
         exact = all(x.exact for x in model.values())
-        for c in self.atoms:
-            if self._atom(c)[1] - model.keys():
+        keys = model.keys()
+        left = []
+        for i, c in enumerate(atoms):
+            if not keys >= self._atom(c)[1]:
+                left.append(c)
                 continue
             ab = self._compiled(c, None, model) if exact else None
             try:
                 holds = _HOLDS[c.rel](ab[1], 0) if ab \
                     else eval_constraint(c, model)
             except MathMorphError:
-                return "unknown"
+                return "unknown", left + atoms[i:]
             if not holds:
-                return "unsat"
-        return "sat"
+                return "unsat", None
+        return "sat", left
 
     # -- integer search -----------------------------------------------------
 
     def _int_search(self, model, int_vars):
         self.undecided = False          # set once unsat cannot be claimed
         self._closures = {}
+        self._watch = {}
         try:
-            result = self._dfs(dict(model), list(int_vars))
+            result = self._dfs(dict(model), list(int_vars), self.atoms)
         except _NoSatLeaf:
             self.stopped_by = "cut"
             return "unknown", {}
@@ -398,10 +414,10 @@ class ExactSolver:
         sound_hi = False
         k = 0
         inexact = {u for u, x in model.items() if not x.exact}
-        for c in self.atoms:
+        if v not in self._watch:
+            self._watch[v] = [c for c in self.atoms if v in self._atom(c)[1]]
+        for c in self._watch[v]:
             fvs = self._atom(c)[1]
-            if v not in fvs:
-                continue
             # an atom with v its only unknown reads v rel -b/a
             ab = self._compiled(c, v, model) \
                 if len(fvs - model.keys()) == 1 else None
@@ -491,16 +507,15 @@ class ExactSolver:
             return lo
         return None
 
-    def _dfs(self, model, todo):
-        # propagate after each assignment; prune on ground falsities
-        if self._check(model) == "unsat":
-            return None
-        status = self._propagate(model)
-        if status == "unsat":
+    def _dfs(self, model, todo, open_atoms):
+        # decide the atoms made ground since the parent (one that holds
+        # holds below, as models only grow); propagate over the open ones
+        status, open_atoms = self._decide(model, open_atoms)
+        if status == "unsat" or self._propagate(model, open_atoms) == "unsat":
             return None
         todo = [v for v in todo if v not in model]
         if not todo:
-            status, out = self._finish(model)
+            status, out = self._finish(model, open_atoms)
             if status == "unknown":
                 self._undecided(model)
             return out if status == "sat" else None
@@ -523,7 +538,7 @@ class ExactSolver:
                 return None
             child = dict(model)
             child[v] = Num(Fraction(val))
-            found = self._dfs(child, todo[1:])
+            found = self._dfs(child, todo[1:], open_atoms)
             if found is not None:
                 return found
         return None
@@ -741,7 +756,7 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNIT = (1, 0)
-# _invert_equality's step by (op, whether v is on the left): the value of
+# an inversion step by (op, whether v is on the left): the value of
 # the side that holds v, from the value t of ``left op right`` and the
 # value k of the other side; None where no value, or every value, would do
 _INVERT = {("+", True): lambda t, k: t - k, ("+", False): lambda t, k: t - k,
@@ -752,16 +767,61 @@ _INVERT = {("+", True): lambda t, k: t - k, ("+", False): lambda t, k: t - k,
            ("/", False): lambda t, k: k / t if t else None}
 
 
+def _inversion_path(c, v):
+    """``(target, steps)`` when ``v`` sits on one side of the equality
+    ``c`` only, at the end of a unique path of ``BinOp`` nodes: ``target``
+    is the other side, and ``steps`` pairs each node's ``_INVERT`` step,
+    from the top, with its subtree off the path.  Else None."""
+    lf, rf = free_variables(c.lhs), free_variables(c.rhs)
+    if (v in lf) == (v in rf):
+        return None
+    expr, target = (c.lhs, c.rhs) if v in lf else (c.rhs, c.lhs)
+    steps = []
+    while isinstance(expr, BinOp):
+        in_left = v in free_variables(expr.left)
+        if in_left == (v in free_variables(expr.right)):
+            return None
+        steps.append((_INVERT[expr.op, in_left],
+                      expr.right if in_left else expr.left))
+        expr = expr.left if in_left else expr.right
+    return (target, steps) if isinstance(expr, Var) else None
+
+
+def _inverse(c, v):
+    """A closure ``model -> Num``: the value of ``v`` that
+    ``_invert_equality`` finds for the equality ``c`` at the model's other
+    values, or None where it finds none.  The target and the subtrees off
+    the path are valued by ``_affine`` closures, whose errors it raises.
+    None where ``_inversion_path`` or ``_affine`` refuses."""
+    path = _inversion_path(c, v)
+    fs = path and [_affine(t, None) for t in
+                   (path[0], *(off for _, off in path[1]))]
+    if not fs or any(f is None for f in fs):
+        return None
+    inverts = [invert for invert, _ in path[1]]
+
+    def inverse(m):
+        t = Fraction(fs[0](m)[1])
+        for invert, f in zip(inverts, fs[1:]):
+            t = invert(t, f(m)[1])
+            if t is None:
+                return None
+        return Num(t)
+    return inverse
+
+
 def _affine(term, v):
     """A closure ``model -> (a, b)`` with ``term = a·v + b`` at the model's
-    values of the other variables; with ``v`` None, ``b`` is the term's
-    value.  It mirrors what ``lin`` accepts on the folded, substituted
-    term: Var, Const, ``+``, ``-``, a product with a factor free of ``v``
-    and a division by a divisor free of ``v``; any other term gives None.
-    ``a`` and ``b`` are exact: ints where integral, else Fractions.
-    The closure raises KeyError for a variable the model lacks (folding may
-    have dropped it, as in ``(* 0 c)``) and ZeroDivisionError for a zero
-    divisor."""
+    values of the other variables (an atom reads as ``lhs - rhs``); with
+    ``v`` None, ``b`` is the term's value.  It mirrors what ``lin`` accepts
+    on the folded, substituted term: Var, Const, ``+``, ``-``, a product
+    with a factor free of ``v`` and a division by a divisor free of ``v``;
+    any other term gives None.  ``a`` and ``b`` are exact: ints where
+    integral, else Fractions.  The closure raises KeyError for a variable
+    the model lacks (folding may have dropped it, as in ``(* 0 c)``) and
+    ZeroDivisionError for a zero divisor."""
+    if isinstance(term, Compare):
+        term = BinOp("-", term.lhs, term.rhs)
     compiled = _compile(term, v)
     if compiled is None:
         return None

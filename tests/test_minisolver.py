@@ -479,10 +479,14 @@ def test_the_cut_moves_no_answer_of_the_mcmc_solves(mcmc_solves,
 
 
 def solved_without_closures(problem, monkeypatch, node_budget):
-    """``(answer, nodes, stopped_by)`` with every atom left to the
-    symbolic steps."""
+    """``(answer, nodes, stopped_by)`` by the reference route: every atom
+    left to the symbolic steps, with no affine or inversion closure, and
+    every node deciding and propagating over all atoms."""
+    decide = ExactSolver._decide
     with monkeypatch.context() as mp:
         mp.setattr(minisolver, "_affine", lambda term, v: None)
+        mp.setattr(ExactSolver, "_decide", lambda self, model, atoms:
+                   (decide(self, model, self.atoms)[0], self.atoms))
         solver = ExactSolver(problem, node_budget)
         return solver.solve(), solver.nodes, solver.stopped_by
 
@@ -523,25 +527,70 @@ def test_the_closed_form_bound_moves_no_answer_of_m1s_mcmc_solves(
     assert sum(b is not None for b in bounds) >= 100
 
 
-@pytest.mark.parametrize("atom", [
-    "(= (+ a (^ b 1)) 5)",                  # lin refuses a power
-    "(= (+ a (- b b)) 2)",                  # b cancels
-    "(= (* b (/ 6 (- a 2))) 6)",            # a zero divisor at a = 2
-    "(= (+ b (* 0 (/ 1 (- a a)))) 4)",      # a zero divisor folded away
-    "(< (+ b pi) 7)",                       # a named constant
-    "(= (+ (* 0 c) (* 2 a) (* 3 b)) 26)",   # c dropped by folding
-])
+def shape_problem(atom, order):
+    """``atom`` over Ints ``a`` in [0, 4], ``b`` >= 0 and ``c`` in [0, 2],
+    declared, and so assigned by the search, in ``order``."""
+    return parse("".join(f"(declare-fun {x} () Int)" for x in order)
+                 + "(assert (>= a 0))(assert (<= a 4))(assert (>= b 0))"
+                 "(assert (>= c 0))(assert (<= c 2))"
+                 f"(assert {atom})(assert (> (+ a b c) 6))(check-sat)")
+
+
+# with b assigned before a, each node pins a through its divisor
+DIVISOR_SHAPES = [
+    "(= (/ 12 a) b)",
+    "(= (/ 6 (- a 2)) b)",                  # a zero divisor at a = 2
+    "(= (/ 6 a) 0)",                        # no value of a
+    "(= (/ -12 (+ a 1)) b)",
+    "(= (* b (/ 6 a)) 6)",
+]
+
+
+@pytest.mark.parametrize("order, atom", [
+    *(pytest.param("abc", atom, id=atom) for atom in [
+        "(= (+ a (^ b 1)) 5)",                  # lin refuses a power
+        "(= (+ a (- b b)) 2)",                  # b cancels
+        "(= (* b (/ 6 (- a 2))) 6)",            # a zero divisor at a = 2
+        "(= (+ b (* 0 (/ 1 (- a a)))) 4)",      # a zero divisor folded away
+        "(< (+ b pi) 7)",                       # a named constant
+        "(= (+ (* 0 c) (* 2 a) (* 3 b)) 26)",   # c dropped by folding
+    ]),
+    *(pytest.param("bac", atom, id=atom) for atom in DIVISOR_SHAPES)])
 def test_the_compiled_search_agrees_on_shapes_it_leaves_to_the_symbolic_step(
-        atom, monkeypatch):
-    p = parse("(declare-fun a () Int)(declare-fun b () Int)"
-              "(declare-fun c () Int)(assert (>= a 0))(assert (<= a 4))"
-              "(assert (>= b 0))(assert (>= c 0))(assert (<= c 2))"
-              f"(assert {atom})(assert (> (+ a b c) 6))(check-sat)")
+        order, atom, monkeypatch):
+    p = shape_problem(atom, order)
     solver = ExactSolver(p, 5_000)
     answer = solver.solve()
     assert solver.nodes > 0
     assert (answer, solver.nodes, solver.stopped_by) \
         == solved_without_closures(p, monkeypatch, 5_000)
+
+
+def test_the_inversion_closure_pins_an_unknown_in_a_divisor(monkeypatch):
+    # each value of b pins a of 12 / a = b by the closure, with no
+    # symbolic step; b = 0 gives no value and b = 3 gives a = 4
+    pins, symbolic = [], []
+    build, invert = minisolver._inverse, ExactSolver._invert_equality
+
+    def spying(c, v):
+        f = build(c, v)
+
+        def spy(model):
+            pins.append(f(model))
+            return pins[-1]
+        return spy
+
+    def inverting(self, c, v):
+        symbolic.append(self._closures is not None)
+        return invert(self, c, v)
+
+    monkeypatch.setattr(minisolver, "_inverse", spying)
+    monkeypatch.setattr(ExactSolver, "_invert_equality", inverting)
+    status, model = ExactSolver(shape_problem(DIVISOR_SHAPES[0], "bac"),
+                                5_000).solve()
+    assert status == "sat" and model["a"].value == 4
+    assert None in pins and Num(Fraction(4)) in pins
+    assert not any(symbolic)
 
 
 def test_an_inexact_root_at_an_integer_leaf_is_judged_with_slack():

@@ -1,0 +1,50 @@
+"""The replay script's comparison of two recordings of exact solves."""
+
+import importlib.util
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_replay(monkeypatch):
+    # the script puts perfbench/ on the path; keep it off later tests' path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "replay_solves", os.path.join(ROOT, "scripts", "replay_solves.py"))
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    return replay
+
+
+def solve(nodes=3, stopped_by=None, x="1"):
+    return {"problem": "ab12", "budget": 100, "status": "sat",
+            "model": {"x": [x, True]}, "nodes": nodes,
+            "stopped_by": stopped_by, "rooted": None}
+
+
+def test_a_changed_model_is_an_answer_change(capsys, monkeypatch):
+    before = {"mutate-chain": [solve(), solve()]}
+    after = {"mutate-chain": [solve(), solve(x="2")]}
+    assert load_replay(monkeypatch).compare(before, after) == 1
+    out = capsys.readouterr().out
+    assert "solve 1: answer moved in model" in out
+    assert "1 answer changes" in out
+
+
+def test_node_and_stop_moves_are_listed_and_pass(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    before = {"verify-rows": [solve()] * 12,
+              "mutate-chain": [solve(), solve(stopped_by="budget")]}
+    after = {"verify-rows": [solve(nodes=4)] * 12,
+             "mutate-chain": [solve(), solve(stopped_by="cut")]}
+    assert replay.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert "0 answer changes" in out
+    assert "13 solves moved nodes or stopped_by" in out
+    listed = [line for line in out.splitlines() if " solve " in line]
+    assert len(listed) == replay.MOVES_LISTED
+    assert listed[0] == ("  mutate-chain solve 1: nodes 3 -> 3,"
+                         " stopped_by budget -> cut")
+    assert listed[1] == ("  verify-rows solve 0: nodes 3 -> 4,"
+                         " stopped_by None -> None")
