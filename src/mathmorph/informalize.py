@@ -305,12 +305,9 @@ def extract_answer(text: str):
     if not m:
         return None
     token = m.group(0).replace("$", "").replace(",", "").replace(" ", "")
+    num, _, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/")
-            return Fraction(int(float(num)), int(den)) \
-                if "." not in num else Fraction(num) / Fraction(den)
-        return Fraction(token)
+        return Fraction(num) / Fraction(den or 1)
     except (ValueError, ZeroDivisionError):
         return None
 

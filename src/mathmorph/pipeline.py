@@ -19,7 +19,7 @@ import shlex
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ast import MathMorphError, Problem, node_count
 from .funcs import APPROX_TOL
@@ -121,10 +121,6 @@ def _records_json(records: Sequence[MutationRecord]) -> list:
              "parameters": r.parameters, "seed": r.seed} for r in records]
 
 
-def _answer_str(result: SolverResult) -> Optional[str]:
-    return None if result.answer is None else str(result.answer.value)
-
-
 def _pick_pattern(rng, ratio: float, has_original: bool) -> str:
     """p1 rewrites the original statement, so it needs a sidecar text."""
     if has_original and rng.random() < ratio:
@@ -153,9 +149,10 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     base["formal"] = canonical_print(mutated)
     base["provenance"] = _records_json(records)
     result = solve(mutated, plan.solver)
-    if result.status != "sat":
-        return None, dict(base, reason=f"solver status {result.status}"), nodes
-    base["answer"] = _answer_str(result)
+    if result.status != "sat":      # an unsat mutant costs no endpoint call
+        return None, dict(base, reason=audit_row(base, result)), nodes
+    answer = result.answer
+    base["answer"] = None if answer is None else str(answer.value)
     context = PromptContext(original_text=original,
                             few_shot_pool=DEFAULT_FEW_SHOT_POOL, rng=rng)
     try:
@@ -168,23 +165,16 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     if plan.skip_verification:
         return None, dict(base, reasoning="", verified=False,
                           reason="verification skipped by plan"), nodes
-    reasoning, verdict = "", None
     for _ in range(plan.reasoning_attempts):
         try:
             reasoning = generate_reasoning(informal, plan.endpoint)
         except (EndpointError, MathMorphError) as exc:
             return None, dict(base, reason=f"reasoning failed: {exc}"), nodes
-        verdict = consistency_check(reasoning, result)
-        if verdict.consistent:
-            break
-    base["reasoning"] = reasoning
-    if verdict is None or not verdict.consistent:
-        return None, dict(base, verified=False,
-                          reason="answer mismatch: reasoning "
-                          f"{verdict.llm_answer} vs solver "
-                          f"{verdict.solver_answer}"), nodes
-    base["verified"] = True
-    return base, None, nodes
+        row = dict(base, reasoning=reasoning, verified=True)
+        reason = audit_row(row, result)
+        if reason is None:
+            return row, None, nodes
+    return None, dict(row, verified=False, reason=reason), nodes
 
 
 def generate_dataset(plan: GenerationPlan, out_path: str,
@@ -202,8 +192,15 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
         for level in sorted(plan.level_counts):
             for index in range(plan.level_counts[level]):
                 report.attempted += 1
-                row, reject, nodes = _generate_row(
-                    plan, seed_id, seed, original, level, index)
+                try:
+                    row, reject, nodes = _generate_row(
+                        plan, seed_id, seed, original, level, index)
+                except Exception as exc:    # one row never aborts the run
+                    row, nodes = None, None
+                    reject = {"seed_id": seed_id, "level": level,
+                              "rng_seed": sample_rng_seed(
+                                  plan.global_seed, seed_id, level, index),
+                              "reason": f"{type(exc).__name__}: {exc}"}
                 if "answer" in (row or reject):
                     report.solved += 1
                 if row is not None:
@@ -247,60 +244,84 @@ class VerificationReport:
         return not self.mismatches
 
 
+def _is_answer(value) -> bool:
+    """A stored answer is null or a string that ``Fraction`` reads."""
+    if not isinstance(value, str):
+        return value is None
+    try:
+        Fraction(value)
+        return True
+    except ValueError:
+        return False
+
+
+def _read_rows(path: str) -> Iterator[Tuple[int, object, Optional[str]]]:
+    """(1-based line number, row, reason) per nonblank line; a reason says
+    why the line is not a well-formed verified row."""
+    with open(path, "rb") as fh:    # json.loads decodes each line itself
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row, reason = json.loads(line), None
+            except (ValueError, RecursionError) as exc:
+                row, reason = None, f"invalid JSON: {exc}"
+            else:
+                if not isinstance(row, dict):
+                    reason = "schema violation: not a JSON object"
+                elif set(row) != set(ROW_FIELDS):
+                    reason = ("schema violation: missing "
+                              f"{[k for k in ROW_FIELDS if k not in row]}, "
+                              "unexpected "
+                              f"{[k for k in row if k not in ROW_FIELDS]}")
+                elif not all(isinstance(row[k], str)
+                             for k in ("formal", "informal", "reasoning")):
+                    reason = "schema violation: a text field is not a string"
+                elif not _is_answer(row["answer"]):
+                    reason = "schema violation: answer is not a number"
+                elif row["verified"] is not True:
+                    reason = "unverified row in dataset"
+            yield lineno, row, reason
+
+
+def audit_row(row: dict, result: SolverResult) -> Optional[str]:
+    """The first reason ``row`` fails against ``result``, the solve of its
+    formal, or None.  A row that ``generate`` writes passes ``verify``
+    because both ask this gate."""
+    if result.status != "sat":
+        return f"solver status {result.status}"
+    answer = result.answer
+    if row["answer"] is not None and answer is not None:
+        # an inexact answer holds within APPROX_TOL
+        slack = 0 if answer.exact else APPROX_TOL
+        if abs(Fraction(row["answer"]) - answer.value) > slack:
+            return f"stored answer {row['answer']} != solver {answer.value}"
+    verdict = consistency_check(row["reasoning"], result)
+    if not verdict.consistent:
+        return (f"answer mismatch: reasoning {verdict.llm_answer} vs solver "
+                f"{verdict.solver_answer}")
+    return None
+
+
 def verify_dataset(path: str,
                    cfg: Optional[SolverConfig] = None) -> VerificationReport:
     """Re-parse, re-solve, and re-check every row; mismatches carry the
     1-based line number."""
     cfg = cfg or SolverConfig()
     report = VerificationReport()
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, row, reason in _read_rows(path):
         report.rows += 1
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            report.mismatches.append((lineno, f"invalid JSON: {exc}"))
-            continue
-        missing = [k for k in ROW_FIELDS if k not in row]
-        extra = [k for k in row if k not in ROW_FIELDS]
-        if missing or extra:
-            report.mismatches.append(
-                (lineno, f"schema violation: missing {missing}, "
-                         f"unexpected {extra}"))
-            continue
-        if row["verified"] is not True:
-            report.mismatches.append((lineno, "unverified row in dataset"))
-            continue
-        try:
-            problem = parse(row["formal"])
-        except (ParseError, MathMorphError) as exc:
-            report.mismatches.append((lineno, f"formal does not parse: "
-                                              f"{exc}"))
-            continue
-        result = solve(problem, cfg)
-        if result.status != "sat":
-            report.mismatches.append(
-                (lineno, f"solver status {result.status}"))
-            continue
-        answer = result.answer
-        # an inexact answer holds within APPROX_TOL
-        slack = 0 if answer is None or answer.exact else APPROX_TOL
-        if row["answer"] is not None and answer is not None and \
-                abs(Fraction(row["answer"]) - answer.value) > slack:
-            report.mismatches.append(
-                (lineno, f"stored answer {row['answer']} != solver "
-                         f"{answer.value}"))
-            continue
-        verdict = consistency_check(row["reasoning"], result)
-        if not verdict.consistent:
-            report.mismatches.append(
-                (lineno, f"reasoning answer {verdict.llm_answer} != "
-                         f"solver {verdict.solver_answer}"))
-            continue
-        report.passed += 1
+        if reason is None:
+            try:
+                problem = parse(row["formal"])
+            except MathMorphError as exc:
+                reason = f"formal does not parse: {exc}"
+            else:
+                reason = audit_row(row, solve(problem, cfg))
+        if reason is None:
+            report.passed += 1
+        else:
+            report.mismatches.append((lineno, reason))
     return report
 
 
@@ -317,19 +338,14 @@ def emit_training_rows(dataset_path: str, out_path: str) -> int:
     the informal problem as instruction and the reasoning path as
     response; returns the row count."""
     count = 0
-    with open(dataset_path, encoding="utf-8") as fh, \
-            open(out_path, "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if row.get("verified") is not True:
+    with open(out_path, "w", encoding="utf-8") as out:
+        for lineno, row, reason in _read_rows(dataset_path):
+            if reason is not None:
                 raise UnverifiedSampleError(
-                    f"line {lineno}: unverified sample cannot be emitted")
+                    f"line {lineno}: {reason}; cannot be emitted")
             text = TRAINING_TEMPLATE.format(instruction=row["informal"])
-            text += row["reasoning"]
-            out.write(json.dumps({"text": text}, ensure_ascii=False))
-            out.write("\n")
+            out.write(json.dumps({"text": text + row["reasoning"]},
+                                 ensure_ascii=False) + "\n")
             count += 1
     return count
 

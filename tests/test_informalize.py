@@ -104,6 +104,11 @@ def test_extract_answer_handles_currency_and_commas():
 
 def test_extract_answer_handles_fractions():
     assert extract_answer("The answer is 3/4.") == Fraction(3, 4)
+    # a numerator read through float would round, or overflow past 1e308
+    assert extract_answer("The answer is 12345678901234567891/3") \
+        == Fraction(12345678901234567891, 3)
+    assert extract_answer(f"The answer is {10 ** 400 + 1}/7.") \
+        == Fraction(10 ** 400 + 1, 7)
 
 
 def test_extract_answer_none_without_marker():

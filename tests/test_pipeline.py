@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+import shutil
 import sys
 from fractions import Fraction
 
@@ -15,9 +17,11 @@ from mathmorph.pipeline import (GenerationPlan, PipelineError,
                                 _parse_level_counts, parse_config,
                                 plan_from_config, sample_rng_seed,
                                 verify_dataset)
+from mathmorph import cli
+from mathmorph.informalize import REASONING_INSTRUCTION, extract_answer
 from mathmorph.parser import parse
 from mathmorph.solver import SolverConfig, solve
-from conftest import FixtureEndpoint
+from conftest import FIXTURES, FixtureEndpoint
 
 GATEWAY = [sys.executable, "-m", "mathmorph.minisolver"]
 ROW_FIELDS = ["seed_id", "level", "formal", "informal", "pattern", "answer",
@@ -161,24 +165,48 @@ X_IS_3 = "(declare-fun x () Int)(assert (= x 3))(check-sat)(get-value (x))\n"
 CLEAN = _row(X_IS_3, "3", "The answer is 3.")
 
 
+# lines that are not a well-formed verified row, whatever their formal
+MALFORMED = {
+    "json": ("{not json", "invalid JSON: "),
+    "not-utf-8": ('{"formal": "\udcff"}', "invalid JSON: "),
+    "nested-too-deep": ("[" * 100_000, "invalid JSON: "),
+    "not-an-object": ("[1, 2]", "schema violation: not a JSON object"),
+    "missing": (json.dumps({k: v for k, v in CLEAN.items() if k != "answer"}),
+                "schema violation: missing ['answer'], unexpected []"),
+    "extra": (json.dumps({**CLEAN, "extra": 1}),
+              "schema violation: missing [], unexpected ['extra']"),
+    "formal-number": (json.dumps({**CLEAN, "formal": 3}),
+                      "schema violation: a text field is not a string"),
+    "informal-null": (json.dumps({**CLEAN, "informal": None}),
+                      "schema violation: a text field is not a string"),
+    "reasoning-list": (json.dumps({**CLEAN, "reasoning": ["3"]}),
+                       "schema violation: a text field is not a string"),
+    "answer-number": (json.dumps({**CLEAN, "answer": 3}),
+                      "schema violation: answer is not a number"),
+    "answer-word": (json.dumps({**CLEAN, "answer": "three"}),
+                    "schema violation: answer is not a number"),
+    "answer-5000-digits": (json.dumps({**CLEAN, "answer": "3" * 5000}),
+                           "schema violation: answer is not a number"),
+    "unverified": (json.dumps({**CLEAN, "verified": False}),
+                   "unverified row in dataset"),
+}
+
+
 @pytest.mark.parametrize("line, reason", [
     (json.dumps(CLEAN), None),
-    ("{not json", "invalid JSON: "),
-    (json.dumps({k: v for k, v in CLEAN.items() if k != "answer"}),
-     "schema violation: missing ['answer'], unexpected []"),
-    (json.dumps({**CLEAN, "extra": 1}),
-     "schema violation: missing [], unexpected ['extra']"),
-    (json.dumps({**CLEAN, "verified": False}), "unverified row in dataset"),
+    # json.dumps leaves U+2028 raw, and a row is one line all the same
+    (json.dumps({**CLEAN, "informal": "Find\u2028x."}, ensure_ascii=False),
+     None),
+    *MALFORMED.values(),
     (json.dumps({**CLEAN, "formal": "(assert (= x 3))(check-sat)"}),
      "formal does not parse: "),
     (json.dumps({**CLEAN, "formal": "(declare-fun x () Int)(assert (= x 3))"
                                     "(assert (= x 4))(check-sat)"}),
      "solver status unsat"),
-], ids=["clean", "json", "missing", "extra", "unverified", "parse",
-        "unsat"])
+], ids=["clean", "line-separator", *MALFORMED, "parse", "unsat"])
 def test_verify_reports_each_rejection_with_its_line(tmp_path, line, reason):
     path = tmp_path / "rows.jsonl"
-    path.write_text("\n" + line + "\n")
+    path.write_bytes(f"\n{line}\n".encode("utf-8", "surrogateescape"))
     report = verify_dataset(str(path))
     assert report.rows == 1
     if reason is None:
@@ -214,6 +242,83 @@ def test_emit_refuses_unverified_rows(corpus_dir, tmp_path):
         emit_training_rows(str(out), str(tmp_path / "train.jsonl"))
 
 
+@pytest.mark.parametrize("line, reason", MALFORMED.values(), ids=MALFORMED)
+def test_emit_refuses_each_malformed_line(tmp_path, capsys, line, reason):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(f"{json.dumps(CLEAN)}\n{line}\n".encode(
+        "utf-8", "surrogateescape"))
+    train = tmp_path / "train.jsonl"
+    with pytest.raises(UnverifiedSampleError, match="line 2: "):
+        emit_training_rows(str(path), str(train))
+    assert cli.main(["emit", str(path), "--out", str(train)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: line 2: " + reason)
+
+
+class OffByOneEndpoint(FixtureEndpoint):
+    """States the solver's answer plus one in every reasoning path."""
+
+    def complete(self, prompt):
+        text = super().complete(prompt)
+        if prompt.startswith(REASONING_INSTRUCTION):
+            return f"The answer is {extract_answer(text) + 1}."
+        return text
+
+
+def test_generate_and_verify_give_a_row_the_same_reason(corpus_dir,
+                                                        tmp_path):
+    out, rejects = tmp_path / "ds.jsonl", tmp_path / "rejects.jsonl"
+    report = generate_dataset(make_plan(corpus_dir,
+                                        endpoint=OffByOneEndpoint()),
+                              str(out), str(rejects))
+    rows = [json.loads(l) for l in rejects.read_text().splitlines()]
+    assert report.rows == 0 and len(rows) == report.attempted
+    reasons = [row.pop("reason") for row in rows]
+    assert all(r.startswith("answer mismatch: reasoning ") for r in reasons)
+    marked = tmp_path / "marked.jsonl"
+    marked.write_text("".join(json.dumps(dict(row, verified=True)) + "\n"
+                              for row in rows))
+    report = verify_dataset(str(marked))
+    assert report.mismatches == list(enumerate(reasons, start=1))
+
+
+def test_a_stated_numerator_past_float_range_does_not_abort_generate(
+        tmp_path):
+    # at level 3 and global seed 3, a sara mutant's answer has a numerator
+    # past 1e308, which the endpoint states as a fraction
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("sara.smt2", "sara.txt"):
+        shutil.copy(os.path.join(FIXTURES, name), corpus / name)
+    out = tmp_path / "ds.jsonl"
+    report = generate_dataset(make_plan(str(corpus), level_counts={3: 3},
+                                        global_seed=3), str(out))
+    assert report.rows == 3 and len(out.read_text().splitlines()) == 3
+
+
+def test_a_row_that_raises_becomes_its_reject_and_the_run_goes_on(tmp_path):
+    # the product folds to a 6,000-digit literal, past what str() prints
+    big = ("(declare-fun x () Int)"
+           f"(assert (= x (* {'7' * 3000} {'3' * 3000})))"
+           "(check-sat)(get-value (x))")
+    outs = {}
+    for name, seeds in [("alone", {}), ("beside", {"big.smt2": big})]:
+        corpus = tmp_path / name
+        corpus.mkdir()
+        shutil.copy(os.path.join(FIXTURES, "pages.smt2"), corpus)
+        for seed, text in seeds.items():
+            (corpus / seed).write_text(text)
+        out = tmp_path / f"{name}.jsonl"
+        generate_dataset(make_plan(str(corpus), level_counts={0: 2}),
+                         str(out))
+        outs[name] = out
+    assert outs["beside"].read_bytes() == outs["alone"].read_bytes()
+    rejects = [json.loads(l) for l in
+               (tmp_path / "beside.jsonl.rejects").read_text().splitlines()]
+    assert [r["seed_id"] for r in rejects] == ["big", "big"]
+    assert all(r["reason"].startswith("ValueError: ") for r in rejects)
+
+
 def test_report_rates(corpus_dir, tmp_path):
     report = generate_dataset(make_plan(corpus_dir),
                               str(tmp_path / "ds.jsonl"))
@@ -226,9 +331,13 @@ def test_report_rates(corpus_dir, tmp_path):
 def test_mean_node_count_is_pinned_for_the_fixture_corpus(corpus_dir,
                                                           tmp_path):
     plan = make_plan(corpus_dir, level_counts={0: 2, 1: 2, 2: 2, 3: 1})
-    report = generate_dataset(plan, str(tmp_path / "ds.jsonl"))
+    out = tmp_path / "ds.jsonl"
+    report = generate_dataset(plan, str(out))
     assert report.attempted == 14
     assert report.mean_node_count == {0: 7.0, 1: 20.5, 2: 40.75, 3: 46.5}
+    # pins generate's bytes (criterion 7) in tier-1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "5c3b7683a22cce5827348a0ec92c63cd94bae4b6ebc66f29a97bb870f9ef64f4"
 
 
 def test_parse_level_counts():
