@@ -13,11 +13,16 @@ default workloads are the three that solve in process; ``verify-gateway``
 solves the rows of ``verify-rows`` in child processes, out of reach.  The
 run lists are read from ``perfbench/``, and nothing is written there.
 
-Comparing pairs the solves of each workload by position.  The answer of a
-solve is its problem, status, model and ``rooted``; a change in any of them
-is listed, and makes the exit status 1.  Nodes and ``stopped_by`` may move
-without that: they are summed, and the first ``MOVES_LISTED`` solves whose
-nodes or ``stopped_by`` moved are listed.
+Comparing pairs the solves of each workload by problem: the k-th solve of
+each (problem digest, budget, solver class) in A pairs with the k-th in B,
+so a solve that one side drops does not shift the pairs after it.  The
+solver class is read off ``rooted``, which is null for ``ExactSolver``.  The
+answer of a solve is its problem, status, model and ``rooted``; a change in
+any of them is listed.  Solves left without a pair are counted as dropped
+(in A only) or added (in B only), and the first ``MOVES_LISTED`` of each are
+listed.  An answer change, a dropped or an added solve makes the exit status
+1.  Nodes and ``stopped_by`` may move without that: they are summed, and the
+first ``MOVES_LISTED`` solves whose nodes or ``stopped_by`` moved are listed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import os
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict, deque
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -92,16 +97,48 @@ def summary(solves) -> dict:
                                        if s["stopped_by"]))}
 
 
+def pairing_key(s: dict) -> tuple:
+    """(problem digest, budget, solver class) of a solve; every solve that
+    raised shares one key."""
+    if "raised" in s:
+        return ("raised",)
+    return (s["problem"], s["budget"],
+            "ExactSolver" if s["rooted"] is None else "RootSolver")
+
+
+def pair(xs, ys) -> list:
+    """``(i, j)`` for the k-th solve of each key in ``xs`` and in ``ys``, in
+    the order of ``xs``; then ``(i, None)`` is a dropped solve and
+    ``(None, j)``, listed last, an added one."""
+    slots = defaultdict(deque)
+    for j, y in enumerate(ys):
+        slots[pairing_key(y)].append(j)
+    pairs = []
+    for i, x in enumerate(xs):
+        slot = slots[pairing_key(x)]
+        pairs.append((i, slot.popleft() if slot else None))
+    matched = {j for _, j in pairs}
+    return pairs + [(None, j) for j in range(len(ys)) if j not in matched]
+
+
 def compare(a: dict, b: dict) -> int:
-    """Print the differences of two recordings; 1 when an answer moved."""
+    """Print the differences of two recordings; 1 when an answer moved or
+    a solve was dropped or added."""
     moved, searches = 0, []
+    unpaired = {"dropped": [], "added": []}
     for name in sorted(a.keys() | b.keys()):
         xs, ys = a.get(name, []), b.get(name, [])
         print(f"{name}: {summary(xs)} -> {summary(ys)}")
-        if len(xs) != len(ys):
-            print(f"  solve count differs: {len(xs)} != {len(ys)}")
-            moved += 1
-        for i, (x, y) in enumerate(zip(xs, ys)):
+        counts = Counter()
+        for i, j in pair(xs, ys):
+            if i is None or j is None:
+                kind, k, s = (("dropped", i, xs[i]) if j is None
+                              else ("added", j, ys[j]))
+                counts[kind] += 1
+                unpaired[kind].append(
+                    f"  {name} solve {k}: {kind} {pairing_key(s)}")
+                continue
+            x, y = xs[i], ys[j]
             fields = [f for f in ANSWER_FIELDS if x.get(f) != y.get(f)]
             if "raised" in x or "raised" in y:
                 fields = [] if x == y else ["raised"]
@@ -113,11 +150,16 @@ def compare(a: dict, b: dict) -> int:
             elif any(x.get(f) != y.get(f) for f in SEARCH_FIELDS):
                 searches.append(f"  {name} solve {i}: " + ", ".join(
                     f"{f} {x.get(f)} -> {y.get(f)}" for f in SEARCH_FIELDS))
+        print(f"  {counts['dropped']} dropped, {counts['added']} added")
     print(f"{moved} answer changes")
+    for kind, lines in unpaired.items():
+        print(f"{len(lines)} {kind} solves")
+        for line in lines[:MOVES_LISTED]:
+            print(line)
     print(f"{len(searches)} solves moved nodes or stopped_by")
     for line in searches[:MOVES_LISTED]:
         print(line)
-    return 1 if moved else 0
+    return 1 if moved or unpaired["dropped"] or unpaired["added"] else 0
 
 
 def main(argv=None) -> int:

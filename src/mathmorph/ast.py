@@ -210,14 +210,6 @@ Constraint = Union[Compare, And, Or, Not, Implies, ConstraintIte, BoolConst,
                    Quantifier]
 
 
-def Forall(bindings, body) -> Quantifier:
-    return Quantifier("forall", tuple(bindings), body)
-
-
-def Exists(bindings, body) -> Quantifier:
-    return Quantifier("exists", tuple(bindings), body)
-
-
 # ---------------------------------------------------------------------------
 # Goal / Problem
 # ---------------------------------------------------------------------------
@@ -365,16 +357,6 @@ class _FreshNames:
         return name
 
 
-def rename_var(node, old: str, new: str):
-    """Rename free occurrences of ``old`` to ``new`` (no capture check)."""
-    return substitute(node, old, Var(new))
-
-
-def substitute(node, name: str, replacement: Expression):
-    """Replace free occurrences of variable ``name`` with ``replacement``."""
-    return substitute_all(node, {name: replacement})
-
-
 def substitute_all(node, env: dict):
     """Simultaneously replace the free occurrences of each variable named
     in ``env`` with its replacement.
@@ -444,7 +426,7 @@ def _substitute_under(names: tuple, body, env: dict):
         for n in names:
             if n in repl_free:
                 n2 = supply.fresh(n)
-                body = rename_var(body, n, n2)
+                body = substitute_all(body, {n: Var(n2)})
                 n = n2
             renamed.append(n)
         names = tuple(renamed)

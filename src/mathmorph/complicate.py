@@ -205,6 +205,12 @@ def sample_aux_solution(p_mutated: Problem, aux: Sequence[str], rng,
     raise SamplingError("exhausted-iterations")
 
 
+def _certify(out: Problem, cfg: McmcConfig, what: str) -> None:
+    """A step's one proof of its mutant, or ``SamplingError(what)``."""
+    if solve(out, cfg.solver).status != "sat":
+        raise SamplingError(what)
+
+
 # ---------------------------------------------------------------------------
 # expression complication
 # ---------------------------------------------------------------------------
@@ -215,11 +221,10 @@ def complicate_expression(p: Problem, rng,
     """Graft aux terms onto random constraints, keeping their constants;
     the sampled aux values give the mutant a new answer, which the solver
     recomputes (unlike the simplification tactics, the seed's answer is
-    not kept)."""
+    not kept).  ``p`` must be sat and is not solved again: grafting can
+    make a sat mutant of an unsat problem, so a caller proves ``p`` first
+    unless, like ``mutate_to_level``, it already has."""
     cfg = cfg or McmcConfig()
-    base = solve(p, replace(cfg.solver, fallback_enabled=False))
-    if base.status == "unsat":
-        raise ComplicationError("input problem is not sat")
     eligible = [i for i, c in enumerate(p.constraints)
                 if isinstance(c, Compare)]
     if not eligible:
@@ -240,9 +245,7 @@ def complicate_expression(p: Problem, rng,
     mutated = mutated_problem(p, scheme)
     assignment = sample_aux_solution(mutated, scheme.aux_names(), rng, cfg)
     out, kept = apply_scheme(p, scheme, assignment)
-    check = solve(out, cfg.solver)
-    if check.status != "sat":
-        raise SamplingError("sampled instantiation is not solvable")
+    _certify(out, cfg, "sampled instantiation is not solvable")
     record = MutationRecord(
         "complicate_expression",
         tuple(s.constraint_index for s in kept.sites),
@@ -352,9 +355,7 @@ def complicate_constraint(p: Problem, rng,
     if matrix is None:
         raise ComplicationError("failed to build an invertible system")
     out = apply_reverse_gauss(p, entries, names, matrix, extra_values)
-    check = solve(out, cfg.solver)
-    if check.status != "sat":
-        raise SamplingError("reversed system is not solvable")
+    _certify(out, cfg, "reversed system is not solvable")
     record = MutationRecord(
         "complicate_constraint",
         tuple(i for i, _, _ in entries),

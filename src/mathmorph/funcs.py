@@ -20,7 +20,7 @@ import mpmath
 from .ast import (BinOp, BoolConst, Compare, Const, ConstraintIte, Domain,
                   FuncApp, MathMorphError, NamedConst, Not, And, Or, Implies,
                   Pow, Quantifier, TermIte, Var, free_variables, negate,
-                  node_count, substitute)
+                  node_count, substitute_all)
 
 mpmath.mp.dps = 30
 
@@ -80,6 +80,10 @@ def _approx(x) -> Num:
     if not d.is_finite() or abs(d.adjusted()) >= MAX_DIGITS:
         raise DomainError(f"value exceeds {MAX_DIGITS} digits")
     return Num(Fraction(d), exact=False)
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _require_int(v: Num, fn: str) -> int:
@@ -183,10 +187,7 @@ def eval_expression(expr, assignment) -> Num:
             return Num(power(base.value, int(expo.value)), base.exact)
         if base.value < 0:
             raise DomainError("negative base with non-integer exponent")
-        return _approx(mpmath.power(mpmath.mpf(base.value.numerator) /
-                                    base.value.denominator,
-                                    mpmath.mpf(expo.value.numerator) /
-                                    expo.value.denominator))
+        return _approx(mpmath.power(_mpf(base.value), _mpf(expo.value)))
     if isinstance(expr, FuncApp):
         desc = lookup(expr.name)
         if desc.arity != len(expr.args):
@@ -412,16 +413,14 @@ def _ev_log(app, assignment):
         raise DomainError("log of non-positive value")
     if v.value == 1:
         return Num(Fraction(0), v.exact)
-    return _approx(mpmath.log(mpmath.mpf(v.value.numerator) /
-                              v.value.denominator))
+    return _approx(mpmath.log(_mpf(v.value)))
 
 
 def _ev_exp(app, assignment):
     (v,) = _ev_args(app, assignment)
     if v.value == 0:
         return Num(Fraction(1), v.exact)
-    return _approx(mpmath.exp(mpmath.mpf(v.value.numerator) /
-                              v.value.denominator))
+    return _approx(mpmath.exp(_mpf(v.value)))
 
 
 def _ev_trig(fn, exact_table):
@@ -432,7 +431,7 @@ def _ev_trig(fn, exact_table):
             if exact is not None:
                 return Num(exact)
         (v,) = _ev_args(app, assignment)
-        return _approx(fn(mpmath.mpf(v.value.numerator) / v.value.denominator))
+        return _approx(fn(_mpf(v.value)))
     return ev
 
 
@@ -442,8 +441,7 @@ def _ev_arcsin(app, assignment):
         raise DomainError("arcsin argument outside [-1, 1]")
     if v.value == 0:
         return Num(Fraction(0), v.exact)
-    return _approx(mpmath.asin(mpmath.mpf(v.value.numerator) /
-                               v.value.denominator))
+    return _approx(mpmath.asin(_mpf(v.value)))
 
 
 def _ev_sqrt(app, assignment):
@@ -453,8 +451,7 @@ def _ev_sqrt(app, assignment):
     r = _exact_sqrt(v.value)
     if v.exact and r is not None:
         return Num(r)
-    return _approx(mpmath.sqrt(mpmath.mpf(v.value.numerator) /
-                               v.value.denominator))
+    return _approx(mpmath.sqrt(_mpf(v.value)))
 
 
 def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -609,7 +606,7 @@ def _red_summation(app):
     lo_i, hi_i = int(lo.value), int(hi.value)
     if not lo_i <= hi_i or hi_i - lo_i + 1 > _UNROLL_CAP:
         return app
-    terms = [substitute(body, idx.name, Const(Fraction(i)))
+    terms = [substitute_all(body, {idx.name: Const(Fraction(i))})
              for i in range(lo_i, hi_i + 1)]
     acc = terms[0]
     for t in terms[1:]:

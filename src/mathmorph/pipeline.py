@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import shlex
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ast import MathMorphError, Problem, node_count
 from .funcs import APPROX_TOL
@@ -45,6 +46,13 @@ TRAINING_TEMPLATE = ("Below is an instruction that describes a task. "
                      "request.\n\n### Instruction:\n{instruction}\n\n"
                      "### Response:\n")
 
+#: reasoning paths asked of the endpoint per mutant before it is rejected
+REASONING_ATTEMPTS = 3
+
+#: the keys of a generation config; ``mathmorph generate`` reads the last two
+CONFIG_KEYS = ("corpus", "levels", "seed", "pattern_ratio", "solver",
+               "skip_verification", "out", "rejects")
+
 
 @dataclass
 class GenerationPlan:
@@ -55,7 +63,6 @@ class GenerationPlan:
     endpoint: Optional[object] = None
     global_seed: int = 0
     skip_verification: bool = False
-    reasoning_attempts: int = 3
 
     def __post_init__(self):
         if not self.level_counts:
@@ -66,8 +73,6 @@ class GenerationPlan:
             raise PipelineError("levels must be >= 0")
         if not 0.0 <= self.pattern_ratio <= 1.0:
             raise PipelineError("pattern ratio must lie in [0, 1]")
-        if self.reasoning_attempts < 1:
-            raise PipelineError("need at least one reasoning attempt")
 
 
 @dataclass
@@ -165,7 +170,7 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     if plan.skip_verification:
         return None, dict(base, reasoning="", verified=False,
                           reason="verification skipped by plan"), nodes
-    for _ in range(plan.reasoning_attempts):
+    for _ in range(REASONING_ATTEMPTS):
         try:
             reasoning = generate_reasoning(informal, plan.endpoint)
         except (EndpointError, MathMorphError) as exc:
@@ -220,13 +225,21 @@ def generate_dataset(plan: GenerationPlan, out_path: str,
     return report
 
 
-def _write_jsonl(path: str, rows: Sequence[dict]) -> None:
-    """One JSON object per line, keys sorted, so a row's bytes do not
-    depend on the order its fields were set in."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+def _write_jsonl(path: str, rows: Iterable[dict]) -> int:
+    """One JSON object per line, keys sorted so a row's bytes do not depend
+    on field order; returns the count.  Written whole or not at all: the
+    rows go to ``<path>.tmp``, renamed onto ``path`` after the last row."""
+    tmp, count = f"{path}.tmp", 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for count, row in enumerate(rows, start=1):
+                fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +349,17 @@ class UnverifiedSampleError(PipelineError):
 def emit_training_rows(dataset_path: str, out_path: str) -> int:
     """Render each verified row into the instruction-tuning template with
     the informal problem as instruction and the reasoning path as
-    response; returns the row count."""
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as out:
-        for lineno, row, reason in _read_rows(dataset_path):
-            if reason is not None:
-                raise UnverifiedSampleError(
-                    f"line {lineno}: {reason}; cannot be emitted")
-            text = TRAINING_TEMPLATE.format(instruction=row["informal"])
-            out.write(json.dumps({"text": text + row["reasoning"]},
-                                 ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    response; returns the row count.  One bad row refuses the file."""
+    return _write_jsonl(out_path, _training_rows(dataset_path))
+
+
+def _training_rows(dataset_path: str) -> Iterator[dict]:
+    for lineno, row, reason in _read_rows(dataset_path):
+        if reason is not None:
+            raise UnverifiedSampleError(
+                f"line {lineno}: {reason}; cannot be emitted")
+        text = TRAINING_TEMPLATE.format(instruction=row["informal"])
+        yield {"text": text + row["reasoning"]}
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +398,9 @@ def _parse_level_counts(text: str) -> Dict[int, int]:
 
 def plan_from_config(cfg: Dict[str, str],
                      endpoint: Optional[object] = None) -> GenerationPlan:
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise PipelineError(f"unknown config key(s) {unknown}")
     if "corpus" not in cfg:
         raise PipelineError("config is missing the 'corpus' key")
     solver = SolverConfig()
@@ -399,5 +414,4 @@ def plan_from_config(cfg: Dict[str, str],
         endpoint=endpoint,
         global_seed=int(cfg.get("seed", "0")),
         skip_verification=cfg.get("skip_verification", "false").lower()
-        in ("1", "true", "yes"),
-        reasoning_attempts=int(cfg.get("reasoning_attempts", "3")))
+        in ("1", "true", "yes"))

@@ -18,8 +18,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, FuncApp, Goal, Implies, MathMorphError, NamedConst,
                   Not, Or, Pow, Problem, Quantifier, TermIte, Var,
                   _FreshNames, children, conjuncts, constant_binding,
-                  free_variables, make_and, negate, rebuild, substitute,
-                  substitute_all, substitute_in_problem)
+                  free_variables, make_and, negate, rebuild, substitute_all,
+                  substitute_in_problem)
 from .algebra import (add_e, bound, fold_constants, fold_constraint,
                       int_range, is_integral, solve_for, sub_e)
 from .funcs import poly_expr, polynomial, reduce_app
@@ -130,7 +130,7 @@ class _SimplifyPass:
         if isinstance(e, FuncApp):
             args = tuple(self.expr(a) for a in e.args)
             if self._fire():
-                args = tuple(self._apply_bindings(a) for a in args)
+                args = tuple(substitute_all(a, self.bindings) for a in args)
             out = FuncApp(e.name, args)
             if self._fire():
                 out = reduce_app(out)
@@ -140,9 +140,6 @@ class _SimplifyPass:
             return TermIte(self.constraint(e.cond), self.expr(e.then),
                            self.expr(e.els))
         raise TypeError(f"not an expression: {e!r}")
-
-    def _apply_bindings(self, e):
-        return substitute_all(e, self.bindings)
 
     def constraint(self, c):
         if isinstance(c, Compare):
@@ -349,7 +346,7 @@ def _qe_exists(q: Quantifier, int_vars):
             continue
         if dom.is_integer and not is_integral(sol, int_vars):
             continue
-        kept = [substitute(other, name, sol) for other in atoms if other is not a]
+        kept = [substitute_all(o, {name: sol}) for o in atoms if o is not a]
         kept = [_normalize_compare(fold_constraint(k)) for k in kept]
         if BoolConst(False) in kept:
             return BoolConst(False)
@@ -409,8 +406,8 @@ def _qe_int_enum(name, atoms):
         return None
     disjuncts = []
     for val in range(lo, hi + 1):
-        kept = [fold_constraint(substitute(a, name, Const(Fraction(val))))
-                for a in atoms]
+        env = {name: Const(Fraction(val))}
+        kept = [fold_constraint(substitute_all(a, env)) for a in atoms]
         kept = [k for k in kept if not _trivially_true(k)]
         if any(isinstance(k, BoolConst) and not k.value for k in kept):
             continue

@@ -14,6 +14,13 @@ from mathmorph.informalize import BASE_INSTRUCTION, REASONING_INSTRUCTION
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
+# pytest puts src/ on this process's path (pyproject.toml); the gateway
+# tests' solver children run `python -m mathmorph.minisolver` and need it too
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.join(ROOT, "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
 
 def read_fixture(name: str) -> str:
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ from mathmorph.algebra import (LinearForm, bound, eliminate, fold_constants,
                                fold_constraint, int_range, lin, linear_form,
                                solve_for)
 from mathmorph.ast import (BinOp, Compare, Const, TermIte, Var, free_variables,
-                          substitute)
+                          substitute_all)
 from mathmorph.parser import parse
 
 
@@ -139,7 +139,7 @@ def test_bound_flips_the_relation_for_a_negative_coefficient():
     rel, rest = bound(_compare("(< (- 3 (* 2 x)) y)"), "x")
     assert rel == ">"
     assert "x" not in free_variables(rest)
-    assert fold_constants(substitute(rest, "y", Const(Fraction(1)))) \
+    assert fold_constants(substitute_all(rest, {"y": Const(Fraction(1))})) \
         == Const(Fraction(1))
 
 

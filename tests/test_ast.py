@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mathmorph.ast import (And, BinOp, BoolConst, Compare, Const,
-                           ConstraintIte, Domain, Exists, Forall, FuncApp,
-                           Goal, Implies, Not, Or, Pow, Problem, TermIte,
+                           ConstraintIte, Domain, FuncApp, Goal, Implies,
+                           Not, Or, Pow, Problem, Quantifier, TermIte,
                            ValidationError, Var, children, conjuncts,
                            free_variables, make_and, negate, node_count,
-                           rebuild, rename_var, substitute, substitute_all,
-                           validate)
+                           rebuild, substitute_all, validate)
 from mathmorph.parser import parse
 from mathmorph.printer import print_smtlib
 from conftest import read_fixture
@@ -22,27 +21,29 @@ def test_node_count_counts_every_node():
 
 
 def test_free_variables_skips_bound_names():
-    q = Exists((("y", Domain.REAL),),
-               Compare(Var("x"), "=", BinOp("+", Var("y"), Const(Fraction(2)))))
+    q = Quantifier("exists", (("y", Domain.REAL),),
+                   Compare(Var("x"), "=",
+                           BinOp("+", Var("y"), Const(Fraction(2)))))
     assert free_variables(q) == {"x"}
 
 
 def test_substitute_replaces_all_occurrences():
     e = BinOp("+", Var("x"), Var("x"))
-    out = substitute(e, "x", Const(Fraction(3)))
+    out = substitute_all(e, {"x": Const(Fraction(3))})
     assert node_count(out) == 3
     assert free_variables(out) == set()
 
 
 def test_substitute_respects_shadowing():
-    q = Forall((("x", Domain.REAL),), Compare(Var("x"), ">", Var("y")))
-    out = substitute(q, "x", Const(Fraction(1)))
+    q = Quantifier("forall", (("x", Domain.REAL),),
+                   Compare(Var("x"), ">", Var("y")))
+    out = substitute_all(q, {"x": Const(Fraction(1))})
     assert out == q
 
 
-def test_rename_var_updates_free_occurrences():
+def test_substitute_all_renames_free_occurrences():
     c = Compare(Var("a"), "=", BinOp("+", Var("a"), Var("b")))
-    out = rename_var(c, "a", "d")
+    out = substitute_all(c, {"a": Var("d")})
     assert free_variables(out) == {"d", "b"}
 
 
@@ -51,7 +52,7 @@ def test_summation_index_is_bound():
               "(assert (= n (summation i 1 4 (^ i 2))))(check-sat)")
     assert free_variables(p.constraints[0]) == {"n"}
     # substitution must not touch the bound index
-    out = substitute(p.constraints[0].rhs, "i", Const(Fraction(9)))
+    out = substitute_all(p.constraints[0].rhs, {"i": Const(Fraction(9))})
     assert out == p.constraints[0].rhs
 
 
@@ -89,14 +90,15 @@ def test_substitute_all_rejects_a_non_ast_node():
 
 
 def test_substitute_renames_binders_that_would_capture():
-    q = Forall((("y", Domain.REAL),), Compare(Var("y"), ">", Var("x")))
-    out = substitute(q, "x", Var("y"))
+    q = Quantifier("forall", (("y", Domain.REAL),),
+                   Compare(Var("y"), ">", Var("x")))
+    out = substitute_all(q, {"x": Var("y")})
     assert out.bindings[0][0] != "y"
     assert free_variables(out) == {"y"}
     p = parse("(declare-fun i () Int)(declare-fun k () Int)"
               "(assert (= k (summation i 1 3 (+ i k))))(check-sat)")
     s = p.constraints[0].rhs
-    out = substitute(s, "k", Var("i"))
+    out = substitute_all(s, {"k": Var("i")})
     assert out.args[0] != Var("i")
     assert free_variables(out) == {"i"}
 
@@ -118,10 +120,10 @@ def test_negate_pushes_through_every_connective():
     assert negate(ConstraintIte(a, b, BoolConst(True))) \
         == ConstraintIte(a, nb, BoolConst(False))
     assert negate(Not(Or((a, b)))) == Or((a, b))
-    assert negate(Forall(binding, Or((a, b)))) \
-        == Exists(binding, And((na, nb)))
-    assert negate(Exists(binding, Implies(a, b))) \
-        == Forall(binding, And((a, nb)))
+    assert negate(Quantifier("forall", binding, Or((a, b)))) \
+        == Quantifier("exists", binding, And((na, nb)))
+    assert negate(Quantifier("exists", binding, Implies(a, b))) \
+        == Quantifier("forall", binding, And((a, nb)))
 
 
 def test_and_requires_two_children():
@@ -156,11 +158,12 @@ def test_problem_is_immutable():
 
 def test_print_after_rename_stays_parseable():
     p = parse(read_fixture("sara.smt2"))
+    env = {"rachel_budget": Var("cash")}
     renamed = Problem(
         tuple(("cash" if n == "rachel_budget" else n, d)
               for n, d in p.declarations),
-        tuple(rename_var(c, "rachel_budget", "cash") for c in p.constraints),
-        Goal(p.goal.kind, tuple(rename_var(t, "rachel_budget", "cash")
+        tuple(substitute_all(c, env) for c in p.constraints),
+        Goal(p.goal.kind, tuple(substitute_all(t, env)
                                 for t in p.goal.targets)),
         p.recursive_defs)
     parse(print_smtlib(renamed))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mathmorph import complicate
 from mathmorph.ast import Domain
 from mathmorph.complicate import (AuxScheme, AuxSite, ComplicationError,
                                   McmcConfig, apply_reverse_gauss,
@@ -59,6 +60,21 @@ def test_complicate_expression_output_is_sat_and_replayable():
     assert solve(out).status == "sat"
     replayed = replay_expression_record(p, record)
     assert print_smtlib(replayed) == print_smtlib(out)
+
+
+def test_complicate_expression_does_not_solve_the_problem_it_is_handed(
+        monkeypatch):
+    p = load_problem("m1.smt2")
+    solved = []
+
+    def recording(problem, *args, **kwargs):
+        solved.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(complicate, "solve", recording)
+    out, _ = complicate_expression(p, random.Random(42))
+    assert p not in solved
+    assert solved[-1] == out        # the one proof of the mutant
 
 
 def test_complicate_constraint_output_is_sat_and_replayable():

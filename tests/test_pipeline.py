@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import sys
 from fractions import Fraction
@@ -255,6 +256,21 @@ def test_emit_refuses_each_malformed_line(tmp_path, capsys, line, reason):
     assert err.startswith("error: line 2: " + reason)
 
 
+def test_a_refused_emit_leaves_out_as_it_was(tmp_path, capsys):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f"{json.dumps(CLEAN)}\n"
+                    f"{json.dumps(dict(CLEAN, verified=False))}\n")
+    train = tmp_path / "train.jsonl"
+    assert cli.main(["emit", str(path), "--out", str(train)]) == 2
+    assert not train.exists()
+    train.write_bytes(b"held before\n")
+    assert cli.main(["emit", str(path), "--out", str(train)]) == 2
+    assert train.read_bytes() == b"held before\n"
+    assert sorted(os.listdir(tmp_path)) == ["rows.jsonl", "train.jsonl"]
+    assert capsys.readouterr().err.startswith(
+        "error: line 2: unverified row in dataset")
+
+
 class OffByOneEndpoint(FixtureEndpoint):
     """States the solver's answer plus one in every reasoning path."""
 
@@ -356,6 +372,35 @@ def test_plan_from_config(corpus_dir, tmp_path):
     assert plan.level_counts == {0: 1}
     assert plan.global_seed == 3
     assert plan.pattern_ratio == 0.25
+
+
+@pytest.mark.parametrize("key", ["pattern_ration", "level"])
+def test_an_unknown_config_key_is_an_error(corpus_dir, tmp_path, monkeypatch,
+                                           capsys, key):
+    cfg_path = tmp_path / "gen.cfg"
+    cfg_path.write_text(f"corpus = {corpus_dir}\n{key} = 2\n")
+    with pytest.raises(PipelineError, match=f"unknown config key.*{key}"):
+        plan_from_config(parse_config(str(cfg_path)), FixtureEndpoint())
+    # the replay file is read only once a prompt is sent
+    monkeypatch.setenv("MATHMORPH_LLM_REPLAY", str(tmp_path / "none.json"))
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: unknown config key") and key in err
+
+
+def test_the_readme_config_example_is_accepted(tmp_path):
+    root = os.path.dirname(os.path.dirname(FIXTURES))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"A generation config is .*?```\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    cfg_path = tmp_path / "gen.cfg"
+    cfg_path.write_text(block)
+    cfg = parse_config(str(cfg_path))
+    plan = plan_from_config(cfg, FixtureEndpoint())
+    assert plan.corpus_path == "./seeds"
+    assert plan.level_counts == {0: 2, 1: 2, 2: 1}
+    assert (cfg["out"], cfg["rejects"]) == ("dataset.jsonl", "rejects.jsonl")
 
 
 def test_plan_validates_inputs(corpus_dir):

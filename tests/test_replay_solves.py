@@ -48,3 +48,30 @@ def test_node_and_stop_moves_are_listed_and_pass(capsys, monkeypatch):
                          " stopped_by budget -> cut")
     assert listed[1] == ("  verify-rows solve 0: nodes 3 -> 4,"
                          " stopped_by None -> None")
+
+
+def test_a_dropped_solve_leaves_the_later_pairs_in_place(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    a, b, c = (dict(solve(), problem=p) for p in ("aa", "bb", "cc"))
+    before = {"mutate-chain": [a, b, c, a]}
+    assert replay.compare(before, {"mutate-chain": [a, c, a]}) == 1
+    out = capsys.readouterr().out
+    assert "  1 dropped, 0 added" in out
+    assert "0 answer changes" in out
+    assert "  mutate-chain solve 1: dropped ('bb', 100, 'ExactSolver')" in out
+    changed = dict(c, model={"x": ["2", True]})
+    assert replay.compare(before, {"mutate-chain": [a, changed, a]}) == 1
+    out = capsys.readouterr().out
+    assert "solve 2: answer moved in model" in out
+    assert "1 answer changes" in out
+
+
+def test_an_added_solve_and_a_root_solve_pair_apart(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    exact, rooted = solve(), dict(solve(), rooted=False)
+    assert replay.compare({"verify-rows": [exact]},
+                          {"verify-rows": [rooted, exact]}) == 1
+    out = capsys.readouterr().out
+    assert "  0 dropped, 1 added" in out
+    assert "0 answer changes" in out
+    assert "verify-rows solve 0: added ('ab12', 100, 'RootSolver')" in out
