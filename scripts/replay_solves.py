@@ -8,7 +8,9 @@ Recording runs each item of a workload's fixed run list once, in list
 order, with the checkout's ``src`` on the path, and records each
 ``ExactSolver.solve`` (``RootSolver`` passes included) as it returns: a
 digest of the problem, the node budget, the status, the model (each value
-with its exactness), the DFS nodes, ``stopped_by`` and ``rooted``.  The
+with its exactness), the DFS nodes, ``stopped_by``, ``rooted`` and
+``substitutions``, the ``_substitute_model`` calls made inside
+``_int_search`` (the search's symbolic steps).  The
 default workloads are the three that solve in process; ``verify-gateway``
 solves the rows of ``verify-rows`` in child processes, out of reach.  The
 run lists are read from ``perfbench/``, and nothing is written there.
@@ -23,6 +25,8 @@ any of them is listed.  Solves left without a pair are counted as dropped
 listed.  An answer change, a dropped or an added solve makes the exit status
 1.  Nodes and ``stopped_by`` may move without that: they are summed, and the
 first ``MOVES_LISTED`` solves whose nodes or ``stopped_by`` moved are listed.
+The substitutions are counts, not answers: each side's total per workload is
+printed, and they do not move the exit status.
 """
 
 from __future__ import annotations
@@ -54,9 +58,25 @@ def record(workloads) -> dict:
     from workloads import WORKLOADS
 
     solves = []
-    inner = ExactSolver.solve
+    inner, search, substitute = (ExactSolver.solve, ExactSolver._int_search,
+                                 ExactSolver._substitute_model)
+    # searches: the _int_search calls running; substitutions: the
+    # _substitute_model calls they made in the solve running
+    count = Counter()
+
+    def searching(self, *args):
+        count["searches"] += 1
+        try:
+            return search(self, *args)
+        finally:
+            count["searches"] -= 1
+
+    def substituting(self, *args):
+        count["substitutions"] += count["searches"] > 0
+        return substitute(self, *args)
 
     def recording(self):
+        count["substitutions"] = 0
         status, model = inner(self)
         text = print_smtlib(self.problem)
         solves.append({
@@ -65,11 +85,13 @@ def record(workloads) -> dict:
             "model": {n: [str(x.value), x.exact]
                       for n, x in sorted(model.items())},
             "nodes": self.nodes, "stopped_by": self.stopped_by,
-            "rooted": getattr(self, "rooted", None)})
+            "rooted": getattr(self, "rooted", None),
+            "substitutions": count["substitutions"]})
         return status, model
 
     out = {}
-    ExactSolver.solve = recording
+    ExactSolver.solve, ExactSolver._int_search = recording, searching
+    ExactSolver._substitute_model = substituting
     try:
         for name in workloads:
             with tempfile.TemporaryDirectory() as tmp:
@@ -85,7 +107,8 @@ def record(workloads) -> dict:
             out[name] = list(solves)
             solves.clear()
     finally:
-        ExactSolver.solve = inner
+        ExactSolver.solve, ExactSolver._int_search = inner, search
+        ExactSolver._substitute_model = substitute
     return out
 
 
@@ -93,6 +116,7 @@ def summary(solves) -> dict:
     done = [s for s in solves if "raised" not in s]
     return {"solves": len(done), "raised": len(solves) - len(done),
             "nodes": sum(s["nodes"] for s in done),
+            "substitutions": sum(s.get("substitutions", 0) for s in done),
             "stopped_by": dict(Counter(s["stopped_by"] for s in done
                                        if s["stopped_by"]))}
 

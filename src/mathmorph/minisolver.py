@@ -33,13 +33,20 @@ inexact root step might find a point.
 The integer search compiles, on first use, each atom of ``Var``,
 ``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
 gives ``lhs - rhs = a·v + b`` at the current assignment.  It pins an
-equality's one unknown and reads constant bounds, and a side's closure
-gives the upper bound ``(target - b) // a`` of a monotone side at once,
-without substituting and folding the atom at every node; an equality
-whose one unknown sits in a divisor is pinned by a closure (``_inverse``)
-that inverts the path down to it.  A shape ``lin`` would refuse, a zero
-divisor, a variable that folding drops and ``a = 0`` take the symbolic
-step instead, but an atom that ``a = 0`` makes false empties ``v``'s range
+equality's one unknown and reads constant bounds; an equality whose one
+unknown sits in a divisor is pinned by a closure (``_inverse``) that
+inverts the path down to it, and refuted where a step has no value
+(``0 / d = 1``).  The other bounds come from a plan (``_plan``) per atom,
+branching variable and set of unknowns, which reads off the atom what
+folding would leave of it, without substituting or folding: the target
+of the side that holds ``v``, and whether that side is monotone, has
+``v`` as a factor and is integer-valued.  ``_monotone_bound`` reads the
+upper bound ``(target - b) // a`` off the side's closure, and
+``_dividend`` the divisor ``k``.  The symbolic step is left to the other
+shapes, to a zero factor beside an unknown and a zero divisor, to an atom
+that reads an inexact value, and to one whose one unknown no closure
+bounds (``a = 0``, or ``v`` in a divisor or in both factors of a
+product); but an atom that ``a = 0`` makes false empties ``v``'s range
 (``x > x`` is unsat).  One pass, ``_decide``, decides each atom a model
 makes ground: by its closure when every value is exact, else by
 ``eval_constraint``.  Each node decides only the atoms its assignments
@@ -232,7 +239,12 @@ class ExactSolver:
                 if len(unknown) != 1:
                     continue
                 (v,) = unknown
-                val = self._pin(c, v, model)
+                try:
+                    val = self._pin(c, v, model)
+                except _NoValue:        # unless slack may close the gap
+                    if inexact.isdisjoint(fvs):
+                        return "unsat"
+                    continue
                 if val is None:
                     continue
                 if inexact and not inexact.isdisjoint(fvs):
@@ -247,10 +259,11 @@ class ExactSolver:
         return "open"
 
     def _pin(self, c, v, model):
-        """The value of ``v``, the one unknown of the equality ``c``, or
-        None when neither solving for it nor inverting ``c`` finds one.  In
-        the search ``c``'s affine closure pins ``v``, or where its shape is
-        refused, such as ``v`` in a divisor, its ``_inverse`` closure."""
+        """The value of ``v``, the one unknown of the equality ``c``; None
+        when neither solving for it nor inverting ``c`` finds one, and
+        _NoValue when an inversion step has none.  In the search ``c``'s
+        affine closure pins ``v``, or where its shape is refused, such as
+        ``v`` in a divisor, its ``_inverse`` closure."""
         ab = self._compiled(c, v, model)
         if ab and ab[0]:
             return Num(Fraction(-ab[1], ab[0]))
@@ -305,6 +318,23 @@ class ExactSolver:
         if f is False:
             f = self._closures[key] = (build or _affine)(node, v)
         return f
+
+    def _planned(self, c, v, unknown, model):
+        """What ``_side`` reads off the atom ``c`` at ``model``, by ``c``'s
+        plan for ``v`` at models that leave ``unknown`` unassigned, built on
+        first use; ``()`` where no side of an equality holds ``v`` over a
+        constant.  None outside the search, where ``_affine`` refuses ``c``
+        and where the plan refuses the model."""
+        key = (id(c), v, frozenset(unknown))
+        plan = None if self._closures is None \
+            else self._closures.get(key, False)
+        if plan is False:
+            plan = self._closures[key] = self._closure(c, None) \
+                and _plan(c, v, unknown, self.domains)
+        try:
+            return plan and plan(model)
+        except ZeroDivisionError:
+            return None
 
     def _compiled(self, node, v, model):
         """``(a, b)`` with ``node = a·v + b`` at ``model`` by ``_affine``;
@@ -418,19 +448,26 @@ class ExactSolver:
             self._watch[v] = [c for c in self.atoms if v in self._atom(c)[1]]
         for c in self._watch[v]:
             fvs = self._atom(c)[1]
+            unknown = fvs - model.keys()
             # an atom with v its only unknown reads v rel -b/a
-            ab = self._compiled(c, v, model) \
-                if len(fvs - model.keys()) == 1 else None
-            sub = None
-            if ab and not ab[0] and all(x.exact for x in model.values()) \
+            ab = self._compiled(c, v, model) if len(unknown) == 1 else None
+            b = None
+            if ab and not ab[0] and not inexact \
                     and not _HOLDS[c.rel](ab[1], 0):
                 return 0, -1, True, 0   # false whatever value v takes
             if ab and ab[0]:
                 b = (FLIPPED[c.rel] if ab[0] < 0 else c.rel,
                      Fraction(-ab[1], ab[0]))
-            else:
+            # with two unknowns left, only a fold that drops one (a zero
+            # factor, which the plan refuses) leaves a constant bound; the
+            # plan reads exact values only, as _decide's closures do
+            side = self._planned(c, v, unknown, model) \
+                if (b or len(unknown) > 1) and inexact.isdisjoint(fvs) \
+                else None
+            if side is None:
                 sub = self._substitute_model(c, model)
-                b = _const_bound(sub, v)
+                b = b or _const_bound(sub, v)
+                side = _side(sub, c, v, self.domains)
             b_lo, b_hi = int_range(*b) if b else (None, None)
             if b_lo is not None:
                 lo = b_lo if lo is None else max(lo, b_lo)
@@ -438,74 +475,63 @@ class ExactSolver:
             if b_hi is not None:
                 hi = b_hi if hi is None else min(hi, b_hi)
                 sound_hi = True
-            if c.rel != "=":
+            if c.rel != "=" or not side:
                 continue
-            sub = sub or self._substitute_model(c, model)
-            m = self._monotone_bound(sub, v, model, c)
+            m = self._monotone_bound(side, v, model)
             if m is not None:
                 hi = m if hi is None else min(hi, m)
                 sound_hi = True
             # a Const read from an inexact value may be off by its slack
             if inexact.isdisjoint(fvs):
-                k = gcd(k, _dividend(sub, v, self.domains) or 0)
+                k = gcd(k, _dividend(side) or 0)
         if lo is None:
             lo = -ENUM_SPAN // 2
         if hi is None:
             hi = lo + ENUM_SPAN
         return lo, hi, sound_lo and sound_hi, k
 
-    def _monotone_bound(self, c: Compare, v, model, atom):
+    def _monotone_bound(self, side, v, model):
         """Upper bound, at most MONOTONE_CAP, for a NAT/POS variable from
         an equality whose side is monotone increasing in the unassigned
         nonnegative variables; one below ``v``'s lower bound when the side
-        passes its target there already.  ``c`` is the equality ``atom``
-        at ``model``.  The bound is read off ``atom``'s own side there: off
-        its closure when ``v`` is affine in it, else by probing."""
-        for expr, other, side in ((c.lhs, c.rhs, atom.lhs),
-                                  (c.rhs, c.lhs, atom.rhs)):
-            if not isinstance(other, Const):
-                continue
-            fv = free_variables(expr)
-            if v not in fv:
-                continue
-            if not all(self.domains.get(u, Domain.REAL) in
-                       (Domain.NAT, Domain.POS) for u in fv):
-                continue
-            if not _monotone_positive(expr):
-                continue
-            # evaluate with all other vars at their domain minimum
-            floor_env = {u: Num(Fraction(self.domains[u].lower_bound))
-                         for u in fv if u != v}
-            target = other.value
-            env = {**model, **floor_env}
-            low = self.domains[v].lower_bound
-            ab = self._compiled(side, v, env)
-            if ab and ab[0] >= 0:
-                a, b = ab
-                if a * low + b > target:
-                    return low - 1
-                return min((target - b) // a, MONOTONE_CAP) if a \
-                    else MONOTONE_CAP
-
-            # a side the closure refuses, such as v·v: double, then bisect
-            def g(x):
-                env[v] = Num(Fraction(x))
-                ab = self._compiled(side, None, env)
-                return ab[1] if ab else eval_expression(expr, env).value
-            if g(low) > target:
+        passes its target there already.  ``side`` is what ``_side`` reads
+        off the equality at ``model``.  The bound is read off the atom's
+        own side there: off its closure when ``v`` is affine in it, else by
+        probing."""
+        target, expr, atom_side, fv, monotone = side[:5]
+        if not monotone or not all(self.domains.get(u, Domain.REAL) in
+                                   (Domain.NAT, Domain.POS) for u in fv):
+            return None
+        # evaluate with all other vars at their domain minimum
+        env = {**model, **{u: Num(Fraction(self.domains[u].lower_bound))
+                           for u in fv if u != v}}
+        low = self.domains[v].lower_bound
+        ab = self._compiled(atom_side, v, env)
+        if ab and ab[0] >= 0:
+            a, b = ab
+            if a * low + b > target:
                 return low - 1
-            hi = 1
-            while g(hi) <= target and hi < MONOTONE_CAP:
-                hi *= 2
-            lo = hi // 2
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if g(mid) <= target:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo
-        return None
+            return min((target - b) // a, MONOTONE_CAP) if a \
+                else MONOTONE_CAP
+
+        # a side the closure refuses, such as v·v: double, then bisect
+        def g(x):
+            env[v] = Num(Fraction(x))
+            ab = self._compiled(atom_side, None, env)
+            return ab[1] if ab else eval_expression(expr, env).value
+        if g(low) > target:
+            return low - 1
+        hi = 1
+        while g(hi) <= target and hi < MONOTONE_CAP:
+            hi *= 2
+        lo = hi // 2
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if g(mid) <= target:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     def _dfs(self, model, todo, open_atoms):
         # decide the atoms made ground since the parent (one that holds
@@ -709,6 +735,10 @@ class _NoSatLeaf(Exception):
     """Unwinds an integer search in which no leaf can answer sat."""
 
 
+class _NoValue(Exception):
+    """Raised by an inversion step that no value meets, as in 0 / d = 1."""
+
+
 def _const_bound(c, v):
     """``(rel, value)`` when ``c`` reads ``v rel value`` for a constant
     ``value`` with only ``v`` free, else None."""
@@ -716,38 +746,46 @@ def _const_bound(c, v):
     return (b[0], b[1].value) if b and isinstance(b[1], Const) else None
 
 
-def _dividend(c, v, domains):
-    """The nonzero integer ``k`` when the equality ``c`` reads ``v·E = k``:
-    one side a product with ``v`` as a factor and only integer-valued
-    factors (integer variables, integers, ``+``, ``-`` and ``*``), the
-    other the constant ``k``.  Every integer ``v`` that satisfies ``c``
-    divides ``k``.  None for any other equality."""
-    for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-        if type(other) is Const and other.value \
-                and other.value.denominator == 1 and _has_factor(side, v) \
-                and _integer_valued(side, domains):
-            return other.value.numerator
+def _side(c, atom, v, domains):
+    """``(target, expr, side, unknowns, monotone, factor, integral)`` when
+    one side ``expr`` of the folded equality ``c`` holds ``v`` and the
+    other is the constant ``target``: ``side`` is that side of ``c``'s atom
+    ``atom``, ``unknowns`` the variables of ``expr``, and the last three
+    ``_shape`` of ``expr``.  None otherwise."""
+    for expr, other, side in ((c.lhs, c.rhs, atom.lhs),
+                              (c.rhs, c.lhs, atom.rhs)):
+        fv = free_variables(expr)
+        if type(other) is Const and v in fv:
+            return (other.value, expr, side, fv, *_shape(expr, v, domains))
     return None
 
 
-def _has_factor(e, v) -> bool:
-    """True when ``v`` is a factor of the tree of ``*`` nodes at the top
-    of ``e``."""
-    if type(e) is BinOp and e.op == "*":
-        return _has_factor(e.left, v) or _has_factor(e.right, v)
-    return type(e) is Var and e.name == v
-
-
-def _integer_valued(e, domains) -> bool:
-    """True when ``e`` takes an integer value at every integer point:
-    integer variables and integers under ``+``, ``-`` and ``*``."""
+def _shape(e, v, domains):
+    """``(monotone, factor, integral)`` of the folded term ``e``: whether
+    it is built by ``+`` and ``*`` from variables and nonnegative
+    constants, so is monotone increasing in each variable; whether ``v`` is
+    a factor of its top product; whether it takes an integer value at every
+    integer point (integer variables and integers under ``+``, ``-`` and
+    ``*``)."""
     if type(e) is Var:
-        return domains[e.name].is_integer
+        return True, e.name == v, domains[e.name].is_integer
     if type(e) is Const:
-        return e.value.denominator == 1
-    return type(e) is BinOp and e.op in ("+", "-", "*") \
-        and _integer_valued(e.left, domains) \
-        and _integer_valued(e.right, domains)
+        return e.value >= 0, False, e.value.denominator == 1
+    if type(e) is not BinOp:
+        return False, False, False
+    return _folded(e.op, _shape(e.left, v, domains),
+                   _shape(e.right, v, domains))
+
+
+def _dividend(side):
+    """The nonzero integer ``k`` when the equality that ``side`` reads
+    (see ``_side``) is ``v·E = k``: one side a product with ``v`` as a
+    factor and only integer-valued factors (integer variables, integers,
+    ``+``, ``-`` and ``*``), the other the constant ``k``.  Every integer
+    ``v`` that satisfies it divides ``k``.  None for any other equality."""
+    k, *_, factor, integral = side
+    return k.numerator if k and k.denominator == 1 and factor \
+        and integral else None
 
 
 # the closures keep integral values as ints, Python's fast arithmetic
@@ -758,13 +796,19 @@ _HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 _UNIT = (1, 0)
 # an inversion step by (op, whether v is on the left): the value of
 # the side that holds v, from the value t of ``left op right`` and the
-# value k of the other side; None where no value, or every value, would do
+# value k of the other side; None where no value, or every value, would do,
+# but _NoValue for a divisor of 0 that gives a nonzero t
 _INVERT = {("+", True): lambda t, k: t - k, ("+", False): lambda t, k: t - k,
            ("-", True): lambda t, k: t + k, ("-", False): lambda t, k: k - t,
            ("*", True): lambda t, k: t / k if k else None,
            ("*", False): lambda t, k: t / k if k else None,
            ("/", True): lambda t, k: t * k if k else None,
-           ("/", False): lambda t, k: k / t if t else None}
+           ("/", False): lambda t, k: k / t if t and k else _no_divisor(t)}
+
+
+def _no_divisor(t):
+    if t:
+        raise _NoValue
 
 
 def _inversion_path(c, v):
@@ -875,6 +919,53 @@ def _compile(t, v):
     return shifted, True
 
 
+def _plan(c, v, unknown, domains):
+    """A closure ``model -> side``: what ``_side`` reads off the atom ``c``
+    at a model that leaves ``unknown`` unassigned, without substituting or
+    folding it; ``()`` where no side of an equality holds ``v`` over a
+    constant.  A ground term compiles to its value, and a term with an
+    unknown to its ``_shape`` as folded at the model, by ``_folded``.
+    ``c`` must be built of what ``_affine`` accepts."""
+    def read(t):
+        """``(closure, open)``; ``open`` when ``t`` holds an unknown."""
+        if type(t) is BinOp:
+            (f, f_open), (g, g_open), op = read(t.left), read(t.right), t.op
+            if f_open or g_open:
+                return (lambda m: _folded(op, f(m), g(m))), True
+        elif type(t) is Var and t.name in unknown:
+            shape = _shape(t, v, domains)
+            return (lambda m: shape), True
+        return _compile(t, None)[0], False
+    (f, f_open), (g, g_open) = read(c.lhs), read(c.rhs)
+    if c.rel != "=" or f_open == g_open:
+        return lambda m: (f(m), g(m))[:0]   # read for their refusals
+    side, f, g = (c.lhs, f, g) if f_open else (c.rhs, g, f)
+    fv = free_variables(side) & unknown
+    return lambda m: (g(m), side, side, fv, *f(m))
+
+
+def _folded(op, a, b):
+    """``_shape`` of ``a op b``, where ``a`` and ``b`` are each the shape of
+    a term or, for a ground one, its value, and folding (``add_e``,
+    ``sub_e``, ``mul_e`` and ``div_e``) drops an operand that is 0 or 1
+    where it changes nothing.  ZeroDivisionError where it would drop the
+    unknowns beside a zero factor or keep a zero divisor."""
+    if type(b) is not tuple:
+        if b == 0 and op in "*/":
+            raise ZeroDivisionError
+        if b == 0 and op in "+-" or b == 1 and op in "*/":
+            return a
+    elif type(a) is not tuple:
+        if a == 0 and op == "*":
+            raise ZeroDivisionError
+        if a == 0 and op == "+" or a == 1 and op == "*":
+            return b
+    p, q, r = a if type(a) is tuple else (a >= 0, False, a.denominator == 1)
+    x, y, z = b if type(b) is tuple else (b >= 0, False, b.denominator == 1)
+    return (op in "+*" and p and x, op == "*" and (q or y),
+            op in "+-*" and r and z)
+
+
 def _int_if_integral(q):
     return q.numerator if q.denominator == 1 else q
 
@@ -973,18 +1064,6 @@ def _dnf_branches(atoms):
         return acc
 
     return combine([norm(a) for a in atoms])
-
-
-def _monotone_positive(expr) -> bool:
-    """True when expr is built only from +, * over variables and
-    nonnegative constants (hence monotone increasing in every var)."""
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, Const):
-        return expr.value >= 0
-    if isinstance(expr, BinOp) and expr.op in ("+", "*"):
-        return _monotone_positive(expr.left) and _monotone_positive(expr.right)
-    return False
 
 
 # ---------------------------------------------------------------------------

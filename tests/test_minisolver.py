@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mathmorph import minisolver
+from mathmorph.ast import BinOp, Compare, Const, Domain, Problem, Var
 from mathmorph.complicate import mutate_to_level
 from mathmorph.funcs import Num, eval_constraint
 from mathmorph.minisolver import DEFAULT_NODE_BUDGET, ExactSolver, solve_exact
@@ -317,7 +318,7 @@ def _solved(p, monkeypatch, divisors):
     """``(answer, nodes)`` with the divisor filter on or off."""
     with monkeypatch.context() as mp:
         if not divisors:
-            mp.setattr(minisolver, "_dividend", lambda c, v, domains: None)
+            mp.setattr(minisolver, "_dividend", lambda side: None)
         solver = ExactSolver(p)
         return solver.solve(), solver.nodes
 
@@ -543,6 +544,7 @@ DIVISOR_SHAPES = [
     "(= (/ 6 a) 0)",                        # no value of a
     "(= (/ -12 (+ a 1)) b)",
     "(= (* b (/ 6 a)) 6)",
+    "(= (/ (* 2 b) a) 1)",                  # 0 / a = 1 at b = 0
 ]
 
 
@@ -601,3 +603,152 @@ def test_an_inexact_root_at_an_integer_leaf_is_judged_with_slack():
               "(assert (= (* z z) (+ k 1)))(check-sat)")
     r = solve(p)
     assert r.status == "sat" and r.provenance == "numeric-fallback"
+
+
+@pytest.mark.parametrize("script, status", [
+    ("(assert (= (/ 0 a) 5))", "unsat"),
+    # in the search, at each b, by the inversion closure
+    ("(assert (= (+ 1 (/ (- b b) a)) 0))", "unsat"),
+    ("(assert (= (/ 0 a) 0))", "sat"),
+], ids=["0/a=5", "1+0/a=0", "0/a=0"])
+def test_a_divisor_that_no_value_meets_refutes_the_branch(script, status):
+    # 0 / a is 0 for every a but 0, where it is undefined, so it never
+    # meets 5; that once pinned a = 0 and the check answered unknown
+    p = parse("(declare-fun b () Int)(declare-fun a () Int)"
+              f"(assert (>= b 0))(assert (<= b 2)){script}(check-sat)")
+    assert solve_exact(p)[0] == status
+
+
+DOMAINS = {"v": Domain.NAT, "w": Domain.POS, "x": Domain.INT,
+           "y": Domain.NAT, "z": Domain.INT}
+
+
+def _random_term(rng, depth):
+    """A term over DOMAINS' variables by ``+``, ``-``, ``*`` and ``/`` by
+    a constant; some factors read ``x - 1``, which is 0 at x = 1."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.2:
+            return BinOp("-", Var("x"), Const(Fraction(1)))
+        if rng.random() < 0.65:
+            return Var(rng.choice(list(DOMAINS)))
+        return Const(Fraction(rng.choice([0, 1, 2, 3, -2, 5]),
+                              rng.choice([1, 1, 1, 2])))
+    op = rng.choice("+-*/")
+    right = Const(Fraction(rng.choice([1, 1, 2, -3]))) if op == "/" \
+        else _random_term(rng, depth - 1)
+    return BinOp(op, _random_term(rng, depth - 1), right)
+
+
+def _random_atom(rng):
+    """An atom with ``v`` in it: ``v`` a factor of a top product (with a
+    term added or subtracted on either side or not), or anywhere in a
+    comparison."""
+    if rng.random() < 0.5:
+        side = BinOp("*", Var("v"), _random_term(rng, 2))
+        if rng.random() < 0.5:
+            side = BinOp("*", _random_term(rng, 1), side)
+        if rng.random() < 0.5:
+            term = rng.choice([Const(Fraction(0)), _random_term(rng, 1),
+                               BinOp("-", Var("x"), Const(Fraction(1)))])
+            side = BinOp(rng.choice("+-"), *((side, term) if rng.random()
+                                             < 0.5 else (term, side)))
+        other = Const(Fraction(rng.choice([-12, 0, 6, 12, 24, 30])))
+        sides = (side, other) if rng.random() < 0.7 else (other, side)
+        return Compare(sides[0], "=", sides[1])
+    rel = rng.choice(["=", "=", "!=", "<", "<=", ">", ">="])
+    return Compare(BinOp("+", Var("v"), _random_term(rng, 2)), rel,
+                   _random_term(rng, 2))
+
+
+def _bounds(problem, model, monkeypatch, plans):
+    """``_int_bounds("v", model)`` as inside the search, with the plans
+    on or off; the atoms that took the symbolic step; the monotone bounds
+    found."""
+    symbolic, monotone = [], []
+    substitute, bound = ExactSolver._substitute_model, \
+        ExactSolver._monotone_bound
+    with monkeypatch.context() as mp:
+        if not plans:
+            mp.setattr(minisolver, "_plan", lambda c, v, unknown, domains:
+                       None)
+        mp.setattr(ExactSolver, "_substitute_model", lambda self, c, m:
+                   symbolic.append(c) or substitute(self, c, m))
+        mp.setattr(ExactSolver, "_monotone_bound", lambda self, *args:
+                   monotone.append(bound(self, *args)) or monotone[-1])
+        solver = ExactSolver(problem)
+        solver._closures, solver._watch = {}, {}
+        return (solver._int_bounds("v", dict(model)), symbolic,
+                [m for m in monotone if m is not None])
+
+
+def test_the_plans_give_the_bounds_of_the_symbolic_step(monkeypatch):
+    planned = divisors = monotone = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        atoms = tuple(_random_atom(rng) for _ in range(rng.randint(1, 2)))
+        problem = Problem(tuple(DOMAINS.items()), atoms)
+        model = {}
+        for n in rng.sample(["w", "x", "y", "z"], rng.randint(0, 3)):
+            lo = DOMAINS[n].lower_bound
+            model[n] = Num(Fraction(rng.randint(-3 if lo is None else lo, 4)),
+                           exact=rng.random() > 0.05)
+        on, symbolic, bounds = _bounds(problem, model, monkeypatch, True)
+        assert on == _bounds(problem, model, monkeypatch, False)[0], seed
+        planned += len(atoms) - len(symbolic)
+        divisors += on[3] != 0
+        monotone += len(bounds)
+    assert planned >= 200 and divisors >= 20 and monotone >= 20
+
+
+@pytest.mark.parametrize("x, planned", [
+    (Num(Fraction(2)), True),
+    (Num(Fraction(1)), False),              # x - 1 is a zero factor
+    (Num(Fraction(2), exact=False), False),
+], ids=["planned", "zero-factor", "inexact"])
+def test_a_plan_refuses_a_zero_factor_and_an_inexact_value(
+        x, planned, monkeypatch):
+    # v·(x - 1)·w = 12: at x = 1 folding drops w, and leaves 0 = 12
+    atom = Compare(BinOp("*", BinOp("*", Var("v"), BinOp(
+        "-", Var("x"), Const(Fraction(1)))), Var("w")), "=",
+        Const(Fraction(12)))
+    problem = Problem(tuple(DOMAINS.items()), (atom,))
+    on, symbolic, _ = _bounds(problem, {"x": x}, monkeypatch, True)
+    assert on == _bounds(problem, {"x": x}, monkeypatch, False)[0]
+    assert symbolic == ([] if planned else [atom])
+    assert on[3] == (12 if x.exact and x.value == 2 else 0)
+
+
+def test_the_search_folds_no_atom_its_closures_compile_on_m1(monkeypatch):
+    # every atom of m1's proposals compiles, so _int_bounds reads each
+    # one off its plan, and substitutes none
+    queries, watched, symbolic = [], [], []
+    bounds, substitute = ExactSolver._int_bounds, \
+        ExactSolver._substitute_model
+
+    def recording(problem, node_budget=DEFAULT_NODE_BUDGET, timeout_s=None):
+        queries.append((problem, node_budget))
+        return ExactSolver(problem, node_budget, timeout_s).solve()
+
+    def bounding(self, v, model):
+        self.bounding = v
+        try:
+            return bounds(self, v, model)
+        finally:
+            self.bounding = None
+            watched.append(len(self._watch[v]))
+
+    def substituting(self, c, model):
+        v = getattr(self, "bounding", None)
+        if v is not None and minisolver._affine(c, v) is not None:
+            symbolic.append(c)
+        return substitute(self, c, model)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(minisolver, "solve_exact", recording)
+        mutate_to_level(load_problem("m1.smt2"), 1, random.Random(0))
+    monkeypatch.setattr(ExactSolver, "_int_bounds", bounding)
+    monkeypatch.setattr(ExactSolver, "_substitute_model", substituting)
+    for problem, node_budget in queries:
+        ExactSolver(problem, node_budget).solve()
+    assert len(watched) >= 50 and sum(watched) >= 150
+    assert symbolic == []

@@ -75,3 +75,44 @@ def test_an_added_solve_and_a_root_solve_pair_apart(capsys, monkeypatch):
     assert "  0 dropped, 1 added" in out
     assert "0 answer changes" in out
     assert "verify-rows solve 0: added ('ab12', 100, 'RootSolver')" in out
+
+
+def test_substitutions_are_counted_per_solve_and_only_in_the_search(
+        capsys, monkeypatch):
+    from mathmorph.parser import parse
+    replay = load_replay(monkeypatch)
+    # x is left to the search, and the real stage at each leaf, x = 0
+    # and x = 1, substitutes the four atoms; in the second problem
+    # propagation pins x, and substitutes outside the search
+    scripts = ["(declare-fun x () Int)(declare-fun z () Real)"
+               "(assert (>= x 0))(assert (<= x 3))(assert (> z x))"
+               "(assert (< z 2))(assert (> (+ z x) 2))",
+               "(declare-fun x () Int)(assert (= (+ x 1) 4))"]
+
+    class Workload:
+        pool = [parse(s + "(check-sat)") for s in scripts]
+
+        def __init__(self, tmp):
+            pass
+
+        def run_item(self, problem):
+            from mathmorph.minisolver import ExactSolver
+            ExactSolver(problem).solve()
+
+        def close(self):
+            pass
+
+    fake = type(sys)("workloads")
+    fake.WORKLOADS = {"verify-rows": Workload}
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(replay, "use_source_tree", lambda: None)
+    solves = replay.record(["verify-rows"])["verify-rows"]
+    assert [s["status"] for s in solves] == ["sat", "sat"]
+    assert [s["substitutions"] for s in solves] == [8, 0]
+    # the counts are summed per side, and no answer moved
+    after = [dict(s, substitutions=0) for s in solves]
+    assert replay.compare({"verify-rows": solves},
+                          {"verify-rows": after}) == 0
+    out = capsys.readouterr().out
+    assert "'substitutions': 8" in out and "'substitutions': 0" in out
+    assert "0 answer changes" in out

@@ -170,6 +170,18 @@ def test_gateway_timeout_kills_and_reaps_the_solver(spawned):
 
 @pytest.mark.parametrize("command", [None, GATEWAY],
                          ids=["in-process", "gateway"])
+@pytest.mark.parametrize("rhs, status", [("5", "unsat"), ("0", "sat")])
+def test_zero_over_an_unknown_meets_only_zero(rhs, status, command):
+    # 0 / a is 0 wherever it is defined, so no a gives 5
+    p = parse(f"(declare-fun a () Int)(assert (= (/ 0 a) {rhs}))"
+              "(check-sat)(get-value (a))")
+    r = solve(p, SolverConfig(command=command, fallback_enabled=False))
+    assert r.status == status
+    assert status == "unsat" or r.model["a"].value != 0
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
 def test_zero_to_a_negative_power_is_unknown(command):
     cfg = SolverConfig(command=command, fallback_enabled=False)
     for value in ("(^ 0 -1)", "(/ 1 0)"):
