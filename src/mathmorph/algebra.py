@@ -235,22 +235,31 @@ def int_range(rel: str, value: Fraction):
 # ---------------------------------------------------------------------------
 
 class LinearForm:
-    """sum(coeffs[v] * v) + const, with rational coefficients."""
+    """sum(coeffs[v] * v) + const.  Each coefficient and the constant is
+    an int where it is integral, else a Fraction, never a float; a form is
+    never changed in place, so an operation may return an operand."""
 
-    def __init__(self, coeffs=None, const=Fraction(0)):
-        self.coeffs = {v: c for v, c in (coeffs or {}).items() if c != 0}
-        self.const = Fraction(const)
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=0):
+        self.coeffs = {v: exact(c) for v, c in (coeffs or {}).items() if c}
+        self.const = exact(const)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return LinearForm(out, self.const + other.const)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        out = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            out[v] = out.get(v, 0) - c
+        return LinearForm(out, self.const - other.const)
 
-    def scale(self, k: Fraction):
+    def scale(self, k):
+        if k == 1:
+            return self
         return LinearForm({v: c * k for v, c in self.coeffs.items()},
                           self.const * k)
 
@@ -259,9 +268,9 @@ class LinearForm:
 
     def isolate(self, v: str) -> "LinearForm":
         """The form ``g`` with ``v = g`` wherever ``self = 0``."""
-        a = self.coeffs[v]
-        return LinearForm({u: -k / a for u, k in self.coeffs.items()
-                           if u != v}, -self.const / a)
+        a = -self.coeffs[v]
+        return LinearForm({u: quotient(k, a) for u, k in self.coeffs.items()
+                           if u != v}, quotient(self.const, a))
 
     def substitute(self, v: str, g: "LinearForm") -> "LinearForm":
         """Replace variable ``v`` by the linear form ``g``."""
@@ -271,6 +280,18 @@ class LinearForm:
         reduced = LinearForm({u: k for u, k in self.coeffs.items() if u != v},
                              self.const)
         return reduced + g.scale(c)
+
+
+def exact(q):
+    """The rational ``q`` as an int where it is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def quotient(p, q):
+    """``p / q`` exactly: an int where it is integral, else a Fraction."""
+    if type(p) is int and type(q) is int and not p % q:
+        return p // q
+    return exact(Fraction(p, q))
 
 
 def eliminate(eqs, order):
@@ -297,46 +318,77 @@ def eliminate(eqs, order):
         free.remove(v)
 
 
-def linear_form(expr, variables) -> Optional[LinearForm]:
-    """Linear form of ``expr`` over ``variables``; other symbols must not
-    occur.  None when nonlinear."""
-    if isinstance(expr, Const):
-        return LinearForm(const=expr.value)
-    if isinstance(expr, Var):
-        if expr.name in variables:
-            return LinearForm({expr.name: Fraction(1)})
-        return None
-    if isinstance(expr, BinOp):
-        a = linear_form(expr.left, variables)
-        b = linear_form(expr.right, variables)
-        if a is None or b is None:
+class FoldNeeded(Exception):
+    """Raised by ``linear_form`` at a model on a function application,
+    whose value only folding can tell."""
+
+
+def linear_form(expr, variables, model=None) -> Optional[LinearForm]:
+    """Linear form over ``variables`` of what folding (``fold_constants``)
+    leaves of ``expr``, read in one walk; other symbols must not occur.
+    None when nonlinear.  With ``model``, a variable it assigns reads as
+    its value, as if substituted before folding, and a function
+    application raises FoldNeeded; without one it reads as nonlinear."""
+    f = _read(expr, variables, model)
+    return f if f is None or type(f) is LinearForm else LinearForm(const=f)
+
+
+def _read(expr, variables, model):
+    """``linear_form``, but a value where folding leaves a ``Const``: a
+    ``Const`` 0 factor zeroes a product, a ``Const`` 0 divisor keeps a
+    nonlinear quotient, and a side whose form is 0 is no ``Const``."""
+    t = type(expr)
+    if t is Const:
+        return exact(expr.value)
+    if t is Var:
+        if model and expr.name in model:
+            return exact(model[expr.name].value)
+        return LinearForm({expr.name: 1}) if expr.name in variables else None
+    if t is Pow:
+        b = _read(expr.base, variables, model)
+        k = _read(expr.exponent, variables, model)
+        if k is None or type(k) is LinearForm or k.denominator != 1:
             return None
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            if a.is_constant():
-                return b.scale(a.const)
-            if b.is_constant():
-                return a.scale(b.const)
-            return None
-        if b.is_constant() and b.const != 0:
-            return a.scale(1 / b.const)
-        return None
-    if isinstance(expr, Pow):
-        if isinstance(expr.exponent, Const) and expr.exponent.value == 1:
-            return linear_form(expr.base, variables)
-        inner = linear_form(expr.base, variables)
-        if inner is not None and inner.is_constant() \
-                and isinstance(expr.exponent, Const) \
-                and expr.exponent.value.denominator == 1:
+        if b is not None and type(b) is not LinearForm:
             try:
-                return LinearForm(const=power(inner.const,
-                                              int(expr.exponent.value)))
+                return exact(power(Fraction(b), k))
             except DomainError:
-                return None
+                b = LinearForm(const=b)     # the power stays
+        if k == 1 or b is None or not b.is_constant():
+            return b if k == 1 else None
+        try:
+            return LinearForm(const=power(Fraction(b.const), k))
+        except DomainError:
+            return None
+    if t is not BinOp:
+        if t is FuncApp and model is not None:
+            raise FoldNeeded
         return None
+    a = _read(expr.left, variables, model)
+    b = _read(expr.right, variables, model)
+    op = expr.op
+    a_k = a is not None and type(a) is not LinearForm
+    b_k = b is not None and type(b) is not LinearForm
+    if op == "*" and (a_k and not a or b_k and not b):
+        return 0
+    if a_k and b_k and (b or op != "/"):
+        if op == "/":
+            return quotient(a, b)
+        return exact(a + b if op == "+" else a - b if op == "-" else a * b)
+    if a is None or b is None:
+        return None
+    a, b = (LinearForm(const=a) if a_k else a), \
+        (LinearForm(const=b) if b_k else b)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        if a.is_constant():
+            return b.scale(a.const)
+        return a.scale(b.const) if b.is_constant() else None
+    if b.is_constant() and b.const != 0:
+        return a.scale(quotient(1, b.const))
     return None
 
 
@@ -345,5 +397,5 @@ def is_integral(expr, int_vars) -> bool:
     ``int_vars`` and an integer constant, so it is an integer wherever
     they are."""
     f = linear_form(expr, int_vars)
-    return f is not None and f.const.denominator == 1 \
-        and all(k.denominator == 1 for k in f.coeffs.values())
+    return f is not None and all(type(k) is int
+                                 for k in (f.const, *f.coeffs.values()))

@@ -30,28 +30,33 @@ comparison through ``+`` and ``-`` only, every leaf's real stage finds
 that side nonlinear.  ``RootSolver`` keeps this cut, though a leaf's
 inexact root step might find a point.
 
-The integer search compiles, on first use, each atom of ``Var``,
-``Const``, ``+``, ``-``, ``*`` and ``/`` to a closure (``_affine``) that
-gives ``lhs - rhs = a·v + b`` at the current assignment.  It pins an
-equality's one unknown and reads constant bounds; an equality whose one
-unknown sits in a divisor is pinned by a closure (``_inverse``) that
-inverts the path down to it, and refuted where a step has no value
-(``0 / d = 1``).  The other bounds come from a plan (``_plan``) per atom,
+Each atom of ``Var``, ``Const``, ``+``, ``-``, ``*`` and ``/`` is
+compiled on first use, from the root of the solve on, to a closure
+(``_affine``) that gives ``lhs - rhs = a·v + b`` at a model, on ints where
+a value is integral and Fractions otherwise.  It pins an equality's one
+unknown and reads constant bounds; an equality whose one unknown sits in a
+divisor is pinned by a closure (``_inverse``) that inverts the path down
+to it, and refuted where a step has no value (``0 / d = 1``).  An equality
+a closure pinned from exact values holds by construction and leaves the
+open atoms.  The other bounds come from a plan (``_plan``) per atom,
 branching variable and set of unknowns, which reads off the atom what
-folding would leave of it, without substituting or folding: the target
-of the side that holds ``v``, and whether that side is monotone, has
-``v`` as a factor and is integer-valued.  ``_monotone_bound`` reads the
-upper bound ``(target - b) // a`` off the side's closure, and
-``_dividend`` the divisor ``k``.  The symbolic step is left to the other
-shapes, to a zero factor beside an unknown and a zero divisor, to an atom
-that reads an inexact value, and to one whose one unknown no closure
+folding would leave of it: the target of the side that holds ``v``, and
+whether that side is monotone, has ``v`` as a factor and is
+integer-valued.  ``_monotone_bound`` reads the upper bound
+``(target - b) // a`` off the side's closure, and ``_dividend`` the
+divisor ``k``.  The symbolic step (substitute, fold, solve) is left to the
+other shapes, to a zero factor beside an unknown and a zero divisor, to an
+atom that reads an inexact value, and to one whose one unknown no closure
 bounds (``a = 0``, or ``v`` in a divisor or in both factors of a
 product); but an atom that ``a = 0`` makes false empties ``v``'s range
-(``x > x`` is unsat).  One pass, ``_decide``, decides each atom a model
-makes ground: by its closure when every value is exact, else by
-``eval_constraint``.  Each node decides only the atoms its assignments
-made ground, since an atom that holds holds in the whole subtree, and
-propagates over the equalities still open.
+(``x > x`` is unsat).  Linear pinning and the real stage read each atom's
+linear form at the model straight off the atom (``linear_form`` with a
+model), and fold only one that applies a function.  One pass,
+``_decide``, decides each atom a model makes ground: by its closure when
+every value is exact, else by ``eval_constraint``.  Each search node
+decides only the atoms its assignments made ground, since an atom that
+holds holds in the whole subtree, and propagates over the equalities still
+open.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
                   conjuncts, contains_complex, free_variables, negate,
                   substitute_all)
-from .algebra import (FLIPPED, LinearForm, bound, eliminate,
-                      fold_constraint, int_range, linear_form, solve_for)
+from .algebra import (FLIPPED, FoldNeeded, LinearForm, bound, eliminate,
+                      exact, fold_constraint, int_range, linear_form,
+                      quotient, solve_for)
 from .funcs import (Num, coerce_to_domain, eval_constraint, eval_expression,
                     exact_value)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
@@ -98,9 +104,9 @@ class ExactSolver:
         self.stopped_by = None
         self.domains = dict(problem.declarations)
         self._atom_cache = {}
-        # closures by (id of atom or side, variable, builder), from the
-        # start of the integer search on
-        self._closures = None
+        # closures by (id of atom or side, variable, builder), built on
+        # first use
+        self._closures = {}
         self._watch = {}        # each variable's atoms, per branch searched
         self.atoms = []
         for c in problem.constraints:
@@ -134,7 +140,7 @@ class ExactSolver:
         if any(isinstance(a, BoolConst) and not a.value for a in self.atoms):
             return "unsat", {}
         model = {}
-        if self._propagate(model) == "unsat":
+        if self._propagate(model, self.atoms) is None:
             return "unsat", {}
         if len(model) < len(self.domains):
             # an optimization goal is only answerable when propagation
@@ -144,7 +150,7 @@ class ExactSolver:
             # _linear_pin may pin part of the model; re-run defining
             # equality propagation over the smaller remainder
             if self._linear_pin(model) == "unsat" \
-                    or self._propagate(model) == "unsat":
+                    or self._propagate(model, self.atoms) is None:
                 return "unsat", {}
             int_vars = [n for n, d in self.problem.declarations
                         if n not in model and d.is_integer]
@@ -177,16 +183,13 @@ class ExactSolver:
         for c in self.atoms:
             if not (isinstance(c, Compare) and c.rel == "="):
                 continue
-            sub = self._substitute_model(c, model)
-            lf_l = linear_form(sub.lhs, var_set)
-            lf_r = linear_form(sub.rhs, var_set)
-            if lf_l is None or lf_r is None:
+            f = self._form(c, model, var_set)       # constraint: f = 0
+            if f is None:
                 continue                    # nonlinear: the check covers it
-            f = lf_l - lf_r                 # constraint: f = 0
             if inexact and not inexact.isdisjoint(self._atom(c)[1]):
                 mark = ("inexact", len(eqs))
                 marks.add(mark)
-                f = f + LinearForm({mark: Fraction(1)})
+                f = f + LinearForm({mark: 1})
             eqs.append(f)
         chain, residual, free = eliminate(eqs, unassigned)
         # a residual has no variable left, only marks; one that holds a
@@ -194,8 +197,7 @@ class ExactSolver:
         if any(e.const != 0 and not e.coeffs for e in residual):
             return "unsat"
         # back-substitute; values stay linear forms over the free variables
-        forms = {v: LinearForm({v: Fraction(1)}, Fraction(0))
-                 for v in [*free, *marks]}
+        forms = {v: LinearForm({v: 1}) for v in [*free, *marks]}
         for v, g in reversed(chain):
             acc = LinearForm({}, g.const)
             for u, k in g.coeffs.items():
@@ -206,8 +208,8 @@ class ExactSolver:
         for v, _ in chain:
             f = forms[v]
             if f.coeffs.keys() <= marks:
-                ok = coerce_to_domain(self.domains[v],
-                                      Num(f.const, f.is_constant()))
+                ok = coerce_to_domain(self.domains[v], Num(
+                    Fraction(f.const), f.is_constant()))
                 if ok is None:
                     return "unsat"
                 model[v] = ok
@@ -216,34 +218,49 @@ class ExactSolver:
     # -- propagation --------------------------------------------------------
 
     def _atom(self, c):
-        """``(c, free variables, folded c)``, computed once per atom; the
-        entry keeps ``c`` alive so its id cannot be reused."""
+        """``(c, free variables)``, computed once per atom; the entry keeps
+        ``c`` alive so its id cannot be reused."""
         cached = self._atom_cache.get(id(c))
         if cached is None:
-            cached = (c, free_variables(c), fold_constraint(c))
-            self._atom_cache[id(c)] = cached
+            cached = self._atom_cache[id(c)] = (c, free_variables(c))
         return cached
 
-    def _propagate(self, model, atoms=None):
-        """Assign each variable that an equality of ``atoms`` (default all)
-        forces as its one unknown; a value from an inexact one is inexact."""
+    def _form(self, c, model, var_set):
+        """``lhs - rhs`` of the comparison ``c`` at ``model``, a linear form
+        over ``var_set`` read off ``c``, or off ``_substitute_model`` where
+        ``c`` applies a function; None where a side is nonlinear."""
+        try:
+            lhs, rhs = (linear_form(t, var_set, model) for t in (c.lhs, c.rhs))
+        except FoldNeeded:
+            sub = self._substitute_model(c, model)
+            lhs, rhs = (linear_form(t, var_set) for t in (sub.lhs, sub.rhs))
+        return None if lhs is None or rhs is None else lhs - rhs
+
+    def _propagate(self, model, atoms):
+        """Assign each variable that an equality of ``atoms`` forces as its
+        one unknown; a value from an inexact one is inexact.  None when a
+        value breaks its domain or none exists, else ``atoms`` less the
+        equalities a closure pinned from exact values, which hold.  An
+        equality seen with one unknown has pinned it or never can, so a
+        pass looks again only at those that had more."""
         inexact = {u for u, x in model.items() if not x.exact}
-        progress = True
-        while progress:
-            progress = False
-            for c in self.atoms if atoms is None else atoms:
-                if not (isinstance(c, Compare) and c.rel == "="):
-                    continue
+        held = set()
+        eqs = [c for c in atoms if isinstance(c, Compare) and c.rel == "="]
+        while eqs:
+            later, pinned = [], False
+            for c in eqs:
                 fvs = self._atom(c)[1]
                 unknown = fvs - model.keys()
                 if len(unknown) != 1:
+                    if unknown:
+                        later.append(c)
                     continue
                 (v,) = unknown
                 try:
-                    val = self._pin(c, v, model)
+                    val, closed = self._pin(c, v, model)
                 except _NoValue:        # unless slack may close the gap
                     if inexact.isdisjoint(fvs):
-                        return "unsat"
+                        return None
                     continue
                 if val is None:
                     continue
@@ -251,39 +268,42 @@ class ExactSolver:
                     val = Num(val.value, exact=False)
                 ok = coerce_to_domain(self.domains[v], val)
                 if ok is None:
-                    return "unsat"
+                    return None
                 model[v] = ok
                 if not ok.exact:
                     inexact.add(v)
-                progress = True
-        return "open"
+                elif closed:
+                    held.add(id(c))
+                pinned = True
+            eqs = later if pinned else []
+        return [c for c in atoms if id(c) not in held] if held else atoms
 
     def _pin(self, c, v, model):
-        """The value of ``v``, the one unknown of the equality ``c``; None
-        when neither solving for it nor inverting ``c`` finds one, and
-        _NoValue when an inversion step has none.  In the search ``c``'s
-        affine closure pins ``v``, or where its shape is refused, such as
-        ``v`` in a divisor, its ``_inverse`` closure."""
+        """``(value, closed)``: the value of ``v``, the one unknown of the
+        equality ``c``, or None when neither solving for it nor inverting
+        ``c`` finds one (_NoValue when an inversion step has none), and
+        whether a closure found it: ``c``'s affine closure, or where that
+        refuses, such as ``v`` in a divisor, its ``_inverse`` closure."""
         ab = self._compiled(c, v, model)
         if ab and ab[0]:
-            return Num(Fraction(-ab[1], ab[0]))
+            return Num(Fraction(-ab[1], ab[0])), True
         inverse = None if self._closure(c, v) \
             else self._closure(c, v, _inverse)
         try:
             if inverse:
-                return inverse(model)
+                return inverse(model), True
         except (KeyError, ZeroDivisionError):
             pass                        # the symbolic step decides
         sub = self._substitute_model(c, model)
         if free_variables(sub) != {v}:
-            return None
+            return None, False
         sol = solve_for(sub.lhs, sub.rhs, v)
         if sol is None or free_variables(sol):
-            return self._invert_equality(sub, v)
+            return self._invert_equality(sub, v), False
         try:
-            return eval_expression(sol, {})
+            return eval_expression(sol, {}), False
         except MathMorphError:
-            return None
+            return None, False
 
     def _invert_equality(self, c, v):
         """Solve an equation with one unknown by inverting +, -, *, / along
@@ -299,20 +319,14 @@ class ExactSolver:
         return None if t is None else Num(t, exact=True)
 
     def _substitute_model(self, c, model):
-        # the same atoms are re-substituted at every search node, so skip
-        # atoms the model cannot touch and walk the rest in a single pass
-        _, fvs, folded = self._atom(c)
-        hit = fvs & model.keys()
-        if not hit:
-            return folded
+        # skip atoms the model cannot touch; walk the rest in one pass
+        hit = self._atom(c)[1] & model.keys()
         env = {v: Const(model[v].value) for v in hit}
-        return fold_constraint(substitute_all(c, env))
+        return fold_constraint(substitute_all(c, env) if hit else c)
 
     def _closure(self, node, v, build=None):
         """``build(node, v)``, by default ``_affine(node, v)``, compiled on
-        first use; None outside the integer search and where it refuses."""
-        if self._closures is None:
-            return None
+        first use; None where it refuses."""
         key = (id(node), v, build)
         f = self._closures.get(key, False)
         if f is False:
@@ -323,11 +337,10 @@ class ExactSolver:
         """What ``_side`` reads off the atom ``c`` at ``model``, by ``c``'s
         plan for ``v`` at models that leave ``unknown`` unassigned, built on
         first use; ``()`` where no side of an equality holds ``v`` over a
-        constant.  None outside the search, where ``_affine`` refuses ``c``
-        and where the plan refuses the model."""
+        constant.  None where ``_affine`` refuses ``c`` and where the plan
+        refuses the model."""
         key = (id(c), v, frozenset(unknown))
-        plan = None if self._closures is None \
-            else self._closures.get(key, False)
+        plan = self._closures.get(key, False)
         if plan is False:
             plan = self._closures[key] = self._closure(c, None) \
                 and _plan(c, v, unknown, self.domains)
@@ -338,8 +351,8 @@ class ExactSolver:
 
     def _compiled(self, node, v, model):
         """``(a, b)`` with ``node = a·v + b`` at ``model`` by ``_affine``;
-        None where the symbolic step must decide: outside the search, for a
-        shape it refuses, a missing variable or a zero divisor."""
+        None where the symbolic step must decide: for a shape it refuses, a
+        missing variable or a zero divisor."""
         f = self._closure(node, v)
         if f is None:
             return None
@@ -383,7 +396,6 @@ class ExactSolver:
 
     def _int_search(self, model, int_vars):
         self.undecided = False          # set once unsat cannot be claimed
-        self._closures = {}
         self._watch = {}
         try:
             result = self._dfs(dict(model), list(int_vars), self.atoms)
@@ -537,7 +549,8 @@ class ExactSolver:
         # decide the atoms made ground since the parent (one that holds
         # holds below, as models only grow); propagate over the open ones
         status, open_atoms = self._decide(model, open_atoms)
-        if status == "unsat" or self._propagate(model, open_atoms) == "unsat":
+        if status == "unsat" or (open_atoms := self._propagate(
+                model, open_atoms)) is None:
             return None
         todo = [v for v in todo if v not in model]
         if not todo:
@@ -583,15 +596,12 @@ class ExactSolver:
         var_set = set(real_vars)
         eqs, ineqs, diseqs = [], [], []
         for c in self.atoms:
-            sub = self._substitute_model(c, model)
-            if isinstance(sub, BoolConst):
+            if isinstance(c, BoolConst):
                 continue                # true: _solve_branch refutes false
-            lf_l = linear_form(sub.lhs, var_set)
-            lf_r = linear_form(sub.rhs, var_set)
-            if lf_l is None or lf_r is None:
+            f = self._form(c, model, var_set)       # constraint: f rel 0
+            if f is None:
                 return "unknown", {}
-            f = lf_l - lf_r          # constraint: f rel 0
-            rel = sub.rel
+            rel = c.rel
             if rel == "=":
                 eqs.append(f)
             elif rel == "!=":
@@ -603,7 +613,7 @@ class ExactSolver:
             else:
                 # normalize to f <= 0 / f < 0
                 if rel in (">=", ">"):
-                    f = f.scale(Fraction(-1))
+                    f = f.scale(-1)
                 ineqs.append((f, rel in (">", "<")))
 
         # Gaussian elimination on equalities
@@ -652,7 +662,7 @@ class ExactSolver:
                             if form_value(f) == hi) if uppers else False
             if lo is not None and hi is not None:
                 if lo < hi:
-                    values[v] = (lo + hi) / 2
+                    values[v] = quotient(lo + hi, 2)
                 elif lo == hi and not (lo_strict or hi_strict):
                     values[v] = lo
                 else:
@@ -662,13 +672,13 @@ class ExactSolver:
             elif hi is not None:
                 values[v] = hi - 1 if hi_strict else hi
             else:
-                values[v] = Fraction(0)
+                values[v] = 0
         for v, g in reversed(chain):
             values[v] = form_value(g)
 
         candidate = dict(model)
         for v, x in values.items():
-            candidate[v] = Num(x)
+            candidate[v] = Num(Fraction(x))
         if self._check(candidate) == "sat":
             return "sat", candidate
         # disequalities may have landed exactly on the chosen point
@@ -790,7 +800,7 @@ def _dividend(side):
 
 # the closures keep integral values as ints, Python's fast arithmetic
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        "/": lambda x, y: _int_if_integral(Fraction(x, y))}
+        "/": quotient}
 _HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNIT = (1, 0)
@@ -877,13 +887,13 @@ def _compile(t, v):
     """``(closure, has_v)`` for ``_affine``: the closure gives ``(a, b)``
     when ``t`` contains ``v`` and ``t``'s value otherwise."""
     if type(t) is Const:
-        k = _int_if_integral(t.value)
+        k = exact(t.value)
         return (lambda m: k), False
     if type(t) is Var:
         if t.name == v:
             return (lambda m: _UNIT), True
         name = t.name
-        return (lambda m: _int_if_integral(m[name].value)), False
+        return (lambda m: exact(m[name].value)), False
     if type(t) is not BinOp:
         return None
     left, right = _compile(t.left, v), _compile(t.right, v)
@@ -964,10 +974,6 @@ def _folded(op, a, b):
     x, y, z = b if type(b) is tuple else (b >= 0, False, b.denominator == 1)
     return (op in "+*" and p and x, op == "*" and (q or y),
             op in "+-*" and r and z)
-
-
-def _int_if_integral(q):
-    return q.numerator if q.denominator == 1 else q
 
 
 def _candidates(v, atoms, lo, hi):

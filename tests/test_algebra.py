@@ -1,12 +1,17 @@
 """Exact symbolic arithmetic helpers: folding, linearization, solving."""
 
+import random
 from fractions import Fraction
 
-from mathmorph.algebra import (LinearForm, bound, eliminate, fold_constants,
-                               fold_constraint, int_range, lin, linear_form,
-                               solve_for)
-from mathmorph.ast import (BinOp, Compare, Const, TermIte, Var, free_variables,
+import pytest
+
+from mathmorph.algebra import (FoldNeeded, LinearForm, bound, eliminate,
+                               fold_constants, fold_constraint, int_range, lin,
+                               linear_form, solve_for)
+from mathmorph.ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow,
+                          TermIte, Var, children, free_variables,
                           substitute_all)
+from mathmorph.funcs import Num
 from mathmorph.parser import parse
 
 
@@ -186,3 +191,177 @@ def test_fold_constants_keeps_a_term_past_the_decimal_range():
     # has no exact value, so it stays as it is
     term = _expr("(exp 99999999999999999999999999999)")
     assert fold_constants(term) == term
+
+
+def _parts(f):
+    """``(coeffs, const)`` of the form ``f``, each value checked to be an
+    int where it is integral and a Fraction otherwise; None for None."""
+    if f is None:
+        return None
+    for k in (*f.coeffs.values(), f.const):
+        assert type(k) is int or (type(k) is Fraction and k.denominator != 1)
+    return f.coeffs, f.const
+
+
+NAMES = ("x", "y", "z")
+ZERO_DIVISOR = BinOp("/", Var("y"), BinOp("-", Var("x"), Var("x")))
+Y_MINUS_Y = BinOp("-", Var("y"), Var("y"))
+OTHER_SHAPES = (NamedConst("pi"), FuncApp("abs", (Var("z"),)),
+                TermIte(Compare(Var("x"), ">", Const(Fraction(0))), Var("y"),
+                        Const(Fraction(1))))
+EXPONENTS = tuple(Const(Fraction(k)) for k in (1, 1, 2, -1, 0)) \
+    + (Const(Fraction(1, 2)), Var("x"), Y_MINUS_Y)
+
+
+def _random_term(rng, depth):
+    """A term over NAMES with the shapes folding treats apart: zero
+    factors beside nonlinear ones, zero divisors, ``y - y``, ``* 1``,
+    ``/ 1`` and ``+ 0``, negative and non-integral constants, powers, and
+    now and then a named constant, a function application or an ``ite``."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.6:
+            return Var(rng.choice(NAMES))
+        return Const(Fraction(rng.choice([0, 0, 1, 1, 2, -3, 5, -1]),
+                              rng.choice([1, 1, 1, 2, 3])))
+    if r < 0.3:
+        return rng.choice([ZERO_DIVISOR, Y_MINUS_Y,
+                           BinOp("*", Var("y"), Var("z"))])
+    if r < 0.33:
+        return rng.choice(OTHER_SHAPES)
+    t = _random_term(rng, depth - 1)
+    if r < 0.38:
+        return Pow(t, rng.choice(EXPONENTS))
+    if r < 0.43:
+        op, unit = rng.choice([("*", 1), ("/", 1), ("+", 0), ("-", 0)])
+        return BinOp(op, t, Const(Fraction(unit))) if rng.random() < 0.5 \
+            or op in "/-" else BinOp(op, Const(Fraction(unit)), t)
+    return BinOp(rng.choice("+-*/"), t, _random_term(rng, depth - 1))
+
+
+def _nodes(node):
+    yield node
+    for k in children(node):
+        yield from _nodes(k)
+
+
+def test_the_reader_at_a_model_gives_the_form_of_the_folded_atom():
+    read = folded = made_linear = powers = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        c = Compare(_random_term(rng, 3), rng.choice(["=", "<", ">="]),
+                    _random_term(rng, 3))
+        model = {n: Num(Fraction(rng.choice([0, 1, 2, -2, 3, 7]),
+                                 rng.choice([1, 1, 2, 3])))
+                 for n in rng.sample(NAMES, rng.randint(0, 3))}
+        variables = set(NAMES) - model.keys()
+        env = {n: Const(x.value) for n, x in model.items()}
+        sub = fold_constraint(substitute_all(c, env))
+        want = [_parts(linear_form(sub.lhs, variables)),
+                _parts(linear_form(sub.rhs, variables))]
+        try:
+            got = [_parts(linear_form(c.lhs, variables, model)),
+                   _parts(linear_form(c.rhs, variables, model))]
+        except FoldNeeded:
+            assert any(type(n) is FuncApp for n in _nodes(c)), seed
+            folded += 1
+            continue
+        assert got == want, seed
+        read += 1
+        # the model or folding makes a side linear that the tree is not
+        made_linear += None in (linear_form(c.lhs, variables),
+                                linear_form(c.rhs, variables)) \
+            and None not in got
+        powers += any(type(n) is Pow for n in _nodes(c))
+    assert read >= 300 and folded >= 15 and made_linear >= 50
+    assert powers >= 50
+
+
+@pytest.mark.parametrize("term, model, form", [
+    # a factor that folds to 0 zeroes a nonlinear product
+    ("(* (- x 2) (* y z))", {"x": 2}, ({}, 0)),
+    ("(* (* y z) (- x x))", {"x": -1}, ({}, 0)),
+    # a side whose form is 0 but is no Const does not
+    ("(* (- y y) (* y z))", {}, None),
+    ("(* (- y y) z)", {}, ({}, 0)),
+    # a divisor that folds to 0 keeps the quotient
+    ("(/ y (- x x))", {"x": 3}, None),
+    ("(/ 2 (- x 2))", {"x": 2}, None),
+    ("(+ (* (- x 2) (/ 1 z)) x)", {"x": 2}, ({}, 2)),
+    # units and non-integral values
+    ("(/ (+ (* 1 y) 0) 1)", {}, ({"y": 1}, 0)),
+    ("(/ (- y x) 2)", {"x": Fraction(1, 3)}, ({"y": Fraction(1, 2)},
+                                              Fraction(-1, 6))),
+    ("(* (/ x 2) (- 0 y))", {"x": -4}, ({"y": 2}, 0)),
+    # powers: a Const folds, a base that is no Const is read as a form
+    ("(* (^ (- x 1) 2) (* y z))", {"x": 1}, ({}, 0)),
+    ("(^ (- y y) 2)", {}, ({}, 0)),
+    ("(* (^ (- y y) 2) (* y z))", {}, None),
+    ("(^ (+ y x) 1)", {"x": 2}, ({"y": 1}, 2)),
+    ("(^ y x)", {"x": 2}, None),
+    ("(^ x -1)", {"x": 0}, None),
+    # past the digit cap the power stays, but reads its base to the first
+    ("(^ x 1)", {"x": 10 ** 4000}, ({}, 10 ** 4000)),
+    ("(+ y pi)", {}, None),
+])
+def test_the_reader_folds_zero_factors_and_zero_divisors(term, model, form):
+    decls = "".join(f"(declare-fun {n} () Real)" for n in NAMES)
+    expr = parse(f"{decls}(assert (= x {term}))(check-sat)").constraints[0].rhs
+    nums = {n: Num(Fraction(x)) for n, x in model.items()}
+    assert _parts(linear_form(expr, set(NAMES) - model.keys(), nums)) == form
+
+
+def test_the_reader_leaves_a_function_application_to_folding():
+    # only folding can tell its value; without a model it is nonlinear
+    app = BinOp("+", Var("y"), FuncApp("abs", (Const(Fraction(-2)),)))
+    with pytest.raises(FoldNeeded):
+        linear_form(app, {"y"}, {})
+    assert linear_form(app, {"y"}) is None
+
+
+def _reference_eliminate(rows, order):
+    """``eliminate`` on Fractions alone: rows ``(coeffs, const)``."""
+    rows, free, chain = list(rows), list(order), []
+    while True:
+        pick = next(((r, v) for r in rows for v in free if v in r[0]), None)
+        if pick is None:
+            return chain, rows, free
+        (coeffs, const), v = pick
+        a = coeffs[v]
+        g = {u: -k / a for u, k in coeffs.items() if u != v}, -const / a
+        out = []
+        for r in rows:
+            k = r[0].get(v)
+            if r is pick[0] or not k:
+                if r is not pick[0]:
+                    out.append(r)
+                continue
+            merged = {u: c for u, c in r[0].items() if u != v}
+            for u, c in g[0].items():
+                merged[u] = merged.get(u, Fraction(0)) + k * c
+            out.append(({u: c for u, c in merged.items() if c},
+                        r[1] + k * g[1]))
+        rows = out
+        chain.append((v, g))
+        free.remove(v)
+
+
+def test_eliminate_on_ints_matches_fractions_and_holds_no_float():
+    fractional = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+        rows = [({n: rng.choice([0, 1, -1, 2, 3, -4, 6]) for n in names},
+                 rng.randint(-9, 9)) for _ in range(rng.randint(1, 4))]
+        order = rng.sample(names, len(names))
+        chain, residual, free = eliminate(
+            [LinearForm(*r) for r in rows], order)
+        ref = _reference_eliminate(
+            [({n: Fraction(k) for n, k in coeffs.items() if k},
+              Fraction(const)) for coeffs, const in rows], order)
+        assert [(v, _parts(g)) for v, g in chain] == ref[0], seed
+        assert [_parts(e) for e in residual] == ref[1], seed
+        assert free == ref[2], seed
+        fractional += any(type(k) is Fraction for _, g in chain
+                          for k in (*g.coeffs.values(), g.const))
+    assert fractional >= 50

@@ -357,6 +357,17 @@ def test_the_divisor_filter_reads_no_real_factor():
     assert (model["v"].value, model["x"].value) == (4, Fraction(3, 2))
 
 
+def test_the_divisor_filter_reads_no_quotient():
+    # v·(w/2) = 3 holds at v = 2 with w = 3, a value that v | 3 would skip
+    # if w/2 were read as integer-valued; v is branched first
+    p = parse("(declare-fun v () Int)(declare-fun w () Int)"
+              "(assert (> v 1))(assert (< v 9))(assert (>= w 0))"
+              "(assert (<= w 9))(assert (= (* v (/ w 2)) 3))(check-sat)")
+    status, model = solve_exact(p)
+    assert status == "sat"
+    assert (model["v"].value, model["w"].value) == (2, 3)
+
+
 def test_the_divisor_filter_reads_no_inexact_constant(monkeypatch):
     # 3n is 6 in both problems, but n = y·y is only 2 within the
     # precision of sqrt 2, so only the exact 6 may skip v = 4 and v = 5
@@ -477,6 +488,36 @@ def test_the_cut_moves_no_answer_of_the_mcmc_solves(mcmc_solves,
                         lambda self, model: False)
     for problem, node_budget, answer, *_ in mcmc_solves:
         assert ExactSolver(problem, node_budget).solve() == answer
+
+
+def test_every_value_the_solver_makes_is_a_fraction(mcmc_solves,
+                                                    monkeypatch):
+    # the linear algebra and the closures run on ints where a value is
+    # integral; what leaves them for a Num is a Fraction, never an int or
+    # a float (a Const, built only from a Num's value, makes a Fraction of
+    # what it is given)
+    nums = []
+
+    def num(value, *args):
+        assert type(value) is Fraction, value
+        nums.append(value)
+        return Num(value, *args)
+
+    monkeypatch.setattr(minisolver, "Num", num)
+    scripts = [
+        # a real stage midpoint, x = 1/2 of the ints 0 and 1, and y = x/3
+        "(declare-fun y () Real)(declare-fun x () Real)"
+        "(assert (> x 0))(assert (< x 1))(assert (= (* 3 y) x))",
+        # values pinned by elimination
+        REALS + "(assert (= (+ x y) 4))(assert (= (- x y) 1))"]
+    assert [solve_exact(parse(script + "(check-sat)"))
+            for script in scripts] == [
+        ("sat", {"x": Num(Fraction(1, 2)), "y": Num(Fraction(1, 6))}),
+        ("sat", {"x": Num(Fraction(5, 2)), "y": Num(Fraction(3, 2))})]
+    for problem, node_budget, *_ in mcmc_solves[::4]:
+        _, model = ExactSolver(problem, node_budget).solve()
+        assert all(type(x.value) is Fraction for x in model.values())
+    assert len(nums) >= 1000
 
 
 def solved_without_closures(problem, monkeypatch, node_budget):

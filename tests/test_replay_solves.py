@@ -82,12 +82,13 @@ def test_substitutions_are_counted_per_solve_and_only_in_the_search(
     from mathmorph.parser import parse
     replay = load_replay(monkeypatch)
     # x is left to the search, and the real stage at each leaf, x = 0
-    # and x = 1, substitutes the four atoms; in the second problem
-    # propagation pins x, and substitutes outside the search
+    # and x = 1, reads the linear atoms straight off the tree but
+    # substitutes and folds the one with a function; in the second problem
+    # propagation pins x through the function too, but outside the search
     scripts = ["(declare-fun x () Int)(declare-fun z () Real)"
                "(assert (>= x 0))(assert (<= x 3))(assert (> z x))"
-               "(assert (< z 2))(assert (> (+ z x) 2))",
-               "(declare-fun x () Int)(assert (= (+ x 1) 4))"]
+               "(assert (< z (abs 2)))(assert (> (+ z x) 2))",
+               "(declare-fun x () Int)(assert (= (+ x (abs 1)) 4))"]
 
     class Workload:
         pool = [parse(s + "(check-sat)") for s in scripts]
@@ -108,11 +109,11 @@ def test_substitutions_are_counted_per_solve_and_only_in_the_search(
     monkeypatch.setattr(replay, "use_source_tree", lambda: None)
     solves = replay.record(["verify-rows"])["verify-rows"]
     assert [s["status"] for s in solves] == ["sat", "sat"]
-    assert [s["substitutions"] for s in solves] == [8, 0]
+    assert [s["substitutions"] for s in solves] == [2, 0]
     # the counts are summed per side, and no answer moved
     after = [dict(s, substitutions=0) for s in solves]
     assert replay.compare({"verify-rows": solves},
                           {"verify-rows": after}) == 0
     out = capsys.readouterr().out
-    assert "'substitutions': 8" in out and "'substitutions': 0" in out
+    assert "'substitutions': 2" in out and "'substitutions': 0" in out
     assert "0 answer changes" in out
