@@ -3,17 +3,20 @@ compare two recordings.
 
     python3 scripts/replay_solves.py --out solves.json [--workload NAME ...]
     python3 scripts/replay_solves.py --compare before.json after.json
+    python3 scripts/replay_solves.py --time TREE_A TREE_B [--workload NAME ...]
 
 Recording runs each item of a workload's fixed run list once, in list
 order, with the checkout's ``src`` on the path, and records each
 ``ExactSolver.solve`` (``RootSolver`` passes included) as it returns: a
 digest of the problem, the node budget, the status, the model (each value
-with its exactness), the DFS nodes, ``stopped_by``, ``rooted`` and
+with its exactness), the DFS nodes, ``stopped_by``, ``rooted``,
 ``substitutions``, the ``_substitute_model`` calls made inside
-``_int_search`` (the search's symbolic steps).  The
-default workloads are the three that solve in process; ``verify-gateway``
-solves the rows of ``verify-rows`` in child processes, out of reach.  The
-run lists are read from ``perfbench/``, and nothing is written there.
+``_int_search`` (the search's symbolic steps), and, for timing, the
+problem's ``print_smtlib`` text, the seconds its deadline left it (null
+without one) and its solver class.  The default workloads are the three
+that solve in process; ``verify-gateway`` solves the rows of
+``verify-rows`` in child processes, out of reach.  The run lists are read
+from ``perfbench/``, and nothing is written there.
 
 Comparing pairs the solves of each workload by problem: the k-th solve of
 each (problem digest, budget, solver class) in A pairs with the k-th in B,
@@ -27,16 +30,32 @@ listed.  An answer change, a dropped or an added solve makes the exit status
 first ``MOVES_LISTED`` solves whose nodes or ``stopped_by`` moved are listed.
 The substitutions are counts, not answers: each side's total per workload is
 printed, and they do not move the exit status.
+
+Timing records the solves once more and solves each text again.  Each
+tree's ``src/mathmorph`` is copied into a temporary directory under a
+package name of its own; every import inside the package is relative, so
+both trees load side by side in one process.  Every text is parsed and
+solved on both trees in an untimed pass, and any solve whose status,
+model, nodes or ``stopped_by`` differ is listed, which makes the exit
+status 1.  Then the solves are timed in chunks of ``CHUNK`` over
+``ROUNDS`` rounds, the two trees taking turns to go first; parsing is not
+timed.  Each workload prints both trees' total seconds, the speed-up of B
+over A and how many chunks each tree won.  Runs on a shared host drift by
+up to 40%, so two trees are compared in one process, chunk by chunk,
+rather than across bench runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import shutil
 import sys
 import tempfile
+import time
 from collections import Counter, defaultdict, deque
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -48,10 +67,14 @@ DEFAULT_WORKLOADS = ("mutate-chain", "generate-fixtures", "verify-rows")
 ANSWER_FIELDS = ("problem", "budget", "status", "model", "rooted")
 SEARCH_FIELDS = ("nodes", "stopped_by")
 MOVES_LISTED = 10
+CHUNK = 50
+ROUNDS = 3
 
 
 def record(workloads) -> dict:
-    """``{workload: [solve, ...]}`` over one pass of each run list."""
+    """``{workload: [solve, ...]}`` over one pass of each run list; each
+    solve also keeps its problem's text, the seconds its deadline left it
+    and its solver class, so ``--time`` can solve it again."""
     use_source_tree()
     from mathmorph.minisolver import ExactSolver
     from mathmorph.printer import print_smtlib
@@ -77,6 +100,8 @@ def record(workloads) -> dict:
 
     def recording(self):
         count["substitutions"] = 0
+        left = None if self.deadline is None \
+            else self.deadline - time.monotonic()
         status, model = inner(self)
         text = print_smtlib(self.problem)
         solves.append({
@@ -86,7 +111,8 @@ def record(workloads) -> dict:
                       for n, x in sorted(model.items())},
             "nodes": self.nodes, "stopped_by": self.stopped_by,
             "rooted": getattr(self, "rooted", None),
-            "substitutions": count["substitutions"]})
+            "substitutions": count["substitutions"], "text": text,
+            "timeout_s": left, "solver": type(self).__name__})
         return status, model
 
     out = {}
@@ -186,13 +212,87 @@ def compare(a: dict, b: dict) -> int:
     return 1 if moved or unpaired["dropped"] or unpaired["added"] else 0
 
 
+def load_tree(tree: str, name: str, tmp: str):
+    """The tree's ``src/mathmorph``, copied under ``tmp`` as the package
+    ``name``: ``(parse, minisolver module)``."""
+    shutil.copytree(os.path.join(tree, "src", "mathmorph"),
+                    os.path.join(tmp, name),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return (importlib.import_module(f"{name}.parser").parse,
+            importlib.import_module(f"{name}.minisolver"))
+
+
+def run_chunk(tree, chunk) -> tuple:
+    """``(seconds, outcomes)`` of the solves of ``chunk`` on ``tree``; each
+    outcome is ``(status, model, nodes, stopped_by)``.  Only the solves are
+    timed, on problems parsed afresh."""
+    parse, minisolver = tree
+    solvers = [getattr(minisolver, s["solver"])(parse(s["text"]), s["budget"],
+                                                s["timeout_s"])
+               for s in chunk]
+    results = []
+    start = time.perf_counter()
+    for solver in solvers:
+        results.append(solver.solve())
+    seconds = time.perf_counter() - start
+    return seconds, [(status, {n: [str(x.value), x.exact]
+                               for n, x in sorted(model.items())},
+                      solver.nodes, solver.stopped_by)
+                     for (status, model), solver in zip(results, solvers)]
+
+
+def time_trees(tree_a: str, tree_b: str, workloads) -> int:
+    """Print each workload's solves that differ on the two trees and their
+    timing; 1 when a solve differs."""
+    recorded = record(workloads)
+    names = ("mathmorph_tree_a", "mathmorph_tree_b")
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            trees = [load_tree(t, n, tmp)
+                     for t, n in zip((tree_a, tree_b), names)]
+            for name, solves in recorded.items():
+                solves = [s for s in solves if "raised" not in s]
+                chunks = [solves[i:i + CHUNK]
+                          for i in range(0, len(solves), CHUNK)]
+                # an untimed pass compares the answers and warms both trees
+                outcomes = [run_chunk(tree, solves)[1] for tree in trees]
+                differ += [f"  {name} solve {k}: {x} -> {y}" for k, (x, y)
+                           in enumerate(zip(*outcomes)) if x != y]
+                totals, won = [0.0, 0.0], [0, 0]
+                for r in range(ROUNDS):
+                    for i, chunk in enumerate(chunks):
+                        seconds = [0.0, 0.0]
+                        for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
+                            seconds[side] = run_chunk(trees[side], chunk)[0]
+                            totals[side] += seconds[side]
+                        if seconds[0] != seconds[1]:
+                            won[seconds[1] < seconds[0]] += 1
+                print(f"{name}: {len(solves)} solves, A {totals[0]:.3f} s,"
+                      f" B {totals[1]:.3f} s, speed-up"
+                      f" {totals[0] / max(totals[1], 1e-9):.3f}x; chunks won"
+                      f" A {won[0]}, B {won[1]} of {ROUNDS * len(chunks)}")
+        finally:
+            sys.path.remove(tmp)
+            for mod in [m for m in sys.modules if m.split(".")[0] in names]:
+                del sys.modules[mod]
+    print(f"{len(differ)} solves differ")
+    for line in differ[:MOVES_LISTED]:
+        print(line)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append",
                     choices=DEFAULT_WORKLOADS)
     ap.add_argument("--out")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--time", nargs=2, metavar=("TREE_A", "TREE_B"))
     args = ap.parse_args(argv)
+    if args.time:
+        return time_trees(*args.time, args.workload or DEFAULT_WORKLOADS)
     if args.compare:
         docs = []
         for path in args.compare:
@@ -200,7 +300,8 @@ def main(argv=None) -> int:
                 docs.append(json.load(fh))
         return compare(*docs)
     if not args.out:
-        ap.error("give --out to record or --compare to compare")
+        ap.error("give --out to record, --compare to compare or --time to"
+                 " time two trees")
     out = record(args.workload or DEFAULT_WORKLOADS)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=0)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow, TermIte,
-                  Var, children, free_variables, rebuild)
+                  Var, children, free_variables, rebuild, substitute_all)
 from .funcs import DomainError, exact_value, power
 
 
@@ -120,6 +120,14 @@ def fold_constraint(c):
     return rebuild(c, [fold_constraint(k) for k in children(c)])
 
 
+def substitute_model(node, model):
+    """``node``, unfolded, with a ``Const`` for each variable ``model``
+    values, in one walk; ``node`` itself when ``model`` values none."""
+    hit = free_variables(node) & model.keys()
+    return substitute_all(node, {v: Const(model[v].value) for v in hit}) \
+        if hit else node
+
+
 # ---------------------------------------------------------------------------
 # Univariate linear decomposition: e == a*v + rest
 # ---------------------------------------------------------------------------
@@ -212,6 +220,14 @@ def bound(c: Compare, v: str):
         return None
     rest = fold_constants(div_e(sub_e(r[1], l[1]), Const(a)))
     return (FLIPPED[c.rel] if a < 0 else c.rel), rest
+
+
+def const_bound(c, v: str):
+    """``bound(c, v)`` as ``(rel, value)`` when the rest is a ``Const``,
+    else None, as for an atom folded to a ``BoolConst``.  On a folded atom,
+    a variable other than ``v`` stays in the rest, which is no ``Const``."""
+    b = bound(c, v) if type(c) is Compare else None
+    return (b[0], b[1].value) if b and type(b[1]) is Const else None
 
 
 def int_range(rel: str, value: Fraction):
@@ -318,17 +334,13 @@ def eliminate(eqs, order):
         free.remove(v)
 
 
-class FoldNeeded(Exception):
-    """Raised by ``linear_form`` at a model on a function application,
-    whose value only folding can tell."""
-
-
 def linear_form(expr, variables, model=None) -> Optional[LinearForm]:
     """Linear form over ``variables`` of what folding (``fold_constants``)
     leaves of ``expr``, read in one walk; other symbols must not occur.
     None when nonlinear.  With ``model``, a variable it assigns reads as
     its value, as if substituted before folding, and a function
-    application raises FoldNeeded; without one it reads as nonlinear."""
+    application is substituted and folded alone, which is what folding
+    the whole term leaves of it; without one it reads as nonlinear."""
     f = _read(expr, variables, model)
     return f if f is None or type(f) is LinearForm else LinearForm(const=f)
 
@@ -361,9 +373,10 @@ def _read(expr, variables, model):
         except DomainError:
             return None
     if t is not BinOp:
-        if t is FuncApp and model is not None:
-            raise FoldNeeded
-        return None
+        if t is not FuncApp or model is None:
+            return None
+        folded = fold_constants(substitute_model(expr, model))
+        return exact(folded.value) if type(folded) is Const else None
     a = _read(expr.left, variables, model)
     b = _read(expr.right, variables, model)
     op = expr.op

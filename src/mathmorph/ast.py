@@ -314,13 +314,26 @@ BINDER_SLOTS = {"summation": (0, 3), "derivative": (1, 0),
                 "integral": (1, 0)}
 
 
-def free_variables(node) -> set:
-    """Names of free variables in an expression or constraint."""
+def free_variables(node) -> frozenset:
+    """Names of free variables in an expression or constraint, as a
+    frozenset computed once and kept on ``node``.  The attribute is no
+    dataclass field, so equality, hashing, ``repr`` and ``replace`` never
+    see it, and a node never changes, so it cannot go stale."""
+    fv = getattr(node, "_free_variables", None)
+    if fv is None:
+        fv = frozenset(_free_names(node))
+        object.__setattr__(node, "_free_variables", fv)
+    return fv
+
+
+def _free_names(node) -> set:
+    """``free_variables`` walked afresh: only the node a caller asks about
+    keeps its set."""
     if isinstance(node, Var):
         return {node.name}
     if isinstance(node, Quantifier):
         bound = {n for n, _ in node.bindings}
-        return free_variables(node.body) - bound
+        return _free_names(node.body) - bound
     if isinstance(node, FuncApp) and node.name in BINDER_SLOTS:
         var_idx, body_idx = BINDER_SLOTS[node.name]
         idx = node.args[var_idx]
@@ -328,14 +341,14 @@ def free_variables(node) -> set:
         for i, a in enumerate(node.args):
             if i == var_idx:
                 continue
-            fv = free_variables(a)
+            fv = _free_names(a)
             if i == body_idx and isinstance(idx, Var):
                 fv -= {idx.name}
             out |= fv
         return out
     out = set()
     for c in children(node):
-        out |= free_variables(c)
+        out |= _free_names(c)
     return out
 
 

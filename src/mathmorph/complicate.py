@@ -200,7 +200,7 @@ def sample_aux_solution(p_mutated: Problem, aux: Sequence[str], rng,
     # mutated problem whose aux values are uniquely determined still works
     result = solve(p_mutated, replace(cfg.solver, fallback_enabled=False,
                                       node_budget=5_000))
-    if result.status == "sat" and all(a in result.model for a in aux):
+    if result.status == "sat":
         return {a: result.model[a].value for a in aux}
     raise SamplingError("exhausted-iterations")
 

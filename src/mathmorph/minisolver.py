@@ -51,7 +51,7 @@ bounds (``a = 0``, or ``v`` in a divisor or in both factors of a
 product); but an atom that ``a = 0`` makes false empties ``v``'s range
 (``x > x`` is unsat).  Linear pinning and the real stage read each atom's
 linear form at the model straight off the atom (``linear_form`` with a
-model), and fold only one that applies a function.  One pass,
+model), which substitutes and folds a function application alone.  One pass,
 ``_decide``, decides each atom a model makes ground: by its closure when
 every value is exact, else by ``eval_constraint``.  Each search node
 decides only the atoms its assignments made ground, since an atom that
@@ -69,11 +69,10 @@ from math import gcd
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
-                  conjuncts, contains_complex, free_variables, negate,
-                  substitute_all)
-from .algebra import (FLIPPED, FoldNeeded, LinearForm, bound, eliminate,
-                      exact, fold_constraint, int_range, linear_form,
-                      quotient, solve_for)
+                  conjuncts, contains_complex, free_variables, negate)
+from .algebra import (FLIPPED, LinearForm, const_bound, eliminate, exact,
+                      fold_constraint, int_range, linear_form, quotient,
+                      solve_for, substitute_model)
 from .funcs import (Num, coerce_to_domain, eval_constraint, eval_expression,
                     exact_value)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
@@ -103,9 +102,9 @@ class ExactSolver:
         # why the search stopped early: "budget", "cut", "deadline" or None
         self.stopped_by = None
         self.domains = dict(problem.declarations)
-        self._atom_cache = {}
         # closures by (id of atom or side, variable, builder), built on
-        # first use
+        # first use; the keys are the branches' atoms and their sides, which
+        # solve keeps alive for the whole solve, so no id is reused
         self._closures = {}
         self._watch = {}        # each variable's atoms, per branch searched
         self.atoms = []
@@ -186,7 +185,7 @@ class ExactSolver:
             f = self._form(c, model, var_set)       # constraint: f = 0
             if f is None:
                 continue                    # nonlinear: the check covers it
-            if inexact and not inexact.isdisjoint(self._atom(c)[1]):
+            if inexact and not inexact.isdisjoint(free_variables(c)):
                 mark = ("inexact", len(eqs))
                 marks.add(mark)
                 f = f + LinearForm({mark: 1})
@@ -217,23 +216,10 @@ class ExactSolver:
 
     # -- propagation --------------------------------------------------------
 
-    def _atom(self, c):
-        """``(c, free variables)``, computed once per atom; the entry keeps
-        ``c`` alive so its id cannot be reused."""
-        cached = self._atom_cache.get(id(c))
-        if cached is None:
-            cached = self._atom_cache[id(c)] = (c, free_variables(c))
-        return cached
-
     def _form(self, c, model, var_set):
         """``lhs - rhs`` of the comparison ``c`` at ``model``, a linear form
-        over ``var_set`` read off ``c``, or off ``_substitute_model`` where
-        ``c`` applies a function; None where a side is nonlinear."""
-        try:
-            lhs, rhs = (linear_form(t, var_set, model) for t in (c.lhs, c.rhs))
-        except FoldNeeded:
-            sub = self._substitute_model(c, model)
-            lhs, rhs = (linear_form(t, var_set) for t in (sub.lhs, sub.rhs))
+        over ``var_set`` read off ``c``; None where a side is nonlinear."""
+        lhs, rhs = (linear_form(t, var_set, model) for t in (c.lhs, c.rhs))
         return None if lhs is None or rhs is None else lhs - rhs
 
     def _propagate(self, model, atoms):
@@ -249,7 +235,7 @@ class ExactSolver:
         while eqs:
             later, pinned = [], False
             for c in eqs:
-                fvs = self._atom(c)[1]
+                fvs = free_variables(c)
                 unknown = fvs - model.keys()
                 if len(unknown) != 1:
                     if unknown:
@@ -298,7 +284,7 @@ class ExactSolver:
         if free_variables(sub) != {v}:
             return None, False
         sol = solve_for(sub.lhs, sub.rhs, v)
-        if sol is None or free_variables(sol):
+        if sol is None:
             return self._invert_equality(sub, v), False
         try:
             return eval_expression(sol, {}), False
@@ -319,10 +305,7 @@ class ExactSolver:
         return None if t is None else Num(t, exact=True)
 
     def _substitute_model(self, c, model):
-        # skip atoms the model cannot touch; walk the rest in one pass
-        hit = self._atom(c)[1] & model.keys()
-        env = {v: Const(model[v].value) for v in hit}
-        return fold_constraint(substitute_all(c, env) if hit else c)
+        return fold_constraint(substitute_model(c, model))
 
     def _closure(self, node, v, build=None):
         """``build(node, v)``, by default ``_affine(node, v)``, compiled on
@@ -379,7 +362,7 @@ class ExactSolver:
         keys = model.keys()
         left = []
         for i, c in enumerate(atoms):
-            if not keys >= self._atom(c)[1]:
+            if not keys >= free_variables(c):
                 left.append(c)
                 continue
             ab = self._compiled(c, None, model) if exact else None
@@ -429,7 +412,7 @@ class ExactSolver:
         # left alone in an equality
         assignable = model.keys() | {v for v, d in self.domains.items()
                                      if d.is_integer}
-        equalities = [self._atom(c)[1] for c in self.atoms
+        equalities = [free_variables(c) for c in self.atoms
                       if isinstance(c, Compare) and c.rel == "="]
         grew = True
         while grew:
@@ -457,9 +440,9 @@ class ExactSolver:
         k = 0
         inexact = {u for u, x in model.items() if not x.exact}
         if v not in self._watch:
-            self._watch[v] = [c for c in self.atoms if v in self._atom(c)[1]]
+            self._watch[v] = [c for c in self.atoms if v in free_variables(c)]
         for c in self._watch[v]:
-            fvs = self._atom(c)[1]
+            fvs = free_variables(c)
             unknown = fvs - model.keys()
             # an atom with v its only unknown reads v rel -b/a
             ab = self._compiled(c, v, model) if len(unknown) == 1 else None
@@ -478,7 +461,7 @@ class ExactSolver:
                 else None
             if side is None:
                 sub = self._substitute_model(c, model)
-                b = b or _const_bound(sub, v)
+                b = b or const_bound(sub, v)
                 side = _side(sub, c, v, self.domains)
             b_lo, b_hi = int_range(*b) if b else (None, None)
             if b_lo is not None:
@@ -656,17 +639,12 @@ class ExactSolver:
         for v, lowers, uppers in reversed(record):
             lo = max((form_value(f) for f, _ in lowers), default=None)
             hi = min((form_value(f) for f, _ in uppers), default=None)
-            lo_strict = any(s for f, s in lowers
-                            if form_value(f) == lo) if lowers else False
-            hi_strict = any(s for f, s in uppers
-                            if form_value(f) == hi) if uppers else False
+            lo_strict = any(s for f, s in lowers if form_value(f) == lo)
+            hi_strict = any(s for f, s in uppers if form_value(f) == hi)
             if lo is not None and hi is not None:
-                if lo < hi:
-                    values[v] = quotient(lo + hi, 2)
-                elif lo == hi and not (lo_strict or hi_strict):
-                    values[v] = lo
-                else:
-                    return "unsat", {}
+                # every lower bound met every upper one in the projection,
+                # so lo <= hi, and no bound is strict where they meet
+                values[v] = quotient(lo + hi, 2) if lo < hi else lo
             elif lo is not None:
                 values[v] = lo + 1 if lo_strict else lo
             elif hi is not None:
@@ -707,7 +685,7 @@ class RootSolver(ExactSolver):
             return status, out
         (v,) = real_vars
         atoms = [self._substitute_model(c, model) for c in self.atoms]
-        bounds = [b for b in (_const_bound(a, v) for a in atoms) if b]
+        bounds = [b for b in (const_bound(a, v) for a in atoms) if b]
         lo = max((x for rel, x in bounds if rel in (">", ">=", "=")),
                  default=None)
         hi = min((x for rel, x in bounds if rel in ("<", "<=", "=")),
@@ -747,13 +725,6 @@ class _NoSatLeaf(Exception):
 
 class _NoValue(Exception):
     """Raised by an inversion step that no value meets, as in 0 / d = 1."""
-
-
-def _const_bound(c, v):
-    """``(rel, value)`` when ``c`` reads ``v rel value`` for a constant
-    ``value`` with only ``v`` free, else None."""
-    b = bound(c, v) if free_variables(c) == {v} else None
-    return (b[0], b[1].value) if b and isinstance(b[1], Const) else None
 
 
 def _side(c, atom, v, domains):

@@ -20,8 +20,9 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   _FreshNames, children, conjuncts, constant_binding,
                   free_variables, make_and, negate, rebuild, substitute_all,
                   substitute_in_problem)
-from .algebra import (add_e, bound, fold_constants, fold_constraint,
-                      int_range, is_integral, solve_for, sub_e)
+from .algebra import (add_e, bound, const_bound, fold_constants,
+                      fold_constraint, int_range, is_integral, solve_for,
+                      sub_e)
 from .funcs import poly_expr, polynomial, reduce_app
 from .printer import expr_to_sexpr
 
@@ -392,10 +393,10 @@ def _qe_int_enum(name, atoms):
             continue
         if not isinstance(a, Compare):
             return None
-        b = bound(a, name)
-        if b is None or not isinstance(b[1], Const) or b[0] == "!=":
+        b = const_bound(a, name)
+        if b is None or b[0] == "!=":
             return None
-        b_lo, b_hi = int_range(b[0], b[1].value)
+        b_lo, b_hi = int_range(*b)
         if b_lo is not None and b_hi is not None and b_lo > b_hi:
             return BoolConst(False)         # = with a non-integral value
         if b_lo is not None:

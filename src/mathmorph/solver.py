@@ -111,7 +111,8 @@ def _parse_value(node) -> Num:
         if head == "to_real" and len(node) == 2:
             return _parse_value(node[1])
         if head == "root-obj":
-            # algebraic irrational: approximate and flag as inexact
+            # algebraic irrational: the pair is left out of the model, so
+            # the result is unknown and the fallback runs
             raise _RootObj()
     raise SolverError(f"unparseable model value: {node!r}")
 

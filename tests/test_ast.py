@@ -1,5 +1,6 @@
 """AST invariants: traversal, substitution, negation, validation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,17 @@ def test_free_variables_skips_bound_names():
                    Compare(Var("x"), "=",
                            BinOp("+", Var("y"), Const(Fraction(2)))))
     assert free_variables(q) == {"x"}
+
+
+def test_free_variables_are_kept_on_the_node_out_of_its_fields():
+    e = BinOp("*", Var("x"), BinOp("+", Var("y"), Const(Fraction(2))))
+    fv = free_variables(e)
+    assert type(fv) is frozenset and fv == {"x", "y"}
+    assert free_variables(e) is fv
+    # the kept set takes no part in equality, hashing, repr or replace
+    twin = BinOp("*", Var("x"), BinOp("+", Var("y"), Const(Fraction(2))))
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+    assert free_variables(replace(e, left=Var("z"))) == {"y", "z"}
 
 
 def test_substitute_replaces_all_occurrences():

@@ -132,6 +132,8 @@ def test_the_real_stage_refutes(script):
 @pytest.mark.parametrize("script, x", [
     ("(assert (>= x 2))(assert (<= x 2))", 2),
     ("(assert (<= x 5))", 5),
+    # a true atom beside them reads as no bound
+    ("(assert true)(assert (<= x 5))", 5),
 ])
 def test_the_real_stage_takes_a_closed_bound(script, x):
     p = parse("(declare-fun x () Real)" + script + "(check-sat)")
@@ -644,6 +646,18 @@ def test_an_inexact_root_at_an_integer_leaf_is_judged_with_slack():
               "(assert (= (* z z) (+ k 1)))(check-sat)")
     r = solve(p)
     assert r.status == "sat" and r.provenance == "numeric-fallback"
+
+
+@pytest.mark.parametrize("true_atom", ["true", "(or true (> x 5))"],
+                         ids=["true", "or-true"])
+def test_the_root_step_reads_a_true_atom_as_no_bound(true_atom):
+    # the branch keeps the true atom, which the root step's bound reader
+    # meets beside x * x = 2
+    p = parse(f"(declare-fun x () Real)(assert {true_atom})"
+              "(assert (= (* x x) 2))(check-sat)")
+    r = solve(p)
+    assert r.status == "sat" and r.provenance == "numeric-fallback"
+    assert abs(float(r.model["x"].value) ** 2 - 2) < 1e-6
 
 
 @pytest.mark.parametrize("script, status", [

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from mathmorph.ast import BinOp, Const, Domain, Var, free_variables
+from mathmorph.ast import (BinOp, Compare, Const, Domain, NamedConst,
+                           Quantifier, Var, free_variables)
 from mathmorph.parser import (MAX_DEPTH, ArityMismatchError, ParseError,
                               UndeclaredVariableError,
                               UnsupportedCommandError, parse, tokenize)
-from mathmorph.printer import canonical_print, print_smtlib, render_infix
+from mathmorph.printer import (canonical_print, constraint_to_sexpr,
+                               print_smtlib, render_infix)
 from mathmorph.simplify import tactic_qe
 from mathmorph.solver import SolverConfig, solve
 from conftest import deep_script, read_fixture
@@ -181,10 +183,55 @@ def test_comment_rendering_marks_complex_constraints():
     assert "; (time_hours = " in out
 
 
-def test_render_infix_uses_operator_precedence():
+@pytest.mark.parametrize("assertion, infix", [
+    ("(= y (* 2 (+ x 1)))", "(y = (2 * (x + 1)))"),
+    ("(distinct x (- y 2))", "(x != (y - 2))"),
+    ("(< x (/ 1 3))", "(x < 1/3)"),
+    ("(< x pi)", "(x < pi)"),
+    ("(= y (^ x 2))", "(y = (x ^ 2))"),
+    ("(= y (sqrt (+ x 1)))", "(y = sqrt((x + 1)))"),
+    ("(= y (gcd k 4))", "(y = gcd(k, 4))"),
+    ("(= y (ite (> x 0) x (- 1)))", "(y = ite((x > 0), x, -1))"),
+    ("true", "true"),
+    ("(and (> x 0) (< y 1))", "((x > 0) and (y < 1))"),
+    ("(or (> x 0) (< y 0))", "((x > 0) or (y < 0))"),
+    ("(not (= x y))", "(not (x = y))"),
+    ("(=> (> x 0) (> y 0))", "((x > 0) => (y > 0))"),
+    ("(ite (> x 0) (> y 0) (< y 0))", "ite((x > 0), (y > 0), (y < 0))"),
+    ("(forall ((j Int)) (>= (* j j) 0))", "(forall j in Z. ((j * j) >= 0))"),
+    ("(exists ((r Real)) (= x (* r r)))", "(exists r in R. (x = (r * r)))"),
+], ids=["BinOp", "distinct", "Const", "NamedConst", "Pow", "FuncApp",
+        "FuncApp-2", "TermIte", "BoolConst", "And", "Or", "Not", "Implies",
+        "ConstraintIte", "forall", "exists"])
+def test_render_infix_renders_every_node_type(assertion, infix):
+    # these strings reach the prompts, as the comment above each assert
     p = parse("(declare-fun x () Real)(declare-fun y () Real)"
-              "(assert (= y (* 2 (+ x 1))))(check-sat)")
-    assert render_infix(p.constraints[0]) == "(y = (2 * (x + 1)))"
+              f"(declare-fun k () Int)(assert {assertion})(check-sat)")
+    assert render_infix(p.constraints[0]) == infix
+
+
+def test_a_named_constant_prints_and_parses_back():
+    text = ("(declare-fun x () Real)\n"
+            "(assert (< (* 2 pi) x))\n"
+            "(check-sat)\n")
+    p = parse(text)
+    assert p.constraints[0].lhs.right == NamedConst("pi")
+    assert print_smtlib(p) == text
+
+
+def test_a_nat_or_pos_binder_prints_its_guard():
+    body = Compare(Var("k"), "!=", Const(Fraction(3)))
+    forall = Quantifier("forall", (("k", Domain.NAT),), body)
+    exists = Quantifier("exists", (("k", Domain.POS),), body)
+    assert constraint_to_sexpr(forall) \
+        == "(forall ((k Int)) (=> (>= k 0) (distinct k 3)))"
+    assert constraint_to_sexpr(exists) \
+        == "(exists ((k Int)) (and (>= k 1) (distinct k 3)))"
+    # the text parses back to a quantifier that prints the same
+    for q in (forall, exists):
+        text = constraint_to_sexpr(q)
+        back = parse(f"(declare-fun x () Real)(assert {text})(check-sat)")
+        assert constraint_to_sexpr(back.constraints[0]) == text
 
 
 def test_quantifier_round_trip():

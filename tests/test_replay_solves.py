@@ -77,18 +77,10 @@ def test_an_added_solve_and_a_root_solve_pair_apart(capsys, monkeypatch):
     assert "verify-rows solve 0: added ('ab12', 100, 'RootSolver')" in out
 
 
-def test_substitutions_are_counted_per_solve_and_only_in_the_search(
-        capsys, monkeypatch):
+def fake_workload(monkeypatch, replay, scripts):
+    """Point the replay at a ``verify-rows`` run list that solves each of
+    ``scripts`` with the exact solver."""
     from mathmorph.parser import parse
-    replay = load_replay(monkeypatch)
-    # x is left to the search, and the real stage at each leaf, x = 0
-    # and x = 1, reads the linear atoms straight off the tree but
-    # substitutes and folds the one with a function; in the second problem
-    # propagation pins x through the function too, but outside the search
-    scripts = ["(declare-fun x () Int)(declare-fun z () Real)"
-               "(assert (>= x 0))(assert (<= x 3))(assert (> z x))"
-               "(assert (< z (abs 2)))(assert (> (+ z x) 2))",
-               "(declare-fun x () Int)(assert (= (+ x (abs 1)) 4))"]
 
     class Workload:
         pool = [parse(s + "(check-sat)") for s in scripts]
@@ -107,13 +99,40 @@ def test_substitutions_are_counted_per_solve_and_only_in_the_search(
     fake.WORKLOADS = {"verify-rows": Workload}
     monkeypatch.setitem(sys.modules, "workloads", fake)
     monkeypatch.setattr(replay, "use_source_tree", lambda: None)
+
+
+# x and y are left to the search, and no closure compiles a power, so the
+# symbolic step substitutes and folds (= (^ y 1) (+ x 1)) to bound and pin
+# y; in the second problem propagation pins x through a function, but
+# outside the search
+SCRIPTS = ["(declare-fun x () Int)(declare-fun y () Int)"
+           "(assert (>= x 0))(assert (<= x 3))"
+           "(assert (= (^ y 1) (+ x 1)))(assert (> (+ x y) 4))",
+           "(declare-fun x () Int)(assert (= (+ x (abs 1)) 4))"]
+
+
+def test_substitutions_are_counted_per_solve_and_only_in_the_search(
+        capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    fake_workload(monkeypatch, replay, SCRIPTS)
     solves = replay.record(["verify-rows"])["verify-rows"]
     assert [s["status"] for s in solves] == ["sat", "sat"]
-    assert [s["substitutions"] for s in solves] == [2, 0]
+    assert [s["substitutions"] for s in solves] == [7, 0]
     # the counts are summed per side, and no answer moved
     after = [dict(s, substitutions=0) for s in solves]
     assert replay.compare({"verify-rows": solves},
                           {"verify-rows": after}) == 0
     out = capsys.readouterr().out
-    assert "'substitutions': 2" in out and "'substitutions': 0" in out
+    assert "'substitutions': 7" in out and "'substitutions': 0" in out
     assert "0 answer changes" in out
+
+
+def test_a_tree_timed_against_itself_differs_in_no_solve(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    fake_workload(monkeypatch, replay, SCRIPTS)
+    assert replay.time_trees(ROOT, ROOT, ["verify-rows"]) == 0
+    out = capsys.readouterr().out
+    assert "verify-rows: 2 solves, A " in out
+    assert f"of {replay.ROUNDS}\n" in out
+    assert "0 solves differ" in out
+    assert not any(m.startswith("mathmorph_tree") for m in sys.modules)
