@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from operator import is_
+from typing import Optional, Union
 
 
 class MathMorphError(Exception):
@@ -241,66 +242,44 @@ class Problem:
 # Structural utilities
 # ---------------------------------------------------------------------------
 
-def children(node) -> Iterator:
-    """Direct children of an AST node (expressions and constraints)."""
-    if isinstance(node, (Const, NamedConst, Var, BoolConst)):
-        return
-    if isinstance(node, BinOp):
-        yield node.left
-        yield node.right
-    elif isinstance(node, Pow):
-        yield node.base
-        yield node.exponent
-    elif isinstance(node, FuncApp):
-        yield from node.args
-    elif isinstance(node, TermIte):
-        yield node.cond
-        yield node.then
-        yield node.els
-    elif isinstance(node, Compare):
-        yield node.lhs
-        yield node.rhs
-    elif isinstance(node, (And, Or)):
-        yield from node.items
-    elif isinstance(node, Not):
-        yield node.child
-    elif isinstance(node, Implies):
-        yield node.antecedent
-        yield node.consequent
-    elif isinstance(node, ConstraintIte):
-        yield node.cond
-        yield node.then
-        yield node.els
-    elif isinstance(node, Quantifier):
-        yield node.body
-    else:
+_LEAF = (lambda n: (), lambda n, k: n)
+_ITE = (lambda n: (n.cond, n.then, n.els), lambda n, k: type(n)(*k))
+_ITEMS = (lambda n: n.items, lambda n, k: type(n)(tuple(k)))
+# Each node type's shape: its children, in order, and how to build it again
+# from ``(node, new children)``; a leaf has none and comes back as it is.
+_SHAPES = {
+    Const: _LEAF, NamedConst: _LEAF, Var: _LEAF, BoolConst: _LEAF,
+    BinOp: (lambda n: (n.left, n.right), lambda n, k: BinOp(n.op, *k)),
+    Pow: (lambda n: (n.base, n.exponent), lambda n, k: Pow(*k)),
+    FuncApp: (lambda n: n.args, lambda n, k: FuncApp(n.name, tuple(k))),
+    TermIte: _ITE, ConstraintIte: _ITE,
+    Compare: (lambda n: (n.lhs, n.rhs),
+              lambda n, k: Compare(k[0], n.rel, k[1])),
+    And: _ITEMS, Or: _ITEMS,
+    Not: (lambda n: (n.child,), lambda n, k: Not(*k)),
+    Implies: (lambda n: (n.antecedent, n.consequent),
+              lambda n, k: Implies(*k)),
+    Quantifier: (lambda n: (n.body,),
+                 lambda n, k: Quantifier(n.kind, n.bindings, *k)),
+}
+
+
+def _shape(node):
+    shape = _SHAPES.get(type(node))
+    if shape is None:
         raise TypeError(f"not an AST node: {node!r}")
+    return shape
+
+
+def children(node) -> tuple:
+    """Direct children of an AST node (expressions and constraints)."""
+    return _shape(node)[0](node)
 
 
 def rebuild(node, kids):
     """``node`` with its children replaced by ``kids``, in ``children``
     order; a leaf comes back as it is."""
-    if isinstance(node, (Const, NamedConst, Var, BoolConst)):
-        return node
-    if isinstance(node, BinOp):
-        return BinOp(node.op, *kids)
-    if isinstance(node, Pow):
-        return Pow(*kids)
-    if isinstance(node, FuncApp):
-        return FuncApp(node.name, tuple(kids))
-    if isinstance(node, Compare):
-        return Compare(kids[0], node.rel, kids[1])
-    if isinstance(node, (And, Or)):
-        return type(node)(tuple(kids))
-    if isinstance(node, Not):
-        return Not(kids[0])
-    if isinstance(node, Implies):
-        return Implies(*kids)
-    if isinstance(node, (TermIte, ConstraintIte)):
-        return type(node)(*kids)
-    if isinstance(node, Quantifier):
-        return Quantifier(node.kind, node.bindings, kids[0])
-    raise TypeError(f"not an AST node: {node!r}")
+    return _shape(node)[1](node, kids)
 
 
 def node_count(node) -> int:
@@ -383,16 +362,6 @@ def substitute_all(node, env: dict):
         return env.get(node.name, node)
     if t is Const or t is NamedConst or t is BoolConst:
         return node
-    if t is BinOp:
-        l = substitute_all(node.left, env)
-        r = substitute_all(node.right, env)
-        return node if l is node.left and r is node.right \
-            else BinOp(node.op, l, r)
-    if t is Compare:
-        l = substitute_all(node.lhs, env)
-        r = substitute_all(node.rhs, env)
-        return node if l is node.lhs and r is node.rhs \
-            else Compare(l, node.rel, r)
     if t is FuncApp:
         slots = BINDER_SLOTS.get(node.name)
         if slots and type(node.args[slots[0]]) is Var:
@@ -415,9 +384,9 @@ def substitute_all(node, env: dict):
         return Quantifier(node.kind,
                           tuple((n, d) for n, (_, d)
                                 in zip(renamed, node.bindings)), body)
-    kids = list(children(node))
+    kids = children(node)
     new_kids = [substitute_all(k, env) for k in kids]
-    if all(a is b for a, b in zip(new_kids, kids)):
+    if all(map(is_, new_kids, kids)):
         return node
     return rebuild(node, new_kids)
 

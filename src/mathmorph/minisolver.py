@@ -17,8 +17,8 @@ exact and deterministic:
    remaining linear real part, with witness extraction.
 
 Propagation and pinning only infer values.  One step, ``_finish``, ends
-every DNF branch and every leaf of the search: the real stage when reals
-remain, else ``_check``.
+every DNF branch and every leaf of the search on the atoms still open
+there: the real stage when reals remain, else ``_decide``.
 
 Unsat is only reported when the search was exhaustive with sound bounds
 and every leaf was refuted; a leaf that answers ``unknown`` blocks it too.
@@ -162,7 +162,7 @@ class ExactSolver:
         the real stage when reals remain, else by ``_decide`` on ``atoms``."""
         reals = [n for n, _ in self.problem.declarations if n not in model]
         if reals:
-            return self._real_stage(model, reals)
+            return self._real_stage(model, reals, atoms)
         return self._decide(model, atoms)[0], model
 
     # -- linear pinning -------------------------------------------------------
@@ -575,14 +575,16 @@ class ExactSolver:
 
     # -- linear real stage --------------------------------------------------
 
-    def _real_stage(self, model, real_vars):
+    def _real_stage(self, model, real_vars, atoms):
         var_set = set(real_vars)
+        inexact = {u for u, x in model.items() if not x.exact}
         eqs, ineqs, diseqs = [], [], []
-        for c in self.atoms:
+        for c in atoms:
             if isinstance(c, BoolConst):
                 continue                # true: _solve_branch refutes false
             f = self._form(c, model, var_set)       # constraint: f rel 0
-            if f is None:
+            # an atom that reads an inexact value may hold only by its slack
+            if f is None or not inexact.isdisjoint(free_variables(c)):
                 return "unknown", {}
             rel = c.rel
             if rel == "=":
@@ -654,9 +656,8 @@ class ExactSolver:
         for v, g in reversed(chain):
             values[v] = form_value(g)
 
-        candidate = dict(model)
-        for v, x in values.items():
-            candidate[v] = Num(Fraction(x))
+        candidate = {**model,
+                     **{v: Num(Fraction(x)) for v, x in values.items()}}
         if self._check(candidate) == "sat":
             return "sat", candidate
         # disequalities may have landed exactly on the chosen point
@@ -664,8 +665,7 @@ class ExactSolver:
             for delta in (Fraction(1, 7), Fraction(-1, 7), Fraction(1),
                           Fraction(-1), Fraction(3, 11)):
                 for v in values:
-                    bumped = dict(candidate)
-                    bumped[v] = Num(candidate[v].value + delta)
+                    bumped = {**candidate, v: Num(candidate[v].value + delta)}
                     if self._check(bumped) == "sat":
                         return "sat", bumped
         return "unknown", {}
@@ -674,17 +674,17 @@ class ExactSolver:
 class RootSolver(ExactSolver):
     """The exact solver with a root step at each leaf whose real stage is
     left undecided with one real unknown; ``rooted`` once the step answers.
-    A candidate counts only when the full check passes at it as an inexact
-    value, so a pole is never taken for a root."""
+    The full check takes a root as inexact, so a pole is never taken for
+    one, and a grid point as exact, so a strict bound excludes its end."""
 
     rooted = False
 
-    def _real_stage(self, model, real_vars):
-        status, out = super()._real_stage(model, real_vars)
+    def _real_stage(self, model, real_vars, atoms):
+        status, out = super()._real_stage(model, real_vars, atoms)
         if status != "unknown" or len(real_vars) != 1:
             return status, out
         (v,) = real_vars
-        atoms = [self._substitute_model(c, model) for c in self.atoms]
+        atoms = [self._substitute_model(c, model) for c in atoms]
         bounds = [b for b in (const_bound(a, v) for a in atoms) if b]
         lo = max((x for rel, x in bounds if rel in (">", ">=", "=")),
                  default=None)
@@ -698,8 +698,8 @@ class RootSolver(ExactSolver):
                 break
             box = (lo if lo is not None else (hi or 0) - width,
                    hi if hi is not None else (lo or 0) + width)
-            for x in _candidates(v, atoms, *box):
-                candidate = {**model, v: Num(x, exact=False)}
+            for x, exact in _candidates(v, atoms, *box):
+                candidate = {**model, v: Num(x, exact)}
                 if x not in tried and self._check(candidate) == "sat":
                     self.rooted = True
                     return "sat", candidate
@@ -778,17 +778,17 @@ _UNIT = (1, 0)
 # an inversion step by (op, whether v is on the left): the value of
 # the side that holds v, from the value t of ``left op right`` and the
 # value k of the other side; None where no value, or every value, would do,
-# but _NoValue for a divisor of 0 that gives a nonzero t
+# but _NoValue where no divisor does (0 / d = t or k / d = 0, t, k ≠ 0)
 _INVERT = {("+", True): lambda t, k: t - k, ("+", False): lambda t, k: t - k,
            ("-", True): lambda t, k: t + k, ("-", False): lambda t, k: k - t,
            ("*", True): lambda t, k: t / k if k else None,
            ("*", False): lambda t, k: t / k if k else None,
            ("/", True): lambda t, k: t * k if k else None,
-           ("/", False): lambda t, k: k / t if t and k else _no_divisor(t)}
+           ("/", False): lambda t, k: k / t if t and k else _no_divisor(t, k)}
 
 
-def _no_divisor(t):
-    if t:
+def _no_divisor(t, k):
+    if t or k:
         raise _NoValue
 
 
@@ -948,13 +948,13 @@ def _folded(op, a, b):
 
 
 def _candidates(v, atoms, lo, hi):
-    """Values of ``v`` in ``[lo, hi]`` to try: each equality's roots from
-    its sign changes on the grid (skipping the points where it is
-    undefined), or with no equality the grid points."""
+    """``(x, exact)`` per value of ``v`` in ``[lo, hi]`` to try: each
+    equality's inexact roots from its sign changes on the grid (skipping the
+    points where it is undefined), or with no equality the exact grid."""
     grid = [lo + Fraction(hi - lo) * i / GRID for i in range(GRID + 1)]
     equalities = [a for a in atoms if isinstance(a, Compare) and a.rel == "="]
     if not equalities:
-        yield from grid
+        yield from ((x, True) for x in grid)
     for eq in equalities:
         def f(x):
             try:
@@ -965,9 +965,9 @@ def _candidates(v, atoms, lo, hi):
         points = [(x, fx) for x in grid if (fx := f(x)) is not None]
         for (a, fa), (b, fb) in zip([(None, 0)] + points, points):
             if fb == 0:
-                yield b
+                yield b, False
             elif fa and (fa < 0) != (fb < 0):
-                yield _bisect(f, a, fa, b)
+                yield _bisect(f, a, fa, b), False
 
 
 def _bisect(f, a, fa, b):

@@ -180,7 +180,7 @@ class ProblemBuilder:
     nesting before elaborating it and a term's height before it is walked."""
 
     def __init__(self):
-        self.declarations = []          # [(name, Domain)]
+        self.declarations = {}          # name -> Domain, in source order
         self.constraints = []
         self.macros = {}                # name -> (params, elaborated body)
         self.rec_defs = []
@@ -189,9 +189,6 @@ class ProblemBuilder:
         self.goal_targets = []
 
     # -- helpers ------------------------------------------------------------
-
-    def declared(self, name):
-        return any(n == name for n, _ in self.declarations)
 
     def _head(self, s):
         if not s or not isinstance(s[0], Atom):
@@ -254,8 +251,8 @@ class ProblemBuilder:
 
     def problem(self) -> Problem:
         """The Problem stated by the commands fed so far."""
-        decls, constraints = _absorb_side_constraints(self.declarations,
-                                                      self.constraints)
+        decls, constraints = _absorb_side_constraints(
+            self.declarations.items(), self.constraints)
         goal = Goal(self.goal_kind or "solve", tuple(self.goal_targets))
         problem = Problem(decls, constraints, goal, tuple(self.rec_defs))
         for tree in constraints + goal.targets:
@@ -285,10 +282,10 @@ class ProblemBuilder:
         if sort_tok.text not in _SORTS:
             raise ParseError(f"unsupported sort: {sort_tok.text}",
                              sort_tok.line, sort_tok.col)
-        if self.declared(name_tok.text):
+        if name_tok.text in self.declarations:
             raise ParseError(f"duplicate declaration: {name_tok.text}",
                              name_tok.line, name_tok.col)
-        self.declarations.append((name_tok.text, _SORTS[sort_tok.text]))
+        self.declarations[name_tok.text] = _SORTS[sort_tok.text]
 
     def _define_fun(self, s):
         # the body is elaborated once, over its parameters and the symbols
@@ -319,7 +316,7 @@ class ProblemBuilder:
             name = s.text
             if name in bound:
                 return Var(name)
-            if self.declared(name):
+            if name in self.declarations:
                 return Var(name)
             macro = self.macros.get(name)
             if macro is not None and not macro[0]:
@@ -476,9 +473,10 @@ class ProblemBuilder:
                                  b[1].line, b[1].col)
             pairs.append((b[0].text, _SORTS[b[1].text]))
         # a bound name must not shadow a problem declaration
-        fresh = _FreshNames([n for n, _ in self.declarations] + list(bound)
-                            + [n for n, _ in pairs])
-        renames = {n: fresh.fresh(n) for n, _ in pairs if self.declared(n)}
+        fresh = _FreshNames([*self.declarations, *bound,
+                             *(n for n, _ in pairs)])
+        renames = {n: fresh.fresh(n) for n, _ in pairs
+                   if n in self.declarations}
         bindings = tuple((renames.get(n, n), d) for n, d in pairs)
         body_s = _rename_sexpr(args[1], renames) if renames else args[1]
         body = self.elab_bool(body_s, {**bound, **dict(bindings)})

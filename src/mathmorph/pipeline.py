@@ -20,14 +20,13 @@ import shlex
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .ast import MathMorphError, Problem, node_count
 from .funcs import APPROX_TOL
 from .parser import ParseError, parse
 from .printer import canonical_print
 from .solver import SolverConfig, SolverResult, solve
-from .simplify import MutationRecord
 from .complicate import McmcConfig, mutate_to_level
 from .informalize import (DEFAULT_FEW_SHOT_POOL, PATTERNS, EndpointError,
                           PromptContext, consistency_check,
@@ -121,11 +120,6 @@ def load_corpus(path: str) -> List[Tuple[str, Problem, Optional[str]]]:
     return out
 
 
-def _records_json(records: Sequence[MutationRecord]) -> list:
-    return [{"tactic": r.tactic, "site": list(r.site),
-             "parameters": r.parameters, "seed": r.seed} for r in records]
-
-
 def _pick_pattern(rng, ratio: float, has_original: bool) -> str:
     """p1 rewrites the original statement, so it needs a sidecar text."""
     if has_original and rng.random() < ratio:
@@ -152,7 +146,8 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
         return None, dict(base, reason=f"mutation failed: {exc}"), None
     nodes = sum(node_count(c) for c in mutated.constraints)
     base["formal"] = canonical_print(mutated)
-    base["provenance"] = _records_json(records)
+    # each record's fields as they are: asdict would deep-copy them
+    base["provenance"] = [vars(r) for r in records]
     result = solve(mutated, plan.solver)
     if result.status != "sat":      # an unsat mutant costs no endpoint call
         return None, dict(base, reason=audit_row(base, result)), nodes

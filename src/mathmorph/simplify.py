@@ -195,15 +195,12 @@ def _gaussian_candidates(p: Problem):
     goal_vars = set()
     for t in p.goal.targets:
         goal_vars |= free_variables(t)
-    declared = {n for n, _ in p.declarations}
     out = []
     for i, c in enumerate(p.constraints):
         if not (isinstance(c, Compare) and c.rel == "="):
             continue
         vars_here = []
         for v in sorted(free_variables(c)):
-            if v not in declared:
-                continue
             if v in goal_vars:
                 continue
             sol = solve_for(c.lhs, c.rhs, v)

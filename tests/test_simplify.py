@@ -29,12 +29,15 @@ def test_simplify_drops_additive_identity():
     assert asserts(out) == ["(assert (= w x))"]
 
 
-def test_simplify_cancels_opposite_terms():
+@pytest.mark.parametrize("sum_, want", [
+    ("(- (+ y x) x)", "(assert (= w y))"),
+    ("(+ 1 (- x x))", "(assert (= w 1))"),      # every term cancels
+])
+def test_simplify_cancels_opposite_terms(sum_, want):
     p = parse("(declare-fun w () Real)(declare-fun x () Real)"
-              "(declare-fun y () Real)"
-              "(assert (= w (- (+ y x) x)))(check-sat)")
+              f"(declare-fun y () Real)(assert (= w {sum_}))(check-sat)")
     out, _ = tactic_simplify(p)
-    assert asserts(out) == ["(assert (= w y))"]
+    assert asserts(out) == [want]
 
 
 def test_simplify_expands_binomial_square():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mathmorph import minisolver, solver
-from mathmorph.funcs import eval_constraint
+from mathmorph.funcs import Num, eval_constraint
 from mathmorph.parser import parse
 from mathmorph.solver import (SolverConfig, SolverError, build_script,
                               parse_reply, solve)
@@ -170,10 +170,14 @@ def test_gateway_timeout_kills_and_reaps_the_solver(spawned):
 
 @pytest.mark.parametrize("command", [None, GATEWAY],
                          ids=["in-process", "gateway"])
-@pytest.mark.parametrize("rhs, status", [("5", "unsat"), ("0", "sat")])
-def test_zero_over_an_unknown_meets_only_zero(rhs, status, command):
-    # 0 / a is 0 wherever it is defined, so no a gives 5
-    p = parse(f"(declare-fun a () Int)(assert (= (/ 0 a) {rhs}))"
+@pytest.mark.parametrize("sort, atom, status", [
+    ("Int", "(= (/ 0 a) 5)", "unsat"), ("Int", "(= (/ 0 a) 0)", "sat"),
+    ("Int", "(= (/ 6 a) 0)", "unsat"), ("Real", "(= (/ 1 a) 0)", "unsat")],
+    ids=["5-unsat", "0-sat", "6/a=0-unsat", "1/a=0-real-unsat"])
+def test_zero_over_an_unknown_meets_only_zero(sort, atom, status, command):
+    # 0 / a is 0 wherever it is defined, so no a gives 5, and k / a with
+    # k != 0 is never 0
+    p = parse(f"(declare-fun a () {sort})(assert {atom})"
               "(check-sat)(get-value (a))")
     r = solve(p, SolverConfig(command=command, fallback_enabled=False))
     assert r.status == status
@@ -275,11 +279,49 @@ def test_the_root_step_bisects_a_transcendental_equation(command):
 
 
 def test_a_pole_is_not_taken_for_a_root():
-    # 1/x changes sign at x = 0, where it is undefined, and nowhere
-    # equals 0
-    p = parse("(declare-fun x () Real)(assert (= (/ 1 x) 0))"
+    # 1/x^3 changes sign at x = 0, where it is undefined, and nowhere
+    # equals 0; with x in both factors, no inversion refutes it
+    p = parse("(declare-fun x () Real)(assert (= (/ 1 (* x x x)) 0))"
               "(check-sat)(get-value (x))")
     assert solve(p).status == "unknown"
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("asserts, x", [
+    ("(assert (> x 1))(assert (< (* x x) 2))", Fraction(65, 64)),
+    # the real stage's midpoint 1/200 is excluded, and so are its bumps
+    ("(assert (> x 0))(assert (< x (/ 1 100)))"
+     "(assert (distinct x (/ 1 200)))", Fraction(1, 6400)),
+], ids=["x>1", "0<x<1/100"])
+def test_the_root_step_keeps_a_strict_bound(asserts, x, command):
+    # with no equality the root step tries the box's grid from the end a
+    # strict bound gives, and judges each point as the exact value it is
+    p = parse(f"(declare-fun x () Real){asserts}(check-sat)(get-value (x))")
+    assert solve(p, SolverConfig(command=command,
+                                 fallback_enabled=False)).status == "unknown"
+    r = solve(p, SolverConfig(command=command))
+    assert r.status == "sat" and r.provenance == "numeric-fallback"
+    assert r.model["x"] == Num(x)
+    assert all(eval_constraint(c, r.model) for c in p.constraints)
+
+
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+def test_an_inexact_value_never_refutes_a_leaf(command):
+    # y = sqrt 2 is pinned inexact, and z + y*y <= 2 holds at z = 0 only
+    # by y's slack; read as an exact rational it excludes z >= 0
+    p = parse("(declare-fun k () Int)(declare-fun y () Real)"
+              "(declare-fun z () Real)(assert (= y (sqrt 2)))"
+              "(assert (>= k 1))(assert (<= k 1))"
+              "(assert (<= (+ z (* y y)) 2))(assert (>= z 0))"
+              "(check-sat)(get-value (k y z))")
+    assert minisolver.solve_exact(p)[0] == "unknown"
+    for fallback in (False, True):
+        r = solve(p, SolverConfig(command=command, fallback_enabled=fallback))
+        assert r.status != "unsat"
+        assert r.status != "sat" or all(eval_constraint(c, r.model)
+                                        for c in p.constraints)
 
 
 def test_the_root_step_runs_in_each_branch():
