@@ -23,13 +23,15 @@ each (problem digest, budget, solver class) in A pairs with the k-th in B,
 so a solve that one side drops does not shift the pairs after it.  The
 solver class is read off ``rooted``, which is null for ``ExactSolver``.  The
 answer of a solve is its problem, status, model and ``rooted``; a change in
-any of them is listed.  Solves left without a pair are counted as dropped
-(in A only) or added (in B only), and the first ``MOVES_LISTED`` of each are
-listed.  An answer change, a dropped or an added solve makes the exit status
-1.  Nodes and ``stopped_by`` may move without that: they are summed, and the
-first ``MOVES_LISTED`` solves whose nodes or ``stopped_by`` moved are listed.
-The substitutions are counts, not answers: each side's total per workload is
-printed, and they do not move the exit status.
+any of them is an answer change.  Each workload's status moves are counted
+by ``from -> to``, and the first ``MOVES_LISTED`` answer changes are
+listed.  Solves left without a pair are counted as dropped (in A only) or
+added (in B only), and the first ``MOVES_LISTED`` of each are listed.  An
+answer change, a dropped or an added solve makes the exit status 1.
+Nodes and ``stopped_by`` may move without that: they are summed, and the
+first ``MOVES_LISTED`` solves whose nodes or ``stopped_by`` moved are
+listed.  The substitutions are counts, not answers: each side's total per
+workload is printed, and they do not move the exit status.
 
 Timing records the solves once more and solves each text again.  Each
 tree's ``src/mathmorph`` is copied into a temporary directory under a
@@ -174,12 +176,12 @@ def pair(xs, ys) -> list:
 def compare(a: dict, b: dict) -> int:
     """Print the differences of two recordings; 1 when an answer moved or
     a solve was dropped or added."""
-    moved, searches = 0, []
+    moved, searches = [], []
     unpaired = {"dropped": [], "added": []}
     for name in sorted(a.keys() | b.keys()):
         xs, ys = a.get(name, []), b.get(name, [])
         print(f"{name}: {summary(xs)} -> {summary(ys)}")
-        counts = Counter()
+        counts, statuses = Counter(), Counter()
         for i, j in pair(xs, ys):
             if i is None or j is None:
                 kind, k, s = (("dropped", i, xs[i]) if j is None
@@ -193,15 +195,21 @@ def compare(a: dict, b: dict) -> int:
             if "raised" in x or "raised" in y:
                 fields = [] if x == y else ["raised"]
             if fields:
-                moved += 1
-                print(f"  solve {i}: answer moved in {', '.join(fields)}:"
-                      f" {[x.get(f) for f in fields]} ->"
-                      f" {[y.get(f) for f in fields]}")
+                moved.append(f"  {name} solve {i}: answer moved in"
+                             f" {', '.join(fields)}:"
+                             f" {[x.get(f) for f in fields]} ->"
+                             f" {[y.get(f) for f in fields]}")
+                if "status" in fields:
+                    statuses[f"{x['status']} -> {y['status']}"] += 1
             elif any(x.get(f) != y.get(f) for f in SEARCH_FIELDS):
                 searches.append(f"  {name} solve {i}: " + ", ".join(
                     f"{f} {x.get(f)} -> {y.get(f)}" for f in SEARCH_FIELDS))
         print(f"  {counts['dropped']} dropped, {counts['added']} added")
-    print(f"{moved} answer changes")
+        for move, n in sorted(statuses.items()):
+            print(f"  {move}: {n}")
+    print(f"{len(moved)} answer changes")
+    for line in moved[:MOVES_LISTED]:
+        print(line)
     for kind, lines in unpaired.items():
         print(f"{len(lines)} {kind} solves")
         for line in lines[:MOVES_LISTED]:

@@ -334,6 +334,42 @@ def eliminate(eqs, order):
         free.remove(v)
 
 
+def has_integer_point(eqs, ints) -> bool:
+    """False when the equations ``f = 0`` have no point at which every
+    variable of ``ints`` is an integer.  The other variables are eliminated
+    over the rationals; each equation left is scaled to integers and
+    reduced over Z by unimodular column steps (the equality step of Pugh's
+    Omega test), which refutes ``Σ aᵢxᵢ = k`` with ``gcd(aᵢ) ∤ k``."""
+    rows = []
+    reals = dict.fromkeys(v for f in eqs for v in f.coeffs if v not in ints)
+    for f in eliminate(eqs, reals)[1]:
+        m = math.lcm(*(k.denominator for k in (f.const, *f.coeffs.values())))
+        rows.append([{v: int(k * m) for v, k in f.coeffs.items()},
+                     int(f.const * m)])
+    while rows:
+        row, k = rows.pop()
+        g = math.gcd(*row.values())
+        if (k % g if g else k):
+            return False
+        # writing x_v - q·x_u for x_v in every row takes row[u] to
+        # row[u] mod row[v], as Euclid's algorithm does, until one
+        # variable is left, with coefficient ±g: it is fixed at -k / a
+        while len(row) > 1:
+            v = min(row, key=lambda u: abs(row[u]))
+            for u in [u for u in row if u != v]:
+                q = row[u] // row[v]
+                for r, _ in [*rows, (row, k)]:
+                    if v in r:
+                        r[u] = r.get(u, 0) - q * r[v]
+                        if not r[u]:
+                            del r[u]
+        for v, a in row.items():
+            for r in rows:
+                if v in r[0]:
+                    r[1] += r[0].pop(v) * (-k // a)
+    return True
+
+
 def linear_form(expr, variables, model=None) -> Optional[LinearForm]:
     """Linear form over ``variables`` of what folding (``fold_constants``)
     leaves of ``expr``, read in one walk; other symbols must not occur.

@@ -7,7 +7,8 @@ exact and deterministic:
 
 1. propagate defining equalities (chains of ``v = expr``),
 2. linear pinning: Gaussian elimination over the linear equalities writes
-   each variable they force into the model, and propagation runs again,
+   each variable they force into the model, and propagation runs again;
+   unsat when the exact ones, reals eliminated, have no integer point,
 3. bounded depth-first search over undetermined integer variables with
    constraint-derived bounds, propagating after each assignment; a value
    that cannot divide the nonzero integer ``k`` of an equality
@@ -71,8 +72,8 @@ from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
                   Domain, Implies, MathMorphError, Not, Or, Problem, Var,
                   conjuncts, contains_complex, free_variables, negate)
 from .algebra import (FLIPPED, LinearForm, const_bound, eliminate, exact,
-                      fold_constraint, int_range, linear_form, quotient,
-                      solve_for, substitute_model)
+                      fold_constraint, has_integer_point, int_range,
+                      linear_form, quotient, solve_for, substitute_model)
 from .funcs import (Num, coerce_to_domain, eval_constraint, eval_expression,
                     exact_value)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
@@ -99,8 +100,8 @@ class ExactSolver:
         self.deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
         self.nodes = 0
-        # why the search stopped early: "budget", "cut", "deadline" or None
-        self.stopped_by = None
+        self.stopped_by = None  # or "budget", "cut", "deadline", "window"
+        self.windowed = False   # probed a range it could not bound soundly
         self.domains = dict(problem.declarations)
         # closures by (id of atom or side, variable, builder), built on
         # first use; the keys are the branches' atoms and their sides, which
@@ -132,6 +133,8 @@ class ExactSolver:
         except TimeoutError:
             self.stopped_by = "deadline"
             return "timeout", {}
+        if self.windowed and self.stopped_by is None:
+            self.stopped_by = "window"
         return ("unknown" if saw_unknown else "unsat"), {}
 
     def _solve_branch(self):
@@ -169,8 +172,8 @@ class ExactSolver:
 
     def _linear_pin(self, model):
         """Write into ``model`` the variables that the linear equalities
-        force by Gaussian elimination; "unsat" when they are inconsistent
-        or force a value off a variable's domain."""
+        force by Gaussian elimination; "unsat" when they are inconsistent,
+        have no integer point or force a value off a variable's domain."""
         unassigned = [n for n, _ in self.problem.declarations
                       if n not in model]
         var_set = set(unassigned)
@@ -202,6 +205,16 @@ class ExactSolver:
             for u, k in g.coeffs.items():
                 acc = acc + forms[u].scale(k)
             forms[v] = acc
+        # with no mark, free reals at 0 and free integers anywhere give a
+        # point, integral unless an open integer's form has a fraction as its
+        # constant or on a free integer; only then can the test refute (it
+        # reads a mark as a real, which frees the mark's equality)
+        ints = {v for v in unassigned if self.domains[v].is_integer}
+        if (marks or any(type(k) is not int for v, _ in chain if v in ints
+                         and forms[v].coeffs for k in (forms[v].const, *(
+                             forms[v].coeffs.get(u, 0) for u in ints)))) \
+                and not has_integer_point(eqs, ints):
+            return "unsat"
         # pin whatever the system forces regardless of the free part;
         # with no free variable that is every variable of the chain
         for v, _ in chain:
@@ -552,6 +565,7 @@ class ExactSolver:
             hi = lo + PROBE_WIDTH
             sound = False
         if not sound:
+            self.windowed = True
             self._undecided(model)
         for val in range(lo, hi + 1):
             if k and (not val or k % val):

@@ -1,13 +1,15 @@
 """Exact symbolic arithmetic helpers: folding, linearization, solving."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from mathmorph.algebra import (LinearForm, bound, const_bound, eliminate,
-                               fold_constants, fold_constraint, int_range, lin,
-                               linear_form, solve_for)
+                               fold_constants, fold_constraint,
+                               has_integer_point, int_range, lin, linear_form,
+                               solve_for)
 from mathmorph.ast import (BinOp, Compare, Const, FuncApp, NamedConst, Pow,
                           TermIte, Var, children, free_variables,
                           substitute_all)
@@ -381,3 +383,57 @@ def test_eliminate_on_ints_matches_fractions_and_holds_no_float():
         fractional += any(type(k) is Fraction for _, g in chain
                           for k in (*g.coeffs.values(), g.const))
     assert fractional >= 50
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("eqs, ints, point", [
+    # 2x + 4y = 3: gcd 2 does not divide 3
+    ([({"x": 2, "y": 4}, -3)], {"x", "y"}, False),
+    ([({"x": 1, "y": 1}, -HALF)], {"x", "y"}, False),
+    # y = 3x and y = 3z + 1: each row alone has a point; the system has none
+    ([({"y": 1, "x": -3}, 0), ({"y": 1, "z": -3}, -1)], {"x", "y", "z"},
+     False),
+    # x + r = 1/2 with r = 2y: r is a real, but eliminating it leaves
+    # x + 2y = 1/2
+    ([({"x": 1, "r": 1}, -HALF), ({"r": 1, "y": -2}, 0)], {"x", "y"}, False),
+    ([({"x": 1, "r": 1}, -HALF)], {"x"}, True),
+    ([({"x": 6, "y": 10, "z": 15}, -1)], {"x", "y", "z"}, True),
+    # the solver's mark on an equality that reads an inexact value is no
+    # integer, so the equality constrains nothing
+    ([({"x": 2, "y": 4, ("inexact", 0): 1}, -3)], {"x", "y"}, True),
+    ([], set(), True),
+], ids=["gcd", "half", "system", "real-then-int", "real-absorbs", "coprime",
+        "marked", "empty"])
+def test_has_integer_point(eqs, ints, point):
+    assert has_integer_point([LinearForm(*e) for e in eqs], ints) is point
+
+
+def test_a_planted_point_is_never_refuted_and_a_refutation_has_no_point():
+    refuted = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        ints = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+        reals = ["r", "s"][:rng.randint(0, 2)]
+        point = {v: rng.randint(-6, 6) for v in ints}
+        point.update({v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for v in reals})
+        coeffs = [{v: rng.randint(-50, 50) for v in ints + reals
+                   if rng.random() < 0.7} for _ in range(rng.randint(1, 3))]
+        planted = [LinearForm(c, -sum(k * point[v] for v, k in c.items()))
+                   for c in coeffs]
+        assert has_integer_point(planted, ints), seed
+        if reals:
+            continue
+        # the same rows with other constants: a refuted system has no
+        # point in a box around 0 either
+        eqs = [LinearForm(c, Fraction(rng.randint(-50, 50), rng.randint(1, 3)))
+               for c in coeffs]
+        if not has_integer_point(eqs, ints):
+            refuted += 1
+            for p in itertools.product(range(-4, 5), repeat=len(ints)):
+                at = dict(zip(ints, p))
+                assert any(e.const + sum(k * at[v] for v, k in
+                                         e.coeffs.items()) for e in eqs), seed
+    assert refuted >= 100

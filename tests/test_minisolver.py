@@ -446,6 +446,25 @@ def test_the_cut_spares_a_divisor_that_a_leaf_can_remove(script):
     assert all(eval_constraint(c, model) for c in p.constraints)
 
 
+# t >= 2 follows from the two equalities, but no bound is read off them,
+# so the search probes t in [-500, -488] only; the equalities have an
+# integer point (t = 2), so linear pinning does not refute them
+WINDOW = ("(declare-fun t () Int)(declare-fun w_1 () Int)"
+          "(declare-fun w_2 () Int)(assert (= (* 48 t) (+ 144 w_1)))"
+          "(assert (= (- (* 2 w_2) w_1) 88))(assert (>= w_2 1))")
+
+
+def test_an_unknown_from_the_probe_window_says_so():
+    solver = ExactSolver(parse(WINDOW + "(check-sat)"))
+    assert solver.solve() == ("unknown", {})
+    assert (solver.nodes, solver.stopped_by) == (13, "window")
+    # the first branch probes the same window, and the second is sat
+    solver = ExactSolver(parse(WINDOW + "(assert (or (< t 0) (= t 2)))"
+                               "(check-sat)"))
+    assert solver.solve()[0] == "sat"
+    assert (solver.nodes, solver.stopped_by) == (13, None)
+
+
 @pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
 def test_the_branches_of_a_disjunction_share_one_node_budget(cls):
     # no leaf of either branch can decide z * z = -k - x, so each branch

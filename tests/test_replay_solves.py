@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,6 +31,28 @@ def test_a_changed_model_is_an_answer_change(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "solve 1: answer moved in model" in out
     assert "1 answer changes" in out
+
+
+def test_status_moves_are_counted_and_the_first_answer_changes_listed(
+        capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    unknown = dict(solve(), status="unknown", model={})
+    unsat = dict(unknown, status="unsat")
+    before = {"mutate-chain": [unknown] * 12 + [solve()],
+              "verify-rows": [solve(), solve()]}
+    after = {"mutate-chain": [unsat] * 12 + [unknown],
+             "verify-rows": [solve(), solve(x="2")]}
+    assert replay.compare(before, after) == 1
+    out = capsys.readouterr().out
+    assert "14 answer changes" in out
+    # one count per move and workload; a model change moves no status
+    assert re.findall(r"^  (\w+ -> \w+: \d+)$", out, re.M) \
+        == ["sat -> unknown: 1", "unknown -> unsat: 12"]
+    assert out.index("unknown -> unsat") < out.index("verify-rows:")
+    listed = [line for line in out.splitlines() if "answer moved" in line]
+    assert len(listed) == replay.MOVES_LISTED
+    assert listed[0] == ("  mutate-chain solve 0: answer moved in status:"
+                         " ['unknown'] -> ['unsat']")
 
 
 def test_node_and_stop_moves_are_listed_and_pass(capsys, monkeypatch):

@@ -324,6 +324,28 @@ def test_an_inexact_value_never_refutes_a_leaf(command):
                                         for c in p.constraints)
 
 
+@pytest.mark.parametrize("command", [None, GATEWAY],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("script", [
+    "(declare-fun x () Int)(declare-fun y () Int)"
+    "(assert (= (+ (* 2 x) (* 4 y)) 3))",
+    "(declare-fun x () Int)(declare-fun y () Int)"
+    "(assert (= (+ x y) (/ 1 2)))",
+    "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)"
+    "(assert (= y (* 3 x)))(assert (= y (+ (* 3 z) 1)))",
+    "(declare-fun x () Int)(declare-fun y () Int)(declare-fun r () Real)"
+    "(assert (= (+ x r) (/ 1 2)))(assert (= r (* 2 y)))",
+    # a nonlinear atom beside the system does not block the refutation
+    "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Real)"
+    "(assert (= (+ (* 2 x) (* 4 y)) 3))(assert (= (* z z) 2))",
+], ids=["gcd", "half", "system", "real-then-int", "beside-nonlinear"])
+def test_linear_equalities_with_no_integer_point_are_unsat(script, command):
+    p = parse(script + "(check-sat)")
+    for fallback in (False, True):
+        r = solve(p, SolverConfig(command=command, fallback_enabled=fallback))
+        assert r.status == "unsat"
+
+
 def test_the_root_step_runs_in_each_branch():
     # x * x = -1 has no root; the second branch has the root x = 2
     p = parse("(declare-fun x () Real)"
