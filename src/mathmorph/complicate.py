@@ -5,7 +5,8 @@ constraints and instantiates them by projected MCMC (perturb a subset,
 let the solver repair the rest).  ``complicate_constraint`` reverses
 Gaussian elimination: constant equalities are re-encoded as a random
 invertible integer linear system over fresh variables.
-``mutate_to_level`` chains both on top of level-0 simplification.
+``mutate_to_level`` chains both on top of level-0 simplification; each
+step's one solve, ``_certify``, proves its mutant and is returned with it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ast import (BinOp, Compare, Const, Domain, FuncApp, MathMorphError,
                   substitute_in_problem)
 from .algebra import LinearForm, add_e, eliminate, scale_e, sub_e
 from .simplify import MutationRecord, TacticError, simplify_level0
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, SolverResult, solve
 
 
 class ComplicationError(MathMorphError):
@@ -189,26 +190,24 @@ def sample_aux_solution(p_mutated: Problem, aux: Sequence[str], rng,
         # proposals are cheap and frequent: symbolic check only with a
         # small search budget, the numeric fallback and deep enumeration
         # would dominate the walk's runtime
-        result = solve(candidate, replace(cfg.solver,
-                                          fallback_enabled=False,
+        result = solve(candidate, replace(cfg.solver, fallback_enabled=False,
                                           node_budget=1_500))
         if result.status == "sat":
-            out = {a: result.model[a].value for a in aux}
-            return out
+            return {a: result.model[a].value for a in aux}
         state = proposal
     # walk exhausted: let the solver choose every aux value itself, so a
     # mutated problem whose aux values are uniquely determined still works
-    result = solve(p_mutated, replace(cfg.solver, fallback_enabled=False,
-                                      node_budget=5_000))
-    if result.status == "sat":
-        return {a: result.model[a].value for a in aux}
-    raise SamplingError("exhausted-iterations")
+    config = replace(cfg.solver, fallback_enabled=False, node_budget=5_000)
+    result = _certify(p_mutated, config, SamplingError("exhausted-iterations"))
+    return {a: result.model[a].value for a in aux}
 
 
-def _certify(out: Problem, cfg: McmcConfig, what: str) -> None:
-    """A step's one proof of its mutant, or ``SamplingError(what)``."""
-    if solve(out, cfg.solver).status != "sat":
-        raise SamplingError(what)
+def _certify(p: Problem, config: SolverConfig, error) -> SolverResult:
+    """``p``'s solve under ``config``, its proof if sat; else ``error``."""
+    result = solve(p, config)
+    if result.status != "sat":
+        raise error
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def _certify(out: Problem, cfg: McmcConfig, what: str) -> None:
 
 def complicate_expression(p: Problem, rng,
                           cfg: Optional[McmcConfig] = None
-                          ) -> Tuple[Problem, MutationRecord]:
+                          ) -> Tuple[Problem, MutationRecord, SolverResult]:
     """Graft aux terms onto random constraints, keeping their constants;
     the sampled aux values give the mutant a new answer, which the solver
     recomputes (unlike the simplification tactics, the seed's answer is
@@ -245,7 +244,8 @@ def complicate_expression(p: Problem, rng,
     mutated = mutated_problem(p, scheme)
     assignment = sample_aux_solution(mutated, scheme.aux_names(), rng, cfg)
     out, kept = apply_scheme(p, scheme, assignment)
-    _certify(out, cfg, "sampled instantiation is not solvable")
+    proof = _certify(out, cfg.solver,
+                     SamplingError("sampled instantiation is not solvable"))
     record = MutationRecord(
         "complicate_expression",
         tuple(s.constraint_index for s in kept.sites),
@@ -254,7 +254,7 @@ def complicate_expression(p: Problem, rng,
          "assignment": {a: str(v) for a, v in assignment.items()},
          "dropped": [s.aux for s in scheme.sites
                      if _is_identity(s, assignment[s.aux])]})
-    return out, record
+    return out, record, proof
 
 
 def replay_expression_record(p: Problem,
@@ -334,7 +334,7 @@ def apply_reverse_gauss(p: Problem, entries, fresh_names, matrix,
 
 def complicate_constraint(p: Problem, rng,
                           cfg: Optional[McmcConfig] = None
-                          ) -> Tuple[Problem, MutationRecord]:
+                          ) -> Tuple[Problem, MutationRecord, SolverResult]:
     cfg = cfg or McmcConfig()
     candidates = _constant_equalities(p)
     if not candidates:
@@ -355,7 +355,8 @@ def complicate_constraint(p: Problem, rng,
     if matrix is None:
         raise ComplicationError("failed to build an invertible system")
     out = apply_reverse_gauss(p, entries, names, matrix, extra_values)
-    _certify(out, cfg, "reversed system is not solvable")
+    proof = _certify(out, cfg.solver,
+                     SamplingError("reversed system is not solvable"))
     record = MutationRecord(
         "complicate_constraint",
         tuple(i for i, _, _ in entries),
@@ -363,7 +364,7 @@ def complicate_constraint(p: Problem, rng,
          "fresh": names,
          "matrix": matrix,
          "extra_values": [str(v) for v in extra_values]})
-    return out, record
+    return out, record, proof
 
 
 def replay_constraint_record(p: Problem, record: MutationRecord) -> Problem:
@@ -382,31 +383,33 @@ def replay_constraint_record(p: Problem, record: MutationRecord) -> Problem:
 MAX_STEP_RETRIES = 5
 
 
+def _mutate(seed: Problem, level: int, rng, cfg: McmcConfig):
+    """``(problem, records, proof)``: ``proof`` is the solve of the last
+    step that landed, None if no step changed the simplified seed."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    _certify(seed, cfg.solver, ComplicationError("seed problem is not sat"))
+    current, records = simplify_level0(seed, rng)
+    proof = None
+    for _ in range(level):
+        for step in (complicate_expression, complicate_constraint):
+            for _ in range(MAX_STEP_RETRIES):
+                try:
+                    current, rec, proof = step(current, rng, cfg)
+                except (ComplicationError, TacticError):
+                    continue
+                records.append(rec)
+                break
+            else:
+                records.append(MutationRecord(step.__name__, (),
+                                              {"skipped": True}))
+    return current, records, proof
+
+
 def mutate_to_level(seed: Problem, level: int, rng,
                     cfg: Optional[McmcConfig] = None
                     ) -> Tuple[Problem, List[MutationRecord]]:
     """Level 0 = random simplification rounds; each further level adds
     one expression complication and one constraint complication.  A
     step failing 5 retries is skipped with a flag in the records."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    cfg = cfg or McmcConfig()
-    base = solve(seed, cfg.solver)
-    if base.status != "sat":
-        raise ComplicationError("seed problem is not sat")
-    current, records = simplify_level0(seed, rng)
-    for _ in range(level):
-        for step in (complicate_expression, complicate_constraint):
-            done = False
-            for _ in range(MAX_STEP_RETRIES):
-                try:
-                    current, rec = step(current, rng, cfg)
-                except (ComplicationError, TacticError):
-                    continue
-                records.append(rec)
-                done = True
-                break
-            if not done:
-                records.append(MutationRecord(step.__name__, (),
-                                              {"skipped": True}))
-    return current, records
+    return _mutate(seed, level, rng, cfg or McmcConfig())[:2]

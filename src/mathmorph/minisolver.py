@@ -100,8 +100,10 @@ class ExactSolver:
         self.deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
         self.nodes = 0
-        self.stopped_by = None  # or "budget", "cut", "deadline", "window"
+        # or "budget", "cut", "deadline", "window", "nonlinear"
+        self.stopped_by = None
         self.windowed = False   # probed a range it could not bound soundly
+        self.nonlinear = False  # the real stage left a nonlinear atom open
         self.domains = dict(problem.declarations)
         # closures by (id of atom or side, variable, builder), built on
         # first use; the keys are the branches' atoms and their sides, which
@@ -133,8 +135,9 @@ class ExactSolver:
         except TimeoutError:
             self.stopped_by = "deadline"
             return "timeout", {}
-        if self.windowed and self.stopped_by is None:
-            self.stopped_by = "window"
+        if self.stopped_by is None:
+            self.stopped_by = "window" if self.windowed \
+                else "nonlinear" if self.nonlinear else None
         return ("unknown" if saw_unknown else "unsat"), {}
 
     def _solve_branch(self):
@@ -599,6 +602,7 @@ class ExactSolver:
             f = self._form(c, model, var_set)       # constraint: f rel 0
             # an atom that reads an inexact value may hold only by its slack
             if f is None or not inexact.isdisjoint(free_variables(c)):
+                self.nonlinear |= f is None
                 return "unknown", {}
             rel = c.rel
             if rel == "=":

@@ -1,13 +1,13 @@
 """Dataset generation, verification, and training-row emission.
 
-``generate_dataset`` walks a seed corpus of SMT-LIB files, mutates each
-seed to the requested difficulty levels, solves the mutants, asks the
-language-model endpoint for an informal statement and a reasoning path,
-and keeps only rows whose extracted answer matches the solver.  Output
-is line-delimited JSON; every byte is a deterministic function of the
-plan and the global seed.  ``verify_dataset`` re-checks a file from
-scratch, ``emit_training_rows`` renders verified rows into the
-instruction-tuning template.
+``generate_dataset`` walks a seed corpus of SMT-LIB files, mutates each seed to
+the requested difficulty levels, keeps the solve that proved each mutant
+(solving only a mutant that no step changed), asks the language-model endpoint
+for an informal statement and a reasoning path, and keeps only rows whose
+extracted answer matches the solver.  Output is line-delimited JSON; every byte
+is a deterministic function of the plan and the global seed.
+``verify_dataset`` re-checks a file from scratch, ``emit_training_rows``
+renders verified rows into the instruction-tuning template.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .funcs import APPROX_TOL
 from .parser import ParseError, parse
 from .printer import canonical_print
 from .solver import SolverConfig, SolverResult, solve
-from .complicate import McmcConfig, mutate_to_level
+from .complicate import McmcConfig, _mutate
 from .informalize import (DEFAULT_FEW_SHOT_POOL, PATTERNS, EndpointError,
                           PromptContext, consistency_check,
                           generate_reasoning, informalize)
@@ -140,7 +140,7 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     base = {"seed_id": seed_id, "level": level, "rng_seed": rng_seed,
             "pattern": name}
     try:
-        mutated, records = mutate_to_level(seed, level, rng,
+        mutated, records, result = _mutate(seed, level, rng,
                                            McmcConfig(solver=plan.solver))
     except MathMorphError as exc:
         return None, dict(base, reason=f"mutation failed: {exc}"), None
@@ -148,7 +148,8 @@ def _generate_row(plan: GenerationPlan, seed_id: str, seed: Problem,
     base["formal"] = canonical_print(mutated)
     # each record's fields as they are: asdict would deep-copy them
     base["provenance"] = [vars(r) for r in records]
-    result = solve(mutated, plan.solver)
+    if result is None:              # no step proved the mutant: solve it
+        result = solve(mutated, plan.solver)
     if result.status != "sat":      # an unsat mutant costs no endpoint call
         return None, dict(base, reason=audit_row(base, result)), nodes
     answer = result.answer

@@ -191,7 +191,7 @@ def test_criterion_3_tactic_soundness_property():
             produced = None
             for _ in range(4):
                 try:
-                    produced, _ = step(current, rng)
+                    produced, _, _ = step(current, rng)
                     break
                 except SamplingError:
                     retries += 1

@@ -56,7 +56,7 @@ def test_sample_aux_solution_satisfies_pins():
 def test_complicate_expression_output_is_sat_and_replayable():
     p = load_problem("m1.smt2")
     rng = random.Random(42)
-    out, record = complicate_expression(p, rng)
+    out, record, _ = complicate_expression(p, rng)
     assert solve(out).status == "sat"
     replayed = replay_expression_record(p, record)
     assert print_smtlib(replayed) == print_smtlib(out)
@@ -72,7 +72,7 @@ def test_complicate_expression_does_not_solve_the_problem_it_is_handed(
         return solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(complicate, "solve", recording)
-    out, _ = complicate_expression(p, random.Random(42))
+    out, _, _ = complicate_expression(p, random.Random(42))
     assert p not in solved
     assert solved[-1] == out        # the one proof of the mutant
 
@@ -80,7 +80,7 @@ def test_complicate_expression_does_not_solve_the_problem_it_is_handed(
 def test_complicate_constraint_output_is_sat_and_replayable():
     p = load_problem("m3_golden.smt2")
     rng = random.Random(9)
-    out, record = complicate_constraint(p, rng)
+    out, record, _ = complicate_constraint(p, rng)
     assert solve(out).status == "sat"
     replayed = replay_constraint_record(p, record)
     assert print_smtlib(replayed) == print_smtlib(out)
@@ -170,6 +170,33 @@ def test_mutate_to_level_outputs_match_their_golden_digest():
             digest.update(print_smtlib(out).encode())
     assert digest.hexdigest() == ("644bc160291c460b4b3e084660c13f3a"
                                   "350bb6e5c9b306b4d7cd5971dfefd0e7")
+
+
+def test_a_mutants_proof_is_what_a_fresh_solve_answers():
+    # the certifying solve of the last step that landed is the mutant's
+    # answer: status, model, goal values and provenance all agree
+    for s in range(6):
+        for level in (1, 2, 3):
+            out, _, proof = complicate._mutate(
+                random_seed_problem(random.Random(1000 + s)), level,
+                random.Random(2000 + 10 * s + level), McmcConfig())
+            assert proof == solve(out)
+
+
+def test_a_mutant_no_step_changed_has_no_proof(monkeypatch):
+    p = load_problem("m1.smt2")
+    assert complicate._mutate(p, 0, random.Random(1), McmcConfig())[2] \
+        is None
+
+    def failing(*args):
+        raise ComplicationError("no step lands")
+
+    monkeypatch.setattr(complicate, "complicate_expression", failing)
+    monkeypatch.setattr(complicate, "complicate_constraint", failing)
+    _, records, proof = complicate._mutate(p, 2, random.Random(1),
+                                           McmcConfig())
+    assert proof is None
+    assert sum(1 for r in records if r.parameters.get("skipped")) == 4
 
 
 def test_mutate_to_level_rejects_unsat_seed():

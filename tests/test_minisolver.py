@@ -466,6 +466,28 @@ def test_an_unknown_from_the_probe_window_says_so():
 
 
 @pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
+def test_an_unknown_from_a_nonlinear_real_atom_says_so(cls):
+    # no search runs, and no linear form reads the product of two reals;
+    # with two real unknowns the root step does not apply either
+    solver = cls(parse("(declare-fun x () Real)(declare-fun z () Real)"
+                       "(assert (= (* (- x 50) z) 200.0))(check-sat)"))
+    assert solver.solve() == ("unknown", {})
+    assert (solver.nodes, solver.stopped_by) == (0, "nonlinear")
+
+
+@pytest.mark.parametrize("cls, status, stopped_by", [
+    (ExactSolver, "unknown", "nonlinear"),
+    (minisolver.RootSolver, "sat", None),
+])
+def test_a_sat_answer_from_the_root_step_gives_no_reason(cls, status,
+                                                           stopped_by):
+    solver = cls(parse("(declare-fun z () Real)(assert (= (* z z) 4))"
+                       "(check-sat)"))
+    assert solver.solve()[0] == status
+    assert solver.stopped_by == stopped_by
+
+
+@pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
 def test_the_branches_of_a_disjunction_share_one_node_budget(cls):
     # no leaf of either branch can decide z * z = -k - x, so each branch
     # alone would spend the whole budget
@@ -700,6 +722,26 @@ def test_a_divisor_that_no_value_meets_refutes_the_branch(script, status):
     p = parse("(declare-fun b () Int)(declare-fun a () Int)"
               f"(assert (>= b 0))(assert (<= b 2)){script}(check-sat)")
     assert solve_exact(p)[0] == status
+
+
+# one row per _INVERT entry: (term T, pinned b, planted a) with
+# 6 / T = 2, so T = 3 and inverting T's node for a gives the planted a
+INVERT_ROWS = [("(+ a b)", 1, 2), ("(+ b a)", 1, 2), ("(- a b)", 1, 4),
+               ("(- b a)", 1, -2), ("(* a b)", 3, 1), ("(* b a)", 3, 1),
+               ("(/ a b)", 2, 6), ("(/ b a)", 6, 2)]
+
+
+@pytest.mark.parametrize("command", [None, MINISOLVER],
+                         ids=["in-process", "gateway"])
+@pytest.mark.parametrize("term, b, a", INVERT_ROWS,
+                         ids=[t for t, _, _ in INVERT_ROWS])
+def test_each_inversion_step_pins_the_planted_value(term, b, a, command):
+    p = parse("(declare-fun a () Int)(declare-fun b () Int)"
+              f"(assert (= b {b}))(assert (= (/ 6 {term}) 2))"
+              "(check-sat)(get-value (a))")
+    r = solve(p, SolverConfig(command=command, fallback_enabled=False))
+    assert r.status == "sat"
+    assert r.model["a"].value == a
 
 
 DOMAINS = {"v": Domain.NAT, "w": Domain.POS, "x": Domain.INT,

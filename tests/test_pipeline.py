@@ -18,7 +18,7 @@ from mathmorph.pipeline import (GenerationPlan, PipelineError,
                                 _parse_level_counts, parse_config,
                                 plan_from_config, sample_rng_seed,
                                 verify_dataset)
-from mathmorph import cli
+from mathmorph import cli, pipeline
 from mathmorph.informalize import REASONING_INSTRUCTION, extract_answer
 from mathmorph.parser import parse
 from mathmorph.solver import SolverConfig, solve
@@ -354,6 +354,22 @@ def test_mean_node_count_is_pinned_for_the_fixture_corpus(corpus_dir,
     # pins generate's bytes (criterion 7) in tier-1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "5c3b7683a22cce5827348a0ec92c63cd94bae4b6ebc66f29a97bb870f9ef64f4"
+
+
+def test_a_row_solves_only_a_mutant_that_no_step_proved(corpus_dir, tmp_path,
+                                                        monkeypatch):
+    # a complicated mutant's answer is the solve of the step that proved
+    # it; only the 4 level-0 rows of the 14 are solved by the pipeline
+    solved = []
+
+    def recording(problem, *args, **kwargs):
+        solved.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", recording)
+    plan = make_plan(corpus_dir, level_counts={0: 2, 1: 2, 2: 2, 3: 1})
+    report = generate_dataset(plan, str(tmp_path / "ds.jsonl"))
+    assert (report.attempted, len(solved)) == (14, 4)
 
 
 def test_parse_level_counts():
