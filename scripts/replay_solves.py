@@ -42,7 +42,9 @@ model, nodes or ``stopped_by`` differ is listed, which makes the exit
 status 1.  Then the solves are timed in chunks of ``CHUNK`` over
 ``ROUNDS`` rounds, the two trees taking turns to go first; parsing is not
 timed.  Each workload prints both trees' total seconds, the speed-up of B
-over A and how many chunks each tree won.  Runs on a shared host drift by
+over A and how many chunks each tree won, and each tree's per-solve p50,
+p90 and max: each solve's time is its median over the rounds, and a
+percentile is the nearest rank.  Runs on a shared host drift by
 up to 40%, so two trees are compared in one process, chunk by chunk,
 rather than across bench runs.
 """
@@ -53,8 +55,10 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -231,22 +235,30 @@ def load_tree(tree: str, name: str, tmp: str):
 
 
 def run_chunk(tree, chunk) -> tuple:
-    """``(seconds, outcomes)`` of the solves of ``chunk`` on ``tree``; each
-    outcome is ``(status, model, nodes, stopped_by)``.  Only the solves are
-    timed, on problems parsed afresh."""
+    """``(seconds, outcomes)`` of the solves of ``chunk`` on ``tree``: the
+    seconds of each solve, and each outcome ``(status, model, nodes,
+    stopped_by)``.  Only the solves are timed, on problems parsed afresh."""
     parse, minisolver = tree
     solvers = [getattr(minisolver, s["solver"])(parse(s["text"]), s["budget"],
                                                 s["timeout_s"])
                for s in chunk]
-    results = []
-    start = time.perf_counter()
+    results, seconds = [], []
     for solver in solvers:
+        start = time.perf_counter()
         results.append(solver.solve())
-    seconds = time.perf_counter() - start
+        seconds.append(time.perf_counter() - start)
     return seconds, [(status, {n: [str(x.value), x.exact]
                                for n, x in sorted(model.items())},
                       solver.nodes, solver.stopped_by)
                      for (status, model), solver in zip(results, solvers)]
+
+
+def tail(seconds) -> str:
+    """The p50, p90 and max of ``seconds`` in ms, by nearest rank."""
+    xs = sorted(seconds)
+    rank = [xs[max(0, math.ceil(q * len(xs)) - 1)] for q in (0.5, 0.9)]
+    return (f"p50 {rank[0] * 1e3:.3f} ms, p90 {rank[1] * 1e3:.3f} ms,"
+            f" max {xs[-1] * 1e3:.3f} ms")
 
 
 def time_trees(tree_a: str, tree_b: str, workloads) -> int:
@@ -269,11 +281,16 @@ def time_trees(tree_a: str, tree_b: str, workloads) -> int:
                 differ += [f"  {name} solve {k}: {x} -> {y}" for k, (x, y)
                            in enumerate(zip(*outcomes)) if x != y]
                 totals, won = [0.0, 0.0], [0, 0]
+                # each side's seconds per solve, one entry per round
+                per_solve = [[[] for _ in solves] for _ in trees]
                 for r in range(ROUNDS):
                     for i, chunk in enumerate(chunks):
                         seconds = [0.0, 0.0]
                         for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                            seconds[side] = run_chunk(trees[side], chunk)[0]
+                            each = run_chunk(trees[side], chunk)[0]
+                            for k, t in enumerate(each):
+                                per_solve[side][i * CHUNK + k].append(t)
+                            seconds[side] = sum(each)
                             totals[side] += seconds[side]
                         if seconds[0] != seconds[1]:
                             won[seconds[1] < seconds[0]] += 1
@@ -281,6 +298,9 @@ def time_trees(tree_a: str, tree_b: str, workloads) -> int:
                       f" B {totals[1]:.3f} s, speed-up"
                       f" {totals[0] / max(totals[1], 1e-9):.3f}x; chunks won"
                       f" A {won[0]}, B {won[1]} of {ROUNDS * len(chunks)}")
+                for side, label in enumerate("AB"):
+                    print(f"  {label} per solve: " + tail(
+                        statistics.median(ts) for ts in per_solve[side]))
         finally:
             sys.path.remove(tmp)
             for mod in [m for m in sys.modules if m.split(".")[0] in names]:

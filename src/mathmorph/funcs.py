@@ -1,10 +1,10 @@
 """Table and semantics of the pre-defined interpreted functions.
 
 Each function carries a numeric evaluator (exact rationals wherever the
-result is representable, high-precision decimals otherwise) and a
-symbolic reduction rule.  Transcendental results are computed with
-mpmath at 30 significant digits and converted back to rationals;
-the documented precision of such values is 1e-25.
+result is representable, high-precision decimals otherwise), a symbolic
+reduction rule and, where ``math`` has one, a float twin.  Transcendental
+results are computed with mpmath at 30 significant digits and converted
+back to rationals; the documented precision of such values is 1e-25.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ mpmath.mp.dps = 30
 
 #: absolute slack used when comparing inexact (transcendental) values
 APPROX_TOL = Fraction(1, 10 ** 9)
+
+#: a float value's sign is trusted beyond FLOAT_MARGIN times its scale
+FLOAT_MARGIN = 1e-9
 
 #: most digits the numerator or denominator of an exact number may have;
 #: under Python's 4,300-digit limit for printing an int
@@ -150,6 +153,7 @@ class FunctionDescriptor:
     arity: int
     evaluator: Callable            # (app, assignment) -> Num
     reducer: Callable              # (app) -> Expression
+    twin: Optional[Callable] = None    # (x, scale) -> (y, scale) on floats
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +631,24 @@ def reduce_app(app: FuncApp):
 _ev_sin = _ev_trig(mpmath.sin, _sin_exact)
 _ev_cos = _ev_trig(mpmath.cos, _cos_exact)
 
+# a twin refuses (math raises) log's or sqrt's argument within FLOAT_MARGIN
+# times its scale of 0; exp's underflow, whose value _approx may refuse,
+# gets an infinite scale, which decides no sign
 FUNCTIONS = {
     "identity": FunctionDescriptor(1, _ev_identity, _red_identity),
-    "log": FunctionDescriptor(1, _ev_log, _fold_exact),
-    "exp": FunctionDescriptor(1, _ev_exp, _fold_exact),
-    "sin": FunctionDescriptor(1, _ev_sin, _fold_exact),
-    "cos": FunctionDescriptor(1, _ev_cos, _fold_exact),
-    "arcsin": FunctionDescriptor(1, _ev_arcsin, _fold_exact),
-    "sqrt": FunctionDescriptor(1, _ev_sqrt, _fold_exact),
-    "abs": FunctionDescriptor(1, _ev_abs, _fold_exact),
+    "log": FunctionDescriptor(1, _ev_log, _fold_exact, lambda x, s: (
+        y := math.log(x if x > FLOAT_MARGIN * s else 0), s / x + abs(y))),
+    "exp": FunctionDescriptor(1, _ev_exp, _fold_exact, lambda x, s: (
+        y := math.exp(x), 1 + y * (s + 1) if y else math.inf)),
+    "sin": FunctionDescriptor(1, _ev_sin, _fold_exact,
+                              lambda x, s: (math.sin(x), s + 1)),
+    "cos": FunctionDescriptor(1, _ev_cos, _fold_exact,
+                              lambda x, s: (math.cos(x), s + 1)),
+    "arcsin": FunctionDescriptor(1, _ev_arcsin, _fold_exact, None),
+    "sqrt": FunctionDescriptor(1, _ev_sqrt, _fold_exact, lambda x, s: (
+        y := math.sqrt(x if x > FLOAT_MARGIN * s else -1), s / y + y)),
+    "abs": FunctionDescriptor(1, _ev_abs, _fold_exact,
+                              lambda x, s: (abs(x), s)),
     "gcd": FunctionDescriptor(2, _ev_gcd, _red_gcd),
     "lcm": FunctionDescriptor(2, _ev_lcm, _fold_exact),
     "binomial": FunctionDescriptor(2, _ev_binomial, _fold_exact),

@@ -69,13 +69,14 @@ from fractions import Fraction
 from math import gcd
 
 from .ast import (And, BinOp, BoolConst, Compare, Const, ConstraintIte,
-                  Domain, Implies, MathMorphError, Not, Or, Problem, Var,
-                  conjuncts, contains_complex, free_variables, negate)
+                  Domain, FuncApp, Implies, MathMorphError, Not, Or, Pow,
+                  Problem, Var, conjuncts, contains_complex, free_variables,
+                  negate)
 from .algebra import (FLIPPED, LinearForm, const_bound, eliminate, exact,
                       fold_constraint, has_integer_point, int_range,
                       linear_form, quotient, solve_for, substitute_model)
-from .funcs import (Num, coerce_to_domain, eval_constraint, eval_expression,
-                    exact_value)
+from .funcs import (FLOAT_MARGIN, FUNCTIONS, Num, coerce_to_domain,
+                    eval_constraint, eval_expression, exact_value)
 from .parser import (Atom, ParseError, ProblemBuilder, build_sexprs,
                      sexpr_to_text, tokenize)
 from .printer import _rational_sexpr, expr_to_sexpr
@@ -100,10 +101,12 @@ class ExactSolver:
         self.deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
         self.nodes = 0
-        # or "budget", "cut", "deadline", "window", "nonlinear"
+        # or "budget", "cut", "deadline", "window", "nonlinear", "goal",
+        # "dnf" (past _DNF_CAP branches, or a quantifier) or "complex"
         self.stopped_by = None
         self.windowed = False   # probed a range it could not bound soundly
         self.nonlinear = False  # the real stage left a nonlinear atom open
+        self.goal_open = False  # propagation left a goal's model open
         self.domains = dict(problem.declarations)
         # closures by (id of atom or side, variable, builder), built on
         # first use; the keys are the branches' atoms and their sides, which
@@ -120,9 +123,11 @@ class ExactSolver:
         """Returns (status, model) with model mapping names to Num; the
         first DNF branch that answers sat decides."""
         if contains_complex(self.problem):
+            self.stopped_by = "complex"
             return "unknown", {}
         branches = _dnf_branches(self.atoms)
         if branches is None:
+            self.stopped_by = "dnf"
             return "unknown", {}
         saw_unknown = False
         try:
@@ -136,8 +141,8 @@ class ExactSolver:
             self.stopped_by = "deadline"
             return "timeout", {}
         if self.stopped_by is None:
-            self.stopped_by = "window" if self.windowed \
-                else "nonlinear" if self.nonlinear else None
+            self.stopped_by = "window" if self.windowed else "nonlinear" \
+                if self.nonlinear else "goal" if self.goal_open else None
         return ("unknown" if saw_unknown else "unsat"), {}
 
     def _solve_branch(self):
@@ -151,6 +156,7 @@ class ExactSolver:
             # an optimization goal is only answerable when propagation
             # pins down the whole model; otherwise defer to a real optimizer
             if self.problem.goal.kind in ("minimize", "maximize"):
+                self.goal_open = True
                 return "unknown", {}
             # _linear_pin may pin part of the model; re-run defining
             # equality propagation over the smaller remainder
@@ -692,8 +698,10 @@ class ExactSolver:
 class RootSolver(ExactSolver):
     """The exact solver with a root step at each leaf whose real stage is
     left undecided with one real unknown; ``rooted`` once the step answers.
-    The full check takes a root as inexact, so a pole is never taken for
-    one, and a grid point as exact, so a strict bound excludes its end."""
+    The step reads each equality's sign off a float image of it, and takes
+    an exact value only where the sign is in doubt (``_residual``).  The
+    full check takes a root as inexact, so a pole is never taken for one,
+    and a grid point as exact, so a strict bound excludes its end."""
 
     rooted = False
 
@@ -703,6 +711,8 @@ class RootSolver(ExactSolver):
             return status, out
         (v,) = real_vars
         atoms = [self._substitute_model(c, model) for c in atoms]
+        signs = [_residual(a, v) for a in atoms
+                 if isinstance(a, Compare) and a.rel == "="]
         bounds = [b for b in (const_bound(a, v) for a in atoms) if b]
         lo = max((x for rel, x in bounds if rel in (">", ">=", "=")),
                  default=None)
@@ -716,7 +726,7 @@ class RootSolver(ExactSolver):
                 break
             box = (lo if lo is not None else (hi or 0) - width,
                    hi if hi is not None else (lo or 0) + width)
-            for x, exact in _candidates(v, atoms, *box):
+            for x, exact in _candidates(signs, *box):
                 candidate = {**model, v: Num(x, exact)}
                 if x not in tried and self._check(candidate) == "sat":
                     self.rooted = True
@@ -965,21 +975,18 @@ def _folded(op, a, b):
             op in "+-*" and r and z)
 
 
-def _candidates(v, atoms, lo, hi):
-    """``(x, exact)`` per value of ``v`` in ``[lo, hi]`` to try: each
-    equality's inexact roots from its sign changes on the grid (skipping the
+def _candidates(signs, lo, hi):
+    """``(x, exact)`` per value in ``[lo, hi]`` to try: each equality's
+    inexact roots from the sign changes on the grid of its ``_residual``,
+    a float image with exact values where a sign is in doubt (skipping the
     points where it is undefined), or with no equality the exact grid."""
-    grid = [lo + Fraction(hi - lo) * i / GRID for i in range(GRID + 1)]
-    equalities = [a for a in atoms if isinstance(a, Compare) and a.rel == "="]
-    if not equalities:
+    # lo + step·i with step = (hi - lo) / GRID, one Fraction per point
+    (p, d), (q, e) = Fraction(lo).as_integer_ratio(), \
+        Fraction(hi - lo, GRID).as_integer_ratio()
+    grid = [Fraction(p * e + q * d * i, d * e) for i in range(GRID + 1)]
+    if not signs:
         yield from ((x, True) for x in grid)
-    for eq in equalities:
-        def f(x):
-            try:
-                return (eval_expression(eq.lhs, {v: Num(x)}).value
-                        - eval_expression(eq.rhs, {v: Num(x)}).value)
-            except MathMorphError:
-                return None
+    for f in signs:
         points = [(x, fx) for x in grid if (fx := f(x)) is not None]
         for (a, fa), (b, fb) in zip([(None, 0)] + points, points):
             if fb == 0:
@@ -989,19 +996,85 @@ def _candidates(v, atoms, lo, hi):
 
 
 def _bisect(f, a, fa, b):
-    """A root of ``f`` between ``a`` and ``b``, where ``f(a) = fa`` and
-    ``f(b)`` differ in sign, within ROOT_WIDTH and with a denominator of
-    at most 10**12; a midpoint where ``f`` is zero or undefined ends it."""
-    while b - a > ROOT_WIDTH:
-        m = (a + b) / 2
+    """A root between ``a`` and ``b``, where the signs ``f(a) = fa`` and
+    ``f(b)`` that ``_residual`` reads (in floats, exactly where in doubt)
+    differ, within ROOT_WIDTH and with a denominator of at most 10**12; a
+    midpoint where ``f`` is zero or undefined ends it."""
+    (p, d), (q, e) = a.as_integer_ratio(), b.as_integer_ratio()
+    p, q, d = p * e, q * d, d * e               # a = p/d and b = q/d
+    while (q - p) * ROOT_WIDTH.denominator > ROOT_WIDTH.numerator * d:
+        m = Fraction(p + q, 2 * d)
         fm = f(m)
         if not fm:
             return m
         if (fm < 0) == (fa < 0):
-            a, fa = m, fm
+            p, q, d, fa = p + q, 2 * q, 2 * d, fm
         else:
-            b = m
-    return ((a + b) / 2).limit_denominator(10 ** 12)
+            p, q, d = 2 * p, p + q, 2 * d
+    return Fraction(p + q, 2 * d).limit_denominator(10 ** 12)
+
+
+def _residual(eq, v):
+    """A closure ``x -> sign``: the sign (-1, 0 or 1) of ``lhs - rhs`` of
+    the equality ``eq`` at the exact value ``x`` of ``v``, None where it is
+    undefined, each point evaluated once: by its float image where that
+    passes FLOAT_MARGIN times its scale, else by ``eval_expression``."""
+    diff = BinOp("-", eq.lhs, eq.rhs)
+    image, memo = _float_image(diff, v) or (lambda x: (0.0, 1.0)), {}
+
+    def sign(x):
+        key = x.as_integer_ratio()      # hashing a Fraction costs more
+        if key not in memo:
+            try:
+                y, s = image(float(x))
+            except (ArithmeticError, ValueError):
+                y, s = 0.0, 1.0
+            if not abs(y) > FLOAT_MARGIN * s:       # or inf, or nan
+                try:
+                    y = eval_expression(diff, {v: Num(x)}).value
+                except MathMorphError:
+                    y = None
+            memo[key] = y if y is None else (y > 0) - (y < 0)
+        return memo[key]
+    return sign
+
+
+# ``a op b`` on the (value, scale) pairs of a and b; a divisor near 0 raises
+_FLOAT_OPS = {"+": lambda a, s, b, t: (a + b, s + t),
+              "-": lambda a, s, b, t: (a - b, s + t),
+              "*": lambda a, s, b, t: (a * b, s * t),
+              "/": lambda a, s, b, t: (
+                  q := a / (b if abs(b) > FLOAT_MARGIN * t else 0),
+                  1 + (s + abs(q) * t) / abs(b)),
+              "^": lambda a, s, n, _: (a ** n, (n + 1) * s ** n)}
+
+
+def _float_image(t, v):
+    """A closure ``x -> (value, scale)``: the term ``t`` at the float ``x``
+    of ``v``; the scale (at least 1) bounds the size of the values it came
+    from, so rounding stays far inside FLOAT_MARGIN times it.  None for an
+    ``ite``, a function with no float twin, or a power but ``^ 0`` to
+    ``^ 16`` (``power`` refuses none under 250 digits)."""
+    if v not in free_variables(t):
+        try:
+            c = float(eval_expression(t, {}).value)
+        except (MathMorphError, OverflowError):
+            return None
+        return lambda x, pair=(c, max(1.0, abs(c))): pair
+    if type(t) is Var:
+        return lambda x: (x, max(1.0, abs(x)))
+    if type(t) is Pow and type(t.exponent) is Const \
+            and t.exponent.value in range(17):
+        sides, op = (t.base, t.exponent), _FLOAT_OPS["^"]
+    elif type(t) is BinOp:
+        sides, op = (t.left, t.right), _FLOAT_OPS[t.op]
+    else:
+        twin = type(t) is FuncApp and len(t.args) == 1 \
+            and getattr(FUNCTIONS.get(t.name), "twin", None)
+        f = twin and _float_image(t.args[0], v)
+        return (lambda x: twin(*f(x))) if f else None
+    f, g = _float_image(sides[0], v), _float_image(sides[1], v)
+    return (lambda x: op(*f(x), *g(x))) if f and g else None
 
 
 def _divides_by_other(expr, names) -> bool:

@@ -475,6 +475,41 @@ def test_an_unknown_from_a_nonlinear_real_atom_says_so(cls):
     assert (solver.nodes, solver.stopped_by) == (0, "nonlinear")
 
 
+def disjunctions(n):
+    """``n`` two-way disjunctions: 2**n branches, past _DNF_CAP = 256 from
+    n = 9 on."""
+    return "".join(f"(declare-fun x{i} () Int)(assert (or (= x{i} 0)"
+                   f" (= x{i} 1)))" for i in range(n)) + "(check-sat)"
+
+
+@pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
+@pytest.mark.parametrize("script, reason", [
+    ("(declare-fun x () Int)(assert (>= x 0))(assert (<= x 5))(minimize x)",
+     "goal"),
+    (disjunctions(9), "dnf"),
+    ("(declare-fun x () Int)(assert (forall ((k Int)) (>= (* k k) x)))"
+     "(check-sat)", "dnf"),
+    ("(declare-fun z () Complex)(assert (= z 1))(check-sat)", "complex"),
+], ids=["goal", "dnf-cap", "dnf-quantifier", "complex"])
+def test_an_unknown_before_any_search_says_why(cls, script, reason):
+    solver = cls(parse(script))
+    assert solver.solve() == ("unknown", {})
+    assert (solver.nodes, solver.stopped_by) == (0, reason)
+
+
+def test_a_goal_left_open_in_one_branch_gives_no_reason_to_a_sat_one():
+    # the first branch leaves x open, the second pins it
+    solver = ExactSolver(parse("(declare-fun x () Int)(assert (>= x 0))"
+                               "(assert (or (< x 5) (= x 7)))(minimize x)"))
+    assert solver.solve() == ("sat", {"x": Num(Fraction(7))})
+    assert solver.stopped_by is None
+
+
+def test_the_cap_itself_expands():
+    solver = ExactSolver(parse(disjunctions(8)))
+    assert solver.solve()[0] == "sat" and solver.stopped_by is None
+
+
 @pytest.mark.parametrize("cls, status, stopped_by", [
     (ExactSolver, "unknown", "nonlinear"),
     (minisolver.RootSolver, "sat", None),

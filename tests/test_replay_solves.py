@@ -159,3 +159,19 @@ def test_a_tree_timed_against_itself_differs_in_no_solve(capsys, monkeypatch):
     assert f"of {replay.ROUNDS}\n" in out
     assert "0 solves differ" in out
     assert not any(m.startswith("mathmorph_tree") for m in sys.modules)
+
+
+def test_the_timer_prints_each_trees_per_solve_tail(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    # nearest rank over 10 solves: p50 is the 5th fastest, p90 the 9th
+    assert replay.tail(k / 1e3 for k in range(10, 0, -1)) \
+        == "p50 5.000 ms, p90 9.000 ms, max 10.000 ms"
+    assert replay.tail([0.002]) == "p50 2.000 ms, p90 2.000 ms, max 2.000 ms"
+    fake_workload(monkeypatch, replay, SCRIPTS)
+    assert replay.time_trees(ROOT, ROOT, ["verify-rows"]) == 0
+    out = capsys.readouterr().out
+    tails = re.findall(r"^  ([AB]) per solve: p50 ([\d.]+) ms, p90 ([\d.]+)"
+                       r" ms, max ([\d.]+) ms$", out, re.M)
+    assert [side for side, *_ in tails] == ["A", "B"]
+    for _, p50, p90, top in tails:
+        assert 0 < float(p50) <= float(p90) <= float(top)

@@ -213,9 +213,9 @@ def test_numeric_fallback_solves_nonlinear_real(monkeypatch):
 
 
 # z * z = -1 - x has no real root at any of the 1,000 leaves: the root
-# step's search runs until the node budget stops it, about two seconds.
-# The exact stages alone take a quarter of that, and with a second integer
-# they too run until the node budget stops them.
+# step's search runs until the node budget stops it, about a quarter of a
+# second.  The exact stages alone take a fifth of that, and with a second
+# integer they too run until the node budget stops them.
 NO_REAL_ROOT = ("(declare-fun x () Int)(declare-fun z () Real)"
                 "(assert (>= x 0))(assert (<= x 999))"
                 "(assert (= (* z z) (- 0 1 x)))(check-sat)(get-value (x))")
