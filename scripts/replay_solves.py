@@ -40,11 +40,13 @@ both trees load side by side in one process.  Every text is parsed and
 solved on both trees in an untimed pass, and any solve whose status,
 model, nodes or ``stopped_by`` differ is listed, which makes the exit
 status 1.  Then the solves are timed in chunks of ``CHUNK`` over
-``ROUNDS`` rounds, the two trees taking turns to go first; parsing is not
-timed.  Each workload prints both trees' total seconds, the speed-up of B
-over A and how many chunks each tree won, and each tree's per-solve p50,
-p90 and max: each solve's time is its median over the rounds, and a
-percentile is the nearest rank.  Runs on a shared host drift by
+``ROUNDS`` rounds, the two trees taking turns to go first; each chunk's
+texts are parsed afresh, and the parse is timed apart from the solves.
+Each workload prints both trees' total seconds, the speed-up of B over A
+and how many chunks each tree won, both trees' parse seconds and the
+speed-up of B's parse, and each tree's per-solve p50, p90 and max: each
+solve's time is its median over the rounds, and a percentile is the
+nearest rank.  Runs on a shared host drift by
 up to 40%, so two trees are compared in one process, chunk by chunk,
 rather than across bench runs.
 """
@@ -235,22 +237,26 @@ def load_tree(tree: str, name: str, tmp: str):
 
 
 def run_chunk(tree, chunk) -> tuple:
-    """``(seconds, outcomes)`` of the solves of ``chunk`` on ``tree``: the
-    seconds of each solve, and each outcome ``(status, model, nodes,
-    stopped_by)``.  Only the solves are timed, on problems parsed afresh."""
+    """``(parse seconds, seconds, outcomes)`` of the solves of ``chunk`` on
+    ``tree``: the seconds that parsing the chunk's texts takes, those of
+    each solve on the problems parsed, and each outcome ``(status, model,
+    nodes, stopped_by)``."""
     parse, minisolver = tree
-    solvers = [getattr(minisolver, s["solver"])(parse(s["text"]), s["budget"],
-                                                s["timeout_s"])
-               for s in chunk]
+    start = time.perf_counter()
+    problems = [parse(s["text"]) for s in chunk]
+    parsed = time.perf_counter() - start
+    solvers = [getattr(minisolver, s["solver"])(p, s["budget"], s["timeout_s"])
+               for p, s in zip(problems, chunk)]
     results, seconds = [], []
     for solver in solvers:
         start = time.perf_counter()
         results.append(solver.solve())
         seconds.append(time.perf_counter() - start)
-    return seconds, [(status, {n: [str(x.value), x.exact]
-                               for n, x in sorted(model.items())},
-                      solver.nodes, solver.stopped_by)
-                     for (status, model), solver in zip(results, solvers)]
+    return parsed, seconds, [
+        (status, {n: [str(x.value), x.exact]
+                  for n, x in sorted(model.items())},
+         solver.nodes, solver.stopped_by)
+        for (status, model), solver in zip(results, solvers)]
 
 
 def tail(seconds) -> str:
@@ -277,17 +283,18 @@ def time_trees(tree_a: str, tree_b: str, workloads) -> int:
                 chunks = [solves[i:i + CHUNK]
                           for i in range(0, len(solves), CHUNK)]
                 # an untimed pass compares the answers and warms both trees
-                outcomes = [run_chunk(tree, solves)[1] for tree in trees]
+                outcomes = [run_chunk(tree, solves)[2] for tree in trees]
                 differ += [f"  {name} solve {k}: {x} -> {y}" for k, (x, y)
                            in enumerate(zip(*outcomes)) if x != y]
-                totals, won = [0.0, 0.0], [0, 0]
+                totals, won, parsing = [0.0, 0.0], [0, 0], [0.0, 0.0]
                 # each side's seconds per solve, one entry per round
                 per_solve = [[[] for _ in solves] for _ in trees]
                 for r in range(ROUNDS):
                     for i, chunk in enumerate(chunks):
                         seconds = [0.0, 0.0]
                         for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                            each = run_chunk(trees[side], chunk)[0]
+                            parsed, each, _ = run_chunk(trees[side], chunk)
+                            parsing[side] += parsed
                             for k, t in enumerate(each):
                                 per_solve[side][i * CHUNK + k].append(t)
                             seconds[side] = sum(each)
@@ -298,6 +305,8 @@ def time_trees(tree_a: str, tree_b: str, workloads) -> int:
                       f" B {totals[1]:.3f} s, speed-up"
                       f" {totals[0] / max(totals[1], 1e-9):.3f}x; chunks won"
                       f" A {won[0]}, B {won[1]} of {ROUNDS * len(chunks)}")
+                print(f"  parse: A {parsing[0]:.3f} s, B {parsing[1]:.3f} s,"
+                      f" speed-up {parsing[0] / max(parsing[1], 1e-9):.3f}x")
                 for side, label in enumerate("AB"):
                     print(f"  {label} per solve: " + tail(
                         statistics.median(ts) for ts in per_solve[side]))

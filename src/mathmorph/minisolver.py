@@ -102,11 +102,13 @@ class ExactSolver:
             else time.monotonic() + timeout_s
         self.nodes = 0
         # or "budget", "cut", "deadline", "window", "nonlinear", "goal",
-        # "dnf" (past _DNF_CAP branches, or a quantifier) or "complex"
+        # "error" (an atom's check raised), "dnf" (past _DNF_CAP branches,
+        # or a quantifier) or "complex"
         self.stopped_by = None
         self.windowed = False   # probed a range it could not bound soundly
         self.nonlinear = False  # the real stage left a nonlinear atom open
         self.goal_open = False  # propagation left a goal's model open
+        self.raised = False     # the check of a ground atom raised
         self.domains = dict(problem.declarations)
         # closures by (id of atom or side, variable, builder), built on
         # first use; the keys are the branches' atoms and their sides, which
@@ -142,7 +144,8 @@ class ExactSolver:
             return "timeout", {}
         if self.stopped_by is None:
             self.stopped_by = "window" if self.windowed else "nonlinear" \
-                if self.nonlinear else "goal" if self.goal_open else None
+                if self.nonlinear else "goal" if self.goal_open else \
+                "error" if self.raised else None
         return ("unknown" if saw_unknown else "unsat"), {}
 
     def _solve_branch(self):
@@ -392,6 +395,7 @@ class ExactSolver:
                 holds = _HOLDS[c.rel](ab[1], 0) if ab \
                     else eval_constraint(c, model)
             except MathMorphError:
+                self.raised = True
                 return "unknown", left + atoms[i:]
             if not holds:
                 return "unsat", None

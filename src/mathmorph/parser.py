@@ -3,10 +3,17 @@
 Supported commands: set-logic (ignored), declare-fun/declare-const,
 define-fun (an Int or Real macro), define-fun-rec (kept verbatim), assert,
 minimize, maximize, check-sat, get-value.  Comments start with ``;``.
+
+Text is read in one pass of a compiled regex (SMT-LIB 2.6, section 3.1)
+that nests each token as it matches; positions come from the offsets of the
+newlines.  A command may nest ``2 * MAX_DEPTH`` levels, a term have
+``MAX_DEPTH``.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -51,86 +58,109 @@ class UnsupportedCommandError(ParseError):
 # Tokenizer / S-expression reader
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# not frozen: a frozen one builds a token 3x slower, via object.__setattr__
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
     text: str
     line: int
     col: int
 
 
+# one match per token: a parenthesis, a comment, a string literal (``""``
+# is a quote in it; the lookahead, never backtracked into, takes the longest
+# run of pairs and other characters at once), a symbol or numeral, or a lone
+# ``"`` that starts no literal.  ``\s`` matches exactly what ``str.isspace``
+# accepts, and that is all that no alternative matches.
+_TOKEN = re.compile(r'[()]|;[^\n]*|"(?=([^"]*(?:""[^"]*)*))\1"'
+                    r'|[^\s();"][^\s();]*|"')
+
+
 def tokenize(text: str, line: int = 1):
-    """Atoms of ``text``, whose first line is numbered ``line``:
-    parentheses, symbols and numerals, and each ``"..."`` string literal
-    whole (``""`` inside it is a quote); comments are skipped.  An
-    unterminated literal raises ParseError."""
-    col = 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield Atom(ch, line, col)
-            col += 1
-            i += 1
-        elif ch == '"':
-            end = i + 1
-            while True:
-                end = text.find('"', end) + 1
-                if not end:
-                    raise ParseError("unterminated string literal", line, col)
-                if text[end:end + 1] != '"':
-                    break
-                end += 1
-            lexeme = text[i:end]
-            yield Atom(lexeme, line, col)
-            newlines = lexeme.count("\n")
+    """Atoms of ``text``, whose first line is numbered ``line``, from one
+    regex pass: parentheses, symbols and numerals, and each ``"..."``
+    string literal whole (``""`` inside it is a quote); comments are
+    skipped.  A line ends at ``\\n`` only.  An unterminated literal raises
+    ParseError."""
+    # newlines are counted up to ``seen`` as tokens come, not all first:
+    # the solver's line loop reads a pending literal again for each line
+    seen, start = 0, -1
+    for m in _TOKEN.finditer(text):
+        tok, p = m[0], m.start()
+        newlines = text.count("\n", seen, p)
+        if newlines:
             line += newlines
-            col = end - text.rfind("\n", 0, end) if newlines \
-                else col + len(lexeme)
-            i = end
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            yield Atom(text[start:i], line, start_col)
+            start = text.rfind("\n", seen, p)
+        seen = p
+        if tok == '"':
+            raise ParseError("unterminated string literal", line, p - start)
+        if tok[0] != ";":
+            yield Atom(tok, line, p - start)
 
 
 def read_sexprs(text: str):
-    """Parse text into a list of nested lists of Atoms."""
-    return build_sexprs(tokenize(text))
+    """The top-level forms of ``text`` as nested lists of Atoms, from the
+    regex pass of ``tokenize``, nesting each token as it matches and
+    making no Atom for a parenthesis; it measures how deep each top-level
+    form nests and marks a deep one for ``feed`` to check.  Text with
+    a reading error is read again by ``build_sexprs(tokenize(text))``,
+    which raises it with its position."""
+    # -1, the offsets of the newlines and len(text): the two around an
+    # offset give its line and column
+    ends = [-1, *(m.start() for m in re.finditer("\n", text)), len(text)]
+    line, start, stop = 1, -1, ends[1]      # the line read, and its ends
+    top, stack, deepest = [], [], 0
+    cur = top
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
+            stack.append(cur)
+            cur = []
+            if len(stack) > deepest:
+                deepest = len(stack)
+        elif tok == ")" and stack:
+            done, cur = cur, stack.pop()
+            if not stack and deepest >= 2 * MAX_DEPTH:
+                done, deepest = _Deep(done), 0
+            cur.append(done)
+        elif tok == ")" or tok == '"':   # unbalanced, or unterminated
+            return build_sexprs(tokenize(text))
+        elif tok[0] != ";":
+            p = m.start()
+            if p > stop:                    # on a later line
+                line = bisect(ends, p)
+                start, stop = ends[line - 1], ends[line]
+            cur.append(Atom(tok, line, p - start))
+    return build_sexprs(tokenize(text)) if stack else top
 
 
 def build_sexprs(tokens):
-    """Nest a sequence of Atoms into lists at their parentheses."""
-    stack = [[]]
-    opens = []
+    """Nest a sequence of Atoms into lists at their parentheses, marking
+    forms as ``read_sexprs`` does."""
+    top, stack, deepest = [], [], 0
+    cur = top
     for tok in tokens:
         if tok.text == "(":
-            stack.append([])
-            opens.append(tok)
+            stack.append((cur, tok))
+            cur = []
+            deepest = max(deepest, len(stack))
         elif tok.text == ")":
-            if len(stack) == 1:
+            if not stack:
                 raise ParseError("unbalanced ')'", tok.line, tok.col)
-            done = stack.pop()
-            opens.pop()
-            stack[-1].append(done)
+            done, cur = cur, stack.pop()[0]
+            if not stack and deepest >= 2 * MAX_DEPTH:
+                done, deepest = _Deep(done), 0
+            cur.append(done)
         else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
-        tok = opens[-1]
+            cur.append(tok)
+    if stack:
+        tok = stack[-1][1]
         raise ParseError("unbalanced '('", tok.line, tok.col)
-    return stack[0]
+    return top
+
+
+class _Deep(list):
+    """A top-level form whose deepest list is ``2 * MAX_DEPTH`` or more
+    levels down, as the reader marks it; an atom is a level below it."""
 
 
 def sexpr_to_text(s) -> str:
@@ -155,6 +185,8 @@ def _parse_numeral(text: str, line, col):
     raises ``ParseError`` for one of more than ``MAX_DIGITS`` digits."""
     if text.isdecimal() and len(text) <= MAX_DIGITS:    # the common case
         return Fraction(int(text))
+    if text[0].isalpha():       # Decimal reads only inf and nan from these
+        return None
     try:
         d = Decimal(text)
     except InvalidOperation:
@@ -502,17 +534,19 @@ def _absorb_side_constraints(declarations, constraints):
     unguarded = {n: i for i, (n, d) in enumerate(decls) if d is Domain.INT}
     remaining = []
     for c in constraints:
-        # a guard is a ">=" with its variable itself on the left
-        name = c.lhs.name if type(c) is Compare and c.rel == ">=" \
-            and type(c.lhs) is Var else None
-        dom = next((d for d in (Domain.NAT, Domain.POS)
-                    if c == d.guard(name)), None) \
-            if name in unguarded else None
+        # a guard is a ">=" with its variable itself on the left and the
+        # domain's lower bound on the right
+        dom = _GUARDED.get(c.rhs.value) if type(c) is Compare \
+            and c.rel == ">=" and type(c.lhs) is Var \
+            and c.lhs.name in unguarded and type(c.rhs) is Const else None
         if dom is None:
             remaining.append(c)
         else:
-            decls[unguarded.pop(name)] = (name, dom)
+            decls[unguarded.pop(c.lhs.name)] = (c.lhs.name, dom)
     return tuple(decls), tuple(remaining)
+
+
+_GUARDED = {d.lower_bound: d for d in (Domain.NAT, Domain.POS)}
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +562,10 @@ def parse(text: str) -> Problem:
 
 
 def _cap_nesting(s):
-    """ParseError when command ``s`` nests over ``2 * MAX_DEPTH`` levels."""
-    if _height([s], lambda n: n if isinstance(n, list) else ()) \
+    """ParseError when command ``s`` nests over ``2 * MAX_DEPTH`` levels;
+    only a form the reader marked ``_Deep`` is walked."""
+    if type(s) is _Deep and _height(
+            [s], lambda n: n if isinstance(n, list) else ()) \
             > 2 * MAX_DEPTH:
         raise ParseError(f"nested deeper than {2 * MAX_DEPTH} levels")
 

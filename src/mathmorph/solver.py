@@ -168,8 +168,8 @@ def solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolverResult:
     # the root step finds a feasible point, not an optimum, so an
     # optimization goal never falls back
     fallback = cfg.fallback_enabled and p.goal.kind == "solve"
-    command = cfg.command or shlex.split(os.environ.get("MATHMORPH_SOLVER",
-                                                        ""))
+    env = os.environ.get("MATHMORPH_SOLVER")
+    command = cfg.command or (env and shlex.split(env))
     timeout_s = cfg.timeout_ms / 1000.0
     if not command and fallback:
         return numeric_fallback_solve(p, cfg)

@@ -475,6 +475,21 @@ def test_an_unknown_from_a_nonlinear_real_atom_says_so(cls):
     assert (solver.nodes, solver.stopped_by) == (0, "nonlinear")
 
 
+@pytest.mark.parametrize("cls", [ExactSolver, minisolver.RootSolver])
+@pytest.mark.parametrize("check, answer, reason", [
+    ("(> (exp x) 0)", "unknown", "error"),
+    ("(or (> (exp x) 0) (< x 0))", "sat", None),
+], ids=["raises", "raises-in-one-branch"])
+def test_an_unknown_from_a_check_that_raises_says_so(cls, check, answer,
+                                                     reason):
+    # exp(-10000) has more digits than funcs.MAX_DIGITS, so its check
+    # raises; a later branch that holds still answers sat, with no reason
+    solver = cls(parse("(declare-fun x () Real)(assert (= x (- 10000)))"
+                       f"(assert {check})(check-sat)"))
+    assert solver.solve()[0] == answer
+    assert (solver.nodes, solver.stopped_by) == (0, reason)
+
+
 def disjunctions(n):
     """``n`` two-way disjunctions: 2**n branches, past _DNF_CAP = 256 from
     n = 9 on."""

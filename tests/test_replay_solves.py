@@ -175,3 +175,15 @@ def test_the_timer_prints_each_trees_per_solve_tail(capsys, monkeypatch):
     assert [side for side, *_ in tails] == ["A", "B"]
     for _, p50, p90, top in tails:
         assert 0 < float(p50) <= float(p90) <= float(top)
+
+
+def test_the_timer_prints_each_trees_parse_seconds(capsys, monkeypatch):
+    replay = load_replay(monkeypatch)
+    fake_workload(monkeypatch, replay, SCRIPTS)
+    assert replay.time_trees(ROOT, ROOT, ["verify-rows"]) == 0
+    out = capsys.readouterr().out
+    [(a, b, ratio)] = re.findall(r"^  parse: A ([\d.]+) s, B ([\d.]+) s,"
+                                 r" speed-up ([\d.]+)x$", out, re.M)
+    assert float(a) > 0 and float(b) > 0 and float(ratio) > 0
+    # the parse line follows its workload's solve line
+    assert out.index("verify-rows: 2 solves") < out.index("  parse: A")

@@ -4,6 +4,7 @@ fallback."""
 import itertools
 import math
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -110,6 +111,16 @@ def test_summation_index_shadows_model_value(command, provenance):
 def test_goal_values_follow_get_value_order():
     r = solve(load_problem("m1.smt2"))
     assert [n for n, _ in r.goal_values] == ["a", "b", "c"]
+
+
+def test_the_solver_variable_routes_a_solve_only_when_set(monkeypatch):
+    p = load_problem("m1.smt2")
+    monkeypatch.setenv("MATHMORPH_SOLVER", shlex.join(GATEWAY))
+    through = solve(p)
+    monkeypatch.delenv("MATHMORPH_SOLVER")
+    direct = solve(p)
+    assert (through.provenance, direct.provenance) == ("smt", "exact")
+    assert through.goal_values == direct.goal_values
 
 
 def test_missing_solver_binary_raises():
